@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -235,16 +235,25 @@ class GeneratorChain:
 
     ``steps`` is the ordered list of (method, grade, generator) with
     method 'average', 'lie' or 'star'.  ``normalized_symbol`` is the
-    resonant Weyl symbol the loop converged to, kept for replay checks;
+    resonant Weyl symbol the loop converged to, kept for replay checks.
     ``remainder`` holds the terms of grade > order seen when the chain is
-    replayed at a higher truncation.
+    replayed two grades higher; the replay costs more than the normal form
+    itself, so it runs on the first access and is cached.
     """
 
     kind: str
     order: int
+    model: CylinderModel | SaddleModel = field(repr=False)
     steps: list = field(default_factory=list)
     normalized_symbol: FormalSymbol | None = None
-    remainder: FormalSymbol | None = None
+
+    @cached_property
+    def remainder(self) -> FormalSymbol:
+        wide = replay_chain(self.model, self, grade_max=self.order + 2)
+        tail = {
+            k: c for k, c in wide.terms.items() if wide.spec.grade(k) > self.order
+        }
+        return FormalSymbol(wide.spec, tail, _raw=True)
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +463,7 @@ def closed_orbit_bnf(
         tau_order = _default_tau_order(model, order)
     spec = PhaseSpec.cylinder(order, tau_order, model.orientable)
     p = cylinder_symbol(model, spec)
-    chain = GeneratorChain("closed_orbit", order)
+    chain = GeneratorChain("closed_orbit", order, model)
 
     f = model.energy.resized(tau_order)
 
@@ -499,7 +508,6 @@ def closed_orbit_bnf(
             f"normalization left non-resonant residue {dust.max_abs():.3e}"
         )
     chain.normalized_symbol = res
-    chain.remainder = _chain_remainder(model, chain, spec)
     nf = _functional_closed_orbit(
         res, order, model.action, model.reference_energy, model.orientable
     )
@@ -571,7 +579,7 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
     if (q2 - expect).max_abs() > 1e-10 * max(abs(nu[0]), abs(nu[1])):
         raise ModelValidationError("quadratic part is not in the prepared saddle form")
 
-    chain = GeneratorChain("equilibrium", order)
+    chain = GeneratorChain("equilibrium", order, model)
     for d in range(3, order + 1):
         v = p.grade_part(d)
         _, nonres = resonant_project(v)
@@ -599,7 +607,6 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
             f"normalization left non-resonant residue {dust.max_abs():.3e}"
         )
     chain.normalized_symbol = res
-    chain.remainder = _chain_remainder(model, chain, spec)
     nf = _functional_equilibrium(res, order, model.energy0)
     return nf, chain
 
@@ -635,15 +642,6 @@ def replay_chain(model, chain: GeneratorChain, grade_max: int | None = None) -> 
         else:
             raise ValueError(f"unknown chain step {method!r}")
     return p
-
-
-def _chain_remainder(model, chain: GeneratorChain, spec: PhaseSpec) -> FormalSymbol:
-    """Terms of grade > order produced when replaying two grades higher."""
-    wide = replay_chain(model, chain, grade_max=chain.order + 2)
-    tail = {
-        k: c for k, c in wide.terms.items() if wide.spec.grade(k) > chain.order
-    }
-    return FormalSymbol(wide.spec, tail, _raw=True)
 
 
 class OrbitDiagnostics(NamedTuple):

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ from .quantize import (
     direct_spectrum,
     metaplectic_substitute,
 )
-from .symbols import FormalSymbol, PhaseSpec, TauSeries
+from .symbols import PRUNE_REL, FormalSymbol, PhaseSpec, TauSeries
 
 __all__ = [
     "ConfigError",
@@ -106,6 +107,8 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class ScenarioConfig:
+    """A validated scenario; ``raw`` is not to be changed once loaded."""
+
     raw: dict
 
     @property
@@ -136,6 +139,11 @@ class ScenarioConfig:
         return Window(float(center or 0.0), float(w["half_width"]), float(w["depth"]))
 
     def model(self):
+        """The model of ``raw``, built on the first call and then reused."""
+        return self._model
+
+    @cached_property
+    def _model(self):
         return _build_model(self.raw["model"])
 
     def canonical(self) -> dict:
@@ -166,7 +174,12 @@ def _build_tau_series(coeffs, what) -> TauSeries:
     return TauSeries([float(c) for c in coeffs])
 
 
-def _build_terms(spec: PhaseSpec, items, what) -> FormalSymbol | None:
+def _build_terms(shape: PhaseSpec, items, what) -> FormalSymbol | None:
+    """Symbol of a term list on a spec of ``shape`` sized to hold every term.
+
+    Raises ConfigError for a term the symbol would still drop: one whose
+    coefficient is below the relative pruning floor.
+    """
     if not items:
         return None
     terms = {}
@@ -185,11 +198,26 @@ def _build_terms(spec: PhaseSpec, items, what) -> FormalSymbol | None:
             raise ConfigError(f"{what} Fourier mode must be integer or half-integer")
         key = (int(round(m2)), a, alpha, beta, j)
         try:
-            spec.validate_key(key)
+            shape.validate_key(key)
         except ValueError as exc:
             raise ConfigError(f"invalid {what} entry {it!r}: {exc}") from exc
         terms[key] = terms.get(key, 0.0) + coef
-    return FormalSymbol(spec, terms)
+    spec = replace(
+        shape,
+        grade_max=max(2, max(shape.grade(k) for k in terms)),
+        tau_max=max(k[1] for k in terms),
+    )
+    sym = FormalSymbol(spec, terms)
+    kept = sym.terms
+    for key, coef in terms.items():
+        if coef != 0 and key not in kept:
+            m2, a, alpha, beta, j = key
+            raise ConfigError(
+                f"{what} term m={m2 / 2:g}, a={a}, alpha={list(alpha)}, "
+                f"beta={list(beta)}, j={j} has coefficient {coef}, below "
+                f"{PRUNE_REL:g} times the largest one, and would be dropped"
+            )
+    return sym
 
 
 def _build_model(m: dict):
@@ -198,9 +226,8 @@ def _build_model(m: dict):
         orientable = bool(m.get("orientable", True))
         energy = _build_tau_series(m["energy_coeffs"], "energy_coeffs")
         rate = _build_tau_series(m["rate_coeffs"], "rate_coeffs")
-        K = max(8, energy.order, rate.order)
-        spec = PhaseSpec.cylinder(12, K, orientable)
-        pert = _build_terms(spec, m.get("perturbation", []), "perturbation")
+        shape = PhaseSpec.cylinder(2, 0, orientable)
+        pert = _build_terms(shape, m.get("perturbation", []), "perturbation")
         try:
             return CylinderModel(
                 energy, rate, pert, orientable,
@@ -209,8 +236,7 @@ def _build_model(m: dict):
         except ModelValidationError as exc:
             raise ConfigError(str(exc)) from exc
     if kind == "saddle":
-        spec = PhaseSpec.saddle(12)
-        higher = _build_terms(spec, m.get("higher_terms", []), "higher_terms")
+        higher = _build_terms(PhaseSpec.saddle(2), m.get("higher_terms", []), "higher_terms")
         try:
             return SaddleModel(
                 float(m.get("energy0", 0.0)),
@@ -244,7 +270,6 @@ def _validate(raw: dict) -> None:
     w = comp.get("window")
     if not w or w.get("half_width", 0) <= 0 or w.get("depth", 0) <= 0:
         raise ConfigError("compute.window needs positive half_width and depth")
-    _build_model(raw["model"])  # raises ConfigError with the violated invariant
 
 
 def load_config(source) -> ScenarioConfig:
@@ -264,7 +289,9 @@ def load_config(source) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _validate(raw)
-    return ScenarioConfig(raw)
+    config = ScenarioConfig(raw)
+    config.model()  # raises ConfigError with the violated invariant
+    return config
 
 
 def bundled_scenarios() -> dict:

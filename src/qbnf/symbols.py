@@ -482,15 +482,18 @@ class FormalSymbol:
 
 
 # --------------------------------------------------------------------------
-# bidifferential machinery shared by the bracket and the star product
+# the bidifferential kernel behind the bracket and the star product
 # --------------------------------------------------------------------------
 
-# channel = (left derivative, right derivative, sign); derivative codes are
-# "tau", "t" or ("x"|"xi", pair index)
+# A channel is one elementary derivation (left derivative, right derivative,
+# sign); derivative codes are "tau", "t" or ("x"|"xi", pair index).  Every
+# geometry has four: two per conjugate pair, (t, tau) counting as a pair on
+# the cylinder.  A plain single pair keeps the angle channels too; with no
+# Fourier mode and no tau power they never act.
 
 def _channels(spec: PhaseSpec):
     ch = []
-    if spec.has_angle:
+    if spec.num_pairs == 1:
         ch.append(("tau", "t", 1.0))
         ch.append(("t", "tau", -1.0))
     for i in range(spec.num_pairs):
@@ -499,175 +502,165 @@ def _channels(spec: PhaseSpec):
     return ch
 
 
-def _capacity(code, m2, a, alpha, beta):
-    if code == "t":
-        return 10**9 if m2 else 0
-    if code == "tau":
-        return a
-    kind, i = code
-    return alpha[i] if kind == "x" else beta[i]
+def _operand(spec, chs, side, terms):
+    """Derivative tables for (key, coef, grade) terms of one kernel operand.
 
-
-def _apply_derivative(code, count, m2, a, alpha, beta):
-    """Apply d^count; returns (factor, a, alpha, beta) or None when it kills."""
-    if count == 0:
-        return 1.0, a, alpha, beta
-    if code == "t":
-        return (0.5j * m2) ** count, a, alpha, beta
-    if code == "tau":
-        if a < count:
-            return None
-        f = 1.0
-        for r in range(count):
-            f *= a - r
-        return f, a - count, alpha, beta
-    kind, i = code
-    e = alpha[i] if kind == "x" else beta[i]
-    if e < count:
-        return None
-    f = 1.0
-    for r in range(count):
-        f *= e - r
-    if kind == "x":
-        alpha = alpha[:i] + (e - count,) + alpha[i + 1 :]
-    else:
-        beta = beta[:i] + (e - count,) + beta[i + 1 :]
-    return f, a, alpha, beta
-
-
-def _bidifferential(spec, chs, ka, ca, kb, cb, emit):
-    """Enumerate all channel multiplicity vectors for one term pair.
-
-    Calls ``emit(k_total, factor, left_state, right_state)`` for every
-    multiset of elementary derivations, where factor already contains
-    the coefficient product, per-channel signs, falling factorials and
-    1/kappa! weights.  States are (m2, a, alpha, beta); h powers are the
-    caller's business.
+    ``side`` is 0 for the left operand, 1 for the right.  Yields (key, coef,
+    grade, caps, facs): caps[c] is how often the term's derivative in
+    channel c can act and facs[c][kappa] the factor d^kappa pulls down, a
+    falling factorial or (i m / 2)^kappa for d_t.
     """
-
-    def rec(idx, k_tot, factor, la, lal, lbe, ra, ral, rbe):
-        if idx == len(chs):
-            emit(k_tot, factor, la, lal, lbe, ra, ral, rbe)
-            return
-        left, right, sign = chs[idx]
-        cap = min(
-            _capacity(left, ka[0], la, lal, lbe),
-            _capacity(right, kb[0], ra, ral, rbe),
-        )
-        kappa_factor = 1.0
-        for kappa in range(cap + 1):
-            if kappa:
-                kappa_factor *= sign / kappa
-                dl = _apply_derivative(left, kappa, ka[0], la, lal, lbe)
-                dr = _apply_derivative(right, kappa, kb[0], ra, ral, rbe)
-                if dl is None or dr is None:
-                    break
-                fl, na, nal, nbe = dl
-                fr, ma, mal, mbe = dr
-                f2 = factor * kappa_factor * fl * fr
-                if f2 != 0:
-                    rec(idx + 1, k_tot + kappa, f2, na, nal, nbe, ma, mal, mbe)
+    t_pows: dict = {}
+    for key, coef, grade in terms:
+        m2, a, alpha, beta, _ = key
+        caps, facs = [], []
+        for ch in chs:
+            code = ch[side]
+            if code == "t":
+                cap = spec.tau_max if m2 else 0
+                if m2 not in t_pows:
+                    t_pows[m2] = [(0.5j * m2) ** k for k in range(cap + 1)]
+                f = t_pows[m2]
             else:
-                rec(idx + 1, k_tot, factor, la, lal, lbe, ra, ral, rbe)
+                cap = a if code == "tau" else (alpha if code[0] == "x" else beta)[code[1]]
+                f = [1.0]
+                for r in range(cap):
+                    f.append(f[-1] * (cap - r))
+            caps.append(cap)
+            facs.append(f)
+        yield key, coef, grade, caps, facs
 
-    rec(0, 0, ca * cb, ka[1], ka[2], ka[3], kb[1], kb[2], kb[3])
+
+def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
+                    scale: complex) -> FormalSymbol:
+    """sum_k scale (h/2i)^k h^h_shift B_k(a, b) over the selected orders k.
+
+    ``orders`` is "all", "odd" or "first" (k = 1 only).  B_k sums, over
+    every multiset of k elementary derivations, the signed derivatives with
+    1/kappa! weights per channel.  A term pair can only reach output grades
+    >= g_a + g_b + 2 h_shift, so pairs above the truncation are skipped
+    before any key is built; the others are expanded in a fixed order, so
+    every coefficient is the same floating-point sum whatever is skipped.
+    """
+    a._check(b)
+    spec = a.spec
+    chs = _channels(spec)
+    if orders == "first":
+        # the expansion below meets single derivations last channel first;
+        # the bracket sums them in the order of its formula, and floating-
+        # point sums depend on that order
+        chs = chs[::-1]
+    K = spec.grade_max + spec.tau_max  # bounds every channel multiplicity
+    kmax = 1 if orders == "first" else 4 * K
+    odd = orders != "all"
+    kf = []
+    for _, _, sign in chs:
+        f = [1.0]
+        for kappa in range(1, K + 1):
+            f.append(f[-1] * (sign / kappa))
+        kf.append(f)
+    kf0, kf1, kf2, kf3 = kf
+    weight = [scale * (-0.5j) ** k for k in range(kmax + 1)]
+    # channels 0, 1 and 2, 3 each act on one conjugate pair: the tau slot
+    # (0) or pair i (slot i + 1); a derivation in pair i lowers alpha_i and
+    # beta_i together, one in the angle pair lowers tau and raises the grade
+    slot0 = 0 if chs[0][0] in ("tau", "t") else chs[0][0][1] + 1
+    slot1 = 0 if chs[2][0] in ("tau", "t") else chs[2][0][1] + 1
+    gmax, tmax = spec.grade_max, spec.tau_max
+    left = [(k, c, spec.grade(k)) for k, c in a._terms.items()]
+    right = [(k, c, spec.grade(k)) for k, c in b._terms.items()]
+    # a term no partner can reach the truncation with needs no tables
+    room = gmax - 2 * h_shift
+    gl = room - min((g for _, _, g in right), default=room + 1)
+    gr = room - min((g for _, _, g in left), default=room + 1)
+    right = list(_operand(spec, chs, 1, [t for t in right if t[2] <= gr]))
+    out: dict = {}
+    for ka, ca, ga, capa, fa in _operand(spec, chs, 0, [t for t in left if t[2] <= gl]):
+        lim = room - ga
+        m2a, aa, ala, bea, ja = ka
+        fa0, fa1, fa2, fa3 = fa
+        for kb, cb, gb, capb, fb in right:
+            if gb > lim:
+                continue
+            m2b, ab, alb, beb, jb = kb
+            fb0, fb1, fb2, fb3 = fb
+            m2 = m2a + m2b
+            atot = aa + ab
+            gtot = ga + gb + 2 * h_shift
+            jtot = ja + jb + h_shift
+            al = [x + y for x, y in zip(ala, alb)]
+            be = [x + y for x, y in zip(bea, beb)]
+            n0 = min(capa[0], capb[0], kmax)
+            n1 = min(capa[1], capb[1])
+            n2 = min(capa[2], capb[2])
+            n3 = min(capa[3], capb[3])
+            f = ca * cb
+            for k0 in range(n0 + 1):
+                if k0:
+                    f0 = f * kf0[k0] * fa0[k0] * fb0[k0]
+                    if f0 == 0:
+                        continue
+                else:
+                    f0 = f
+                for k1 in range(min(n1, kmax - k0) + 1):
+                    if k1:
+                        f1 = f0 * kf1[k1] * fa1[k1] * fb1[k1]
+                        if f1 == 0:
+                            continue
+                    else:
+                        f1 = f0
+                    d0 = k0 + k1
+                    for k2 in range(min(n2, kmax - d0) + 1):
+                        if k2:
+                            f2 = f1 * kf2[k2] * fa2[k2] * fb2[k2]
+                            if f2 == 0:
+                                continue
+                        else:
+                            f2 = f1
+                        for k3 in range(min(n3, kmax - d0 - k2) + 1):
+                            if k3:
+                                f3 = f2 * kf3[k3] * fa3[k3] * fb3[k3]
+                                if f3 == 0:
+                                    continue
+                            else:
+                                f3 = f2
+                            d1 = k2 + k3
+                            k = d0 + d1
+                            if odd and not k % 2:
+                                continue
+                            drop = [0, 0, 0]
+                            drop[slot0] += d0
+                            drop[slot1] += d1
+                            tau = atot - drop[0]
+                            if tau > tmax or gtot + 2 * drop[0] > gmax:
+                                continue
+                            key = (
+                                m2, tau,
+                                tuple(x - d for x, d in zip(al, drop[1:])),
+                                tuple(x - d for x, d in zip(be, drop[1:])),
+                                jtot + k,
+                            )
+                            out[key] = out.get(key, 0.0) + f3 * weight[k]
+    return FormalSymbol(spec, _prune(out), _raw=True)
 
 
 def poisson_bracket(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
-    """Exact Poisson bracket {a, b}, truncated to the common spec."""
-    a._check(b)
-    spec = a.spec
-    out = {}
-    for (m2a, aa, ala, bea, ja), ca in a._terms.items():
-        for (m2b, ab, alb, beb, jb), cb in b._terms.items():
-            j = ja + jb
-            m2 = m2a + m2b
-            if spec.has_angle:
-                # d_tau a * d_t b
-                if aa and m2b:
-                    key = (m2, aa - 1 + ab, tuple(map(sum, zip(ala, alb))),
-                           tuple(map(sum, zip(bea, beb))), j)
-                    if spec.key_ok(key):
-                        out[key] = out.get(key, 0.0) + ca * cb * aa * (0.5j * m2b)
-                # - d_t a * d_tau b
-                if m2a and ab:
-                    key = (m2, aa + ab - 1, tuple(map(sum, zip(ala, alb))),
-                           tuple(map(sum, zip(bea, beb))), j)
-                    if spec.key_ok(key):
-                        out[key] = out.get(key, 0.0) - ca * cb * (0.5j * m2a) * ab
-            for i in range(spec.num_pairs):
-                # d_xi_i a * d_x_i b
-                if bea[i] and alb[i]:
-                    alpha = tuple(x + y - (1 if p == i else 0) for p, (x, y) in enumerate(zip(ala, alb)))
-                    beta = tuple(x + y - (1 if p == i else 0) for p, (x, y) in enumerate(zip(bea, beb)))
-                    key = (m2, aa + ab, alpha, beta, j)
-                    if spec.key_ok(key):
-                        out[key] = out.get(key, 0.0) + ca * cb * bea[i] * alb[i]
-                # - d_x_i a * d_xi_i b
-                if ala[i] and beb[i]:
-                    alpha = tuple(x + y - (1 if p == i else 0) for p, (x, y) in enumerate(zip(ala, alb)))
-                    beta = tuple(x + y - (1 if p == i else 0) for p, (x, y) in enumerate(zip(bea, beb)))
-                    key = (m2, aa + ab, alpha, beta, j)
-                    if spec.key_ok(key):
-                        out[key] = out.get(key, 0.0) - ca * cb * ala[i] * beb[i]
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    """Exact Poisson bracket {a, b} = B_1(a, b), truncated to the common spec.
+
+    This is the first-order term of the Moyal series with h divided out:
+    scale 2i cancels the 1/(2i) of (h/2i)^1.
+    """
+    return _bidifferential(a, b, "first", -1, 2j)
 
 
 def moyal_star(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
     """Weyl composition a # b = sum_k (1/k!) (h/2i)^k B_k(a, b)."""
-    a._check(b)
-    spec = a.spec
-    chs = _channels(spec)
-    out = {}
-
-    for ka, ca in a._terms.items():
-        for kb, cb in b._terms.items():
-            j_base = ka[4] + kb[4]
-
-            def emit(k_tot, factor, la, lal, lbe, ra, ral, rbe):
-                j = j_base + k_tot
-                aa = la + ra
-                if aa > spec.tau_max:
-                    return
-                alpha = tuple(x + y for x, y in zip(lal, ral))
-                beta = tuple(x + y for x, y in zip(lbe, rbe))
-                if sum(alpha) + sum(beta) + 2 * j > spec.grade_max:
-                    return
-                coef = factor * (-0.5j) ** k_tot
-                key = (ka[0] + kb[0], aa, alpha, beta, j)
-                out[key] = out.get(key, 0.0) + coef
-
-            _bidifferential(spec, chs, ka, ca, kb, cb, emit)
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    return _bidifferential(a, b, "all", 0, 1.0)
 
 
 def moyal_commutator(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
     """Star commutator a # b - b # a, via the odd bidifferential orders only."""
-    a._check(b)
-    spec = a.spec
-    chs = _channels(spec)
-    out = {}
-    for ka, ca in a._terms.items():
-        for kb, cb in b._terms.items():
-            j_base = ka[4] + kb[4]
-
-            def emit(k_tot, factor, la, lal, lbe, ra, ral, rbe):
-                if k_tot % 2 == 0:
-                    return
-                j = j_base + k_tot
-                aa = la + ra
-                if aa > spec.tau_max:
-                    return
-                alpha = tuple(x + y for x, y in zip(lal, ral))
-                beta = tuple(x + y for x, y in zip(lbe, rbe))
-                if sum(alpha) + sum(beta) + 2 * j > spec.grade_max:
-                    return
-                coef = 2.0 * factor * (-0.5j) ** k_tot
-                key = (ka[0] + kb[0], aa, alpha, beta, j)
-                out[key] = out.get(key, 0.0) + coef
-
-            _bidifferential(spec, chs, ka, ca, kb, cb, emit)
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    return _bidifferential(a, b, "odd", 0, 2.0)
 
 
 def _ad_step(A: FormalSymbol, w: FormalSymbol) -> FormalSymbol:
@@ -677,30 +670,7 @@ def _ad_step(A: FormalSymbol, w: FormalSymbol) -> FormalSymbol:
     (B_k comes with h^k, k >= 1), so dividing by h is exact: the h power
     of each contribution is shifted down by one before truncation.
     """
-    spec = A.spec
-    chs = _channels(spec)
-    out = {}
-    for ka, ca in A._terms.items():
-        for kb, cb in w._terms.items():
-            j_base = ka[4] + kb[4]
-
-            def emit(k_tot, factor, la, lal, lbe, ra, ral, rbe):
-                if k_tot % 2 == 0:
-                    return
-                j = j_base + k_tot - 1
-                aa = la + ra
-                if aa > spec.tau_max:
-                    return
-                alpha = tuple(x + y for x, y in zip(lal, ral))
-                beta = tuple(x + y for x, y in zip(lbe, rbe))
-                if sum(alpha) + sum(beta) + 2 * j > spec.grade_max:
-                    return
-                coef = -2.0j * factor * (-0.5j) ** k_tot
-                key = (ka[0] + kb[0], aa, alpha, beta, j)
-                out[key] = out.get(key, 0.0) + coef
-
-            _bidifferential(spec, chs, ka, ca, kb, cb, emit)
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    return _bidifferential(A, w, "odd", -1, -2j)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qbnf.symbols import FormalSymbol
+
+# property tests draw the same examples on every run and stay cheap
+settings.register_profile(
+    "qbnf", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("qbnf")
 
 
 def random_symbol(spec, rng, n_terms=4, max_exp=2, max_mode=2, max_tau=2,

@@ -374,6 +374,49 @@ def test_equilibrium_replay_consistency():
     assert chain.remainder.min_grade() > 4
 
 
+def test_remainder_is_computed_on_demand(monkeypatch):
+    import qbnf.normal_form as normal_form
+
+    cspec = PhaseSpec.cylinder(4, 4)
+    cylinder = CylinderModel(
+        F_LIN, MU_ONE,
+        FormalSymbol.monomial(cspec, 0.1, m=1, alpha=3)
+        + FormalSymbol.monomial(cspec, 0.05, m=1, a=1, j=1),
+    )
+    sspec = PhaseSpec.saddle(4)
+    saddle = SaddleModel(
+        0.0, 1.0, math.sqrt(2.0),
+        FormalSymbol.monomial(sspec, 0.2, alpha=(2, 2))
+        + FormalSymbol.monomial(sspec, 0.1, alpha=(1, 0), beta=(0, 2)),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normal form replayed its chain")
+
+    monkeypatch.setattr(normal_form, "replay_chain", refuse)
+    runs = [(cylinder, closed_orbit_bnf(cylinder, 4)[1]),
+            (saddle, equilibrium_bnf(saddle, 4)[1])]
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return replay_chain(*args, **kwargs)
+
+    monkeypatch.setattr(normal_form, "replay_chain", counting)
+    for model, chain in runs:
+        calls.clear()
+        remainder = chain.remainder
+        assert chain.remainder is remainder
+        assert len(calls) == 1
+        # the eager computation the normal forms used to run
+        wide = replay_chain(model, chain, grade_max=chain.order + 2)
+        eager = {k: c for k, c in wide.terms.items() if wide.spec.grade(k) > chain.order}
+        assert remainder.spec == wide.spec
+        assert remainder.terms == eager
+        assert eager
+
+
 def test_saddle_model_validation():
     with pytest.raises(ModelValidationError):
         SaddleModel(0.0, -1.0, 1.0)

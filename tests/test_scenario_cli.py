@@ -82,6 +82,53 @@ def test_config_rejects_ascending_h():
         load_config(bad)
 
 
+def _with_terms(kind, terms):
+    raw = json.loads(json.dumps(GOOD))
+    if kind == "cylinder":
+        raw["model"] = {"kind": "cylinder", "energy_coeffs": [0.0, 1.0],
+                        "rate_coeffs": [1.0], "perturbation": terms}
+    else:
+        raw["model"]["higher_terms"] = terms
+    return raw
+
+
+@pytest.mark.parametrize("kind, term", [
+    ("cylinder", {"m": 1, "a": 9, "alpha": [3], "beta": [0], "re": 0.1}),
+    ("cylinder", {"m": 1, "alpha": [14], "beta": [0], "re": 0.1}),
+    ("saddle", {"alpha": [7, 7], "beta": [0, 0], "re": 0.1}),
+])
+def test_config_keeps_terms_beyond_any_fixed_size(kind, term):
+    model = load_config(_with_terms(kind, [term])).model()
+    sym = model.perturbation if kind == "cylinder" else model.higher
+    key = (2 * term.get("m", 0), term.get("a", 0), tuple(term["alpha"]),
+           tuple(term["beta"]), 0)
+    assert sym.terms == {key: 0.1}
+
+
+def test_config_rejects_term_below_pruning_floor():
+    terms = [{"m": 1, "alpha": [3], "beta": [0], "re": 1.0},
+             {"m": -1, "alpha": [0], "beta": [3], "re": 1e-17}]
+    with pytest.raises(ConfigError, match="would be dropped"):
+        load_config(_with_terms("cylinder", terms))
+
+
+def test_config_builds_model_once(tmp_path, monkeypatch):
+    import qbnf.scenario as scenario
+
+    build = scenario._build_model
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(scenario, "_build_model", counting)
+    cfg = load_config(GOOD)
+    run_scenario(cfg, tmp_path)
+    assert cfg.basis_for(0.1).h == 0.1
+    assert len(calls) == 1
+
+
 def test_run_scenario_artifacts(tmp_path):
     cfg = load_config(GOOD)
     report = run_scenario(cfg, tmp_path)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbnf.symbols import (
     FormalSymbol,
@@ -13,6 +15,7 @@ from qbnf.symbols import (
     PhaseSpec,
     SpecMismatchError,
     TauSeries,
+    _ad_step,
     homological_solve,
     lie_transform,
     moyal_commutator,
@@ -450,6 +453,33 @@ def test_substitute_pair_identity(rng):
 def test_evaluate_matches_sympy(rng):
     a = random_symbol(SPEC, rng, n_terms=5)
     assert sympy_equal(to_sympy(a), a)
+
+
+# --------------------------------------------------------------------------
+# truncation inside the bidifferential kernel
+# --------------------------------------------------------------------------
+
+@given(
+    kind=st.sampled_from(["cylinder", "nonorientable", "saddle"]),
+    grade=st.integers(2, 6),
+    tau=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncation_commutes_with_operations(kind, grade, tau, seed):
+    def spec(g):
+        if kind == "saddle":
+            return PhaseSpec.saddle(g)
+        return PhaseSpec.cylinder(g, tau, kind == "cylinder")
+
+    narrow, wide = spec(grade), spec(grade + 4)
+    rng = np.random.default_rng(seed)
+    a = random_symbol(narrow, rng, n_terms=6, max_exp=3)
+    b = random_symbol(narrow, rng, n_terms=6, max_exp=3)
+    for op in (poisson_bracket, moyal_star, moyal_commutator, _ad_step):
+        want = op(a, b)
+        got = op(a.reembedded(wide), b.reembedded(wide))
+        diff = got.reembedded(narrow) - want
+        assert diff.max_abs() <= 1e-15 * max(got.max_abs(), want.max_abs()), op
 
 
 # --------------------------------------------------------------------------
