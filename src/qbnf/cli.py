@@ -1,22 +1,46 @@
 """Command-line entry point.
 
-Subcommands operate on a scenario config (a path or a bundled name):
+Subcommands operate on a scenario config (a path or a bundled name) and
+run a subset of the pipeline stages of ``qbnf.scenario.run_scenario``.
+Every subcommand writes ``scenario_echo.json`` and ``run_report.json``;
+``<h>`` stands for each h value of the config:
 
-    qbnf bnf      --config C --out D    normal form JSON
-    qbnf lattice  --config C --out D    predicted lattice CSV per h
-    qbnf direct   --config C --out D    direct spectrum CSV per h
-    qbnf compare  --config C --out D    lattice + direct + match reports
-    qbnf sweep    --config C --out D    convergence order fit
-    qbnf run      --config C --out D    full pipeline
+    qbnf bnf      --config C --out D    normal_form.json
+    qbnf lattice  --config C --out D    normal_form.json, lattice_h<h>.csv
+    qbnf direct   --config C --out D    spectrum_h<h>.csv
+    qbnf compare  --config C --out D    bnf and lattice files, spectrum_h<h>.csv,
+                                        match_h<h>.json, match_h<h>.csv,
+                                        plot_h<h>.csv (output.plot_data)
+    qbnf sweep    --config C --out D    compare files, convergence.json
+    qbnf run      --config C --out D    the stages the config selects
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+``compute.dump_matrices`` adds matrix_h<h>.csv to every subcommand that
+runs the direct solve.  The BLAS thread count is set in the environment
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) before the process starts.
+
+Exit codes: 0 success, 1 a bug (the traceback is printed), 2
+configuration error, 3 numeric failure (``run_report.json`` is marked
+incomplete).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+
+from . import scenario as sc
+
+#: the stages of ``run_scenario`` each subcommand runs; None: as the config selects
+COMMANDS = {
+    "bnf": ("compute the normal form", ("bnf",)),
+    "lattice": ("evaluate the quantization lattice", ("bnf", "lattice")),
+    "direct": ("assemble and diagonalize the model operator", ("direct",)),
+    "compare": ("match lattice against direct spectrum",
+                ("bnf", "lattice", "direct", "match")),
+    "sweep": ("fit the convergence order over the h list",
+              ("bnf", "lattice", "direct", "match", "sweep")),
+    "run": ("full pipeline", None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,118 +49,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resonance lattices from quantum Birkhoff normal forms",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("bnf", "compute the normal form"),
-        ("lattice", "evaluate the quantization lattice"),
-        ("direct", "assemble and diagonalize the model operator"),
-        ("compare", "match lattice against direct spectrum"),
-        ("sweep", "fit the convergence order over the h list"),
-        ("run", "full pipeline"),
-    ]:
+    for name, (help_, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True,
                        help="config path or bundled scenario name")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0,
                        help="accepted for interface stability; runs are deterministic")
-        p.add_argument("--threads", default="AUTO",
-                       help="BLAS thread count or AUTO")
     return ap
-
-
-def _apply_threads(threads: str) -> None:
-    if threads == "AUTO":
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(int(threads))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _apply_threads(args.threads)
-    except ValueError:
-        print("error: --threads must be AUTO or an integer", file=sys.stderr)
-        return 2
-
-    # heavy imports after the thread environment is pinned
-    from . import scenario as sc
-
-    try:
         config = sc.load_config(args.config)
+        out = args.out or config.output.get("directory", "qbnf_out")
+        sc.run_scenario(config, out, COMMANDS[args.command][1])
     except sc.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    out = args.out or config.output.get("directory", "qbnf_out")
-
-    try:
-        if args.command == "run":
-            sc.run_scenario(config, out)
-        else:
-            _partial(sc, config, out, args.command)
-    except sc.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numeric failures: cap errors, residuals, caps
+    except sc.ScenarioNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     print(f"wrote artifacts to {out}")
     return 0
-
-
-def _partial(sc, config, out, command) -> None:
-    from pathlib import Path
-
-    outp = Path(out)
-    outp.mkdir(parents=True, exist_ok=True)
-    if command == "bnf":
-        nf, _ = sc.compute_normal_form(config)
-        sc._dump_json(outp / "normal_form.json", sc._normal_form_dict(nf))
-        return
-    if command == "lattice":
-        nf, _ = sc.compute_normal_form(config)
-        for h in config.h_values:
-            lat = sc.predicted_lattice(config, nf, h)
-            sc._write_lattice_csv(outp / f"lattice_h{sc._h_tag(h)}.csv", lat)
-        return
-    if command == "direct":
-        for h in config.h_values:
-            accepted, _, _ = sc.computed_spectrum(config, h)
-            sc._write_spectrum_csv(outp / f"spectrum_h{sc._h_tag(h)}.csv", accepted)
-            if config.compute.get("dump_matrices", False):
-                sc.dump_matrix(outp / f"matrix_h{sc._h_tag(h)}.csv",
-                               sc.assembled_operator(config, h))
-        return
-    if command == "compare":
-        nf, _ = sc.compute_normal_form(config)
-        for h in config.h_values:
-            lat = sc.predicted_lattice(config, nf, h)
-            accepted, flagged, _ = sc.computed_spectrum(config, h)
-            rep = sc.match_lattices(lat, accepted,
-                                    radius=config.compute.get("match_radius"),
-                                    order=config.order)
-            md = sc._match_report_dict(rep)
-            md["flagged_unstable"] = [[z.real, z.imag] for z in flagged]
-            sc._dump_json(outp / f"match_h{sc._h_tag(h)}.json", md)
-            sc._write_match_csv(outp / f"match_h{sc._h_tag(h)}.csv", rep)
-            sc.emit_plot_data(outp / f"plot_h{sc._h_tag(h)}.csv", lat, rep)
-        return
-    if command == "sweep":
-        res = sc.convergence_sweep(
-            config.model(), config.order, config.h_values,
-            window=config.window(),
-            label_cap=int(config.compute.get("label_cap", 3)),
-            stability_check=bool(config.compute.get("stability_check", True)),
-        )
-        sc._dump_json(outp / "convergence.json", {
-            "slope": res.slope,
-            "exact": res.exact,
-            "errors": {format(h, ".6g"): e for h, e in res.errors.items()},
-            "discarded_h": res.discarded,
-        })
-        return
-    raise AssertionError(f"unhandled command {command}")
 
 
 if __name__ == "__main__":

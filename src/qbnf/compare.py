@@ -1,9 +1,9 @@
 """Matching of predicted lattices against computed spectra.
 
 ``match_lattices`` pairs lattice points with eigenvalues by mutual
-nearest neighbors inside a radius; ``convergence_sweep`` runs the whole
-prediction/direct pipeline over a list of h values and fits the decay
-order of the matched error.
+nearest neighbors inside a radius; ``fit_convergence`` fits the decay
+order in h of the matched error, over the match reports that
+``convergence_sweep`` computes or a scenario run wrote.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ __all__ = [
     "MatchReport",
     "match_lattices",
     "SweepResult",
+    "fit_convergence",
     "convergence_sweep",
+    "model_operator_symbol",
     "cylinder_auto_basis",
     "saddle_auto_basis",
 ]
@@ -177,6 +179,15 @@ class SweepResult:
     EXACT_FLOOR = 1e-11
 
 
+def model_operator_symbol(model):
+    """The symbol the direct route quantizes: every model term, whatever the BNF order."""
+    g = content_grade(model)
+    if isinstance(model, CylinderModel):
+        spec = PhaseSpec.cylinder(g, max(g, content_tau_order(model)), model.orientable)
+        return metaplectic_substitute(cylinder_symbol(model, spec))
+    return complex_scale(saddle_symbol(model, PhaseSpec.saddle(g)))
+
+
 def convergence_sweep(
     model,
     order: int,
@@ -190,12 +201,9 @@ def convergence_sweep(
     """Fit the decay order of the lattice-versus-direct error in h.
 
     For each h the predicted lattice inside ``window`` is matched against
-    the directly computed spectrum (windowed with a small pad so that
-    partners of boundary points are not lost); the fitted quantity is
-    log(max matched error over quantum numbers up to ``label_cap``)
-    against log h.  The largest h is discarded when its fit residual
-    exceeds three times the RMS of the others.  Runs whose errors sit at
-    rounding level are flagged exact instead of fitted.
+    the directly computed spectrum on the auto basis (windowed with a
+    small pad so that partners of boundary points are not lost), and
+    ``fit_convergence`` fits the reports.
     """
     h_values = sorted(h_values, reverse=True)
     if len(h_values) < 3:
@@ -204,20 +212,9 @@ def convergence_sweep(
         nf, _ = closed_orbit_bnf(model, order)
     else:
         nf, _ = equilibrium_bnf(model, order)
+    sym = model_operator_symbol(model)
 
-    # the direct route quantizes the full model, whatever the BNF order
-    g = content_grade(model)
-    if isinstance(model, CylinderModel):
-        spec = PhaseSpec.cylinder(
-            g, max(g, content_tau_order(model)), model.orientable
-        )
-        sym = metaplectic_substitute(cylinder_symbol(model, spec))
-    else:
-        spec = PhaseSpec.saddle(g)
-        sym = complex_scale(saddle_symbol(model, spec))
-
-    errors: dict[float, float] = {}
-    reports: dict[float, MatchReport] = {}
+    reports = []
     for h in h_values:
         if isinstance(model, CylinderModel):
             pred = closed_orbit_lattice(nf, h, window)
@@ -229,10 +226,26 @@ def convergence_sweep(
             sym, basis, window.inflated(match_window_pad),
             stability_check=stability_check,
         )
-        rep = match_lattices(pred, accepted, order=order)
-        reports[h] = rep
-        in_cap = [p for p in rep.pairs if abs(p.k) <= label_cap and p.l <= label_cap]
-        if not in_cap:
+        reports.append(match_lattices(pred, accepted, order=order))
+    return fit_convergence(reports, label_cap)
+
+
+def fit_convergence(reports, label_cap: int = 3) -> SweepResult:
+    """Fit the decay order in h of the matched error of ``reports``.
+
+    The fitted quantity is log(max matched error over quantum numbers up
+    to ``label_cap``) against log h, one point per report.  The largest
+    h is discarded when its fit residual exceeds three times the RMS of
+    the others.  Runs whose errors sit at rounding level are flagged
+    exact instead of fitted.  Raises ArithmeticError when a report has
+    no matched pair within the label cap.
+    """
+    reports = {r.h: r for r in sorted(reports, key=lambda r: r.h, reverse=True)}
+    if len(reports) < 3:
+        raise ValueError("need at least three h values for a slope fit")
+    errors: dict[float, float] = {}
+    for h, rep in reports.items():
+        if not any(abs(p.k) <= label_cap and p.l <= label_cap for p in rep.pairs):
             raise ArithmeticError(
                 f"no lattice point with quantum numbers <= {label_cap} matched at h={h}"
             )
@@ -241,7 +254,7 @@ def convergence_sweep(
     if max(errors.values()) < SweepResult.EXACT_FLOOR:
         return SweepResult(None, errors, True, [], reports)
 
-    hs = [h for h in h_values if errors[h] > 0]
+    hs = [h for h in reports if errors[h] > 0]
     slope, discarded = _fit_slope(hs, [errors[h] for h in hs])
     return SweepResult(slope, errors, False, discarded, reports)
 

@@ -13,9 +13,12 @@ A scenario is a JSON document (schema_version 1) with three blocks:
     order (normal-form truncation N), optional tau_order, h_values
     (positive, descending), window {half_width, depth}, optional basis
     overrides {k_min, k_max, levels} or {levels1, levels2}, flags
-    stability_check / sweep / dump_matrices (debug dump of the assembled
-    operator, column-major complex pairs), optional match_radius and
-    label_cap.
+    stability_check / direct (default true; false stops the pipeline at
+    the lattices) / sweep (fit the convergence order over the run's own
+    match reports: needs direct and at least three h values, or it is a
+    ConfigError) / dump_matrices (debug dump of the assembled operator,
+    column-major complex pairs), optional match_radius, k_cap, l_cap
+    and label_cap.
 
 ``output``
     directory, formats, plot_data flag.
@@ -36,9 +39,10 @@ import numpy as np
 
 from .compare import (
     MatchReport,
-    convergence_sweep,
     cylinder_auto_basis,
+    fit_convergence,
     match_lattices,
+    model_operator_symbol,
     saddle_auto_basis,
 )
 from .eigensolve import EigensolveError
@@ -53,11 +57,7 @@ from .normal_form import (
     ModelValidationError,
     SaddleModel,
     closed_orbit_bnf,
-    content_grade,
-    content_tau_order,
-    cylinder_symbol,
     equilibrium_bnf,
-    saddle_symbol,
 )
 from .quantize import (
     CylinderBasis,
@@ -65,9 +65,7 @@ from .quantize import (
     SaddleBasis,
     assemble_cylinder,
     assemble_saddle,
-    complex_scale,
     direct_spectrum,
-    metaplectic_substitute,
 )
 from .symbols import PRUNE_REL, FormalSymbol, PhaseSpec, TauSeries
 
@@ -75,6 +73,7 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "ScenarioNumericError",
+    "STAGES",
     "load_config",
     "bundled_scenarios",
     "run_scenario",
@@ -437,20 +436,9 @@ def predicted_lattice(config: ScenarioConfig, nf, h: float) -> ResonanceLattice:
                           l_cap=config.compute.get("l_cap"))
 
 
-def _model_operator_symbol(config: ScenarioConfig):
-    model = config.model()
-    g = content_grade(model)  # the direct route keeps every model term
-    if config.kind == "cylinder":
-        spec = PhaseSpec.cylinder(
-            g, max(g, content_tau_order(model)), model.orientable
-        )
-        return metaplectic_substitute(cylinder_symbol(model, spec))
-    return complex_scale(saddle_symbol(model, PhaseSpec.saddle(g)))
-
-
 def assembled_operator(config: ScenarioConfig, h: float):
     """The model operator on the configured basis (debugging aid)."""
-    sym = _model_operator_symbol(config)
+    sym = model_operator_symbol(config.model())
     basis = config.basis_for(h)
     if config.kind == "cylinder":
         return assemble_cylinder(sym, basis)
@@ -458,7 +446,7 @@ def assembled_operator(config: ScenarioConfig, h: float):
 
 
 def computed_spectrum(config: ScenarioConfig, h: float, window_pad=0.02):
-    sym = _model_operator_symbol(config)
+    sym = model_operator_symbol(config.model())
     basis = config.basis_for(h)
     return direct_spectrum(
         sym, basis, config.window().inflated(window_pad),
@@ -466,67 +454,79 @@ def computed_spectrum(config: ScenarioConfig, h: float, window_pad=0.02):
     )
 
 
-def run_scenario(config: ScenarioConfig, out_dir) -> dict:
-    """Full pipeline: normal form, lattices, direct spectra, matching, sweep.
+#: the pipeline stages, in the order they run
+STAGES = ("bnf", "lattice", "direct", "match", "sweep")
 
-    Writes the artifact set under ``out_dir`` and returns the run report
-    dictionary.  Any numeric failure aborts the scenario; the report is
-    still written, with the finished artifacts listed and the status
-    marked incomplete.
+#: the stages whose results each stage reads
+_NEEDS = {"lattice": {"bnf"}, "match": {"lattice", "direct"}, "sweep": {"match"}}
+
+
+def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
+    """Run a subset of ``STAGES`` in order, each writing its artifacts under ``out_dir``.
+
+    ``stages=None`` runs the stages the config selects: all but the sweep,
+    without direct and match if ``compute.direct`` is false, with the
+    sweep if ``compute.sweep`` is set.  Returns the run report dictionary.
+    Any numeric failure aborts the scenario; the report is still written,
+    with the finished artifacts listed and the status marked incomplete.
     """
+    if stages is None:
+        stages = ["bnf", "lattice"]
+        if config.compute.get("direct", True):
+            stages += ["direct", "match"]
+        if config.compute.get("sweep", False):
+            stages.append("sweep")
+    if "sweep" in stages and ("match" not in stages or len(config.h_values) < 3):
+        raise ConfigError("the sweep fits the direct matches: it needs compute.direct "
+                          "and at least three compute.h_values")
+    chosen = set(stages)
+    if not chosen <= set(STAGES) or any(_NEEDS.get(s, set()) - chosen for s in chosen):
+        raise ValueError(f"stages {stages} are not a runnable subset of {STAGES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"status": "ok", "artifacts": [], "errors": []}
     t_start = time.time()
 
-    _dump_json(out / "scenario_echo.json", config.canonical())
-    report["artifacts"].append("scenario_echo.json")
+    def write(name, writer, *args):
+        writer(out / name, *args)
+        report["artifacts"].append(name)
 
+    write("scenario_echo.json", _dump_json, config.canonical())
     try:
-        nf, chain = compute_normal_form(config)
-        _dump_json(out / "normal_form.json", _normal_form_dict(nf))
-        report["artifacts"].append("normal_form.json")
+        if "bnf" in stages:
+            nf, _ = compute_normal_form(config)
+            write("normal_form.json", _dump_json, _normal_form_dict(nf))
 
-        match_radius = config.compute.get("match_radius")
+        reports = []
         for h in config.h_values:
             tag = _h_tag(h)
-            lat = predicted_lattice(config, nf, h)
-            _write_lattice_csv(out / f"lattice_h{tag}.csv", lat)
-            report["artifacts"].append(f"lattice_h{tag}.csv")
-
-            if config.compute.get("direct", True):
+            if "lattice" in stages:
+                lat = predicted_lattice(config, nf, h)
+                write(f"lattice_h{tag}.csv", _write_lattice_csv, lat)
+            if "direct" in stages:
                 accepted, flagged, _ = computed_spectrum(config, h)
-                _write_spectrum_csv(out / f"spectrum_h{tag}.csv", accepted)
-                report["artifacts"].append(f"spectrum_h{tag}.csv")
+                write(f"spectrum_h{tag}.csv", _write_spectrum_csv, accepted)
                 if config.compute.get("dump_matrices", False):
-                    dump_matrix(out / f"matrix_h{tag}.csv",
-                                assembled_operator(config, h))
-                    report["artifacts"].append(f"matrix_h{tag}.csv")
-                rep = match_lattices(lat, accepted, radius=match_radius,
-                                     order=config.order)
+                    write(f"matrix_h{tag}.csv", dump_matrix, assembled_operator(config, h))
+            if "match" in stages:
+                rep = match_lattices(lat, accepted, order=config.order,
+                                     radius=config.compute.get("match_radius"))
                 md = _match_report_dict(rep)
                 md["flagged_unstable"] = [[z.real, z.imag] for z in flagged]
-                _dump_json(out / f"match_h{tag}.json", md)
-                _write_match_csv(out / f"match_h{tag}.csv", rep)
-                report["artifacts"] += [f"match_h{tag}.json", f"match_h{tag}.csv"]
+                write(f"match_h{tag}.json", _dump_json, md)
+                write(f"match_h{tag}.csv", _write_match_csv, rep)
                 if config.output.get("plot_data", True):
-                    emit_plot_data(out / f"plot_h{tag}.csv", lat, rep)
-                    report["artifacts"].append(f"plot_h{tag}.csv")
+                    write(f"plot_h{tag}.csv", emit_plot_data, lat, rep)
+                reports.append(rep)
 
-        if config.compute.get("sweep", False) and len(config.h_values) >= 3:
-            res = convergence_sweep(
-                config.model(), config.order, config.h_values,
-                window=config.window(),
-                label_cap=int(config.compute.get("label_cap", 3)),
-                stability_check=bool(config.compute.get("stability_check", True)),
-            )
-            _dump_json(out / "convergence.json", {
+        if "sweep" in stages:
+            res = fit_convergence(reports, int(config.compute.get("label_cap", 3)))
+            write("convergence.json", _dump_json, {
                 "slope": res.slope,
                 "exact": res.exact,
                 "errors": {format(h, ".6g"): e for h, e in res.errors.items()},
                 "discarded_h": res.discarded,
             })
-            report["artifacts"].append("convergence.json")
     except (EigensolveError, DimensionCapError, ArithmeticError) as exc:
         report["status"] = "incomplete"
         report["errors"].append({"stage": "numeric", "message": str(exc)})

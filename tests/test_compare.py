@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from qbnf.compare import convergence_sweep, match_lattices
+from qbnf.compare import (
+    MatchedPair,
+    MatchReport,
+    convergence_sweep,
+    fit_convergence,
+    match_lattices,
+)
 from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
 from qbnf.normal_form import SaddleModel
 from qbnf.symbols import FormalSymbol, PhaseSpec
@@ -137,3 +143,26 @@ def test_sweep_cylinder_cubic_slope():
         assert abs(err / (4.7e-3 * h * h) - 1.0) < 0.15, (h, err)
     hs = sorted(res.errors)
     assert res.errors[hs[0]] < res.errors[hs[-1]]
+
+
+def _report(h, errors):
+    pairs = [MatchedPair(k, 0, 0j, complex(e), e) for k, e in enumerate(errors)]
+    return MatchReport(pairs, [], [], max(errors), 0.0, h)
+
+
+def test_fit_convergence_fits_the_reports_in_the_label_cap():
+    # the pair at k = 3 lies outside label_cap = 2 and must not count
+    reports = [_report(h, [1e-3 * h**4, 0.0, 0.0, 1.0]) for h in (0.05, 0.2, 0.1)]
+    res = fit_convergence(reports, label_cap=2)
+    assert list(res.errors) == [0.2, 0.1, 0.05]
+    assert res.errors[0.1] == 1e-3 * 0.1**4
+    assert abs(res.slope - 4.0) < 1e-9 and not res.exact
+    assert res.reports[0.05] is reports[0]
+
+
+def test_fit_convergence_rejects_what_it_cannot_fit():
+    with pytest.raises(ValueError):
+        fit_convergence([_report(h, [h]) for h in (0.2, 0.1)])
+    reports = [_report(h, [h]) for h in (0.2, 0.1)] + [MatchReport([], [], [], 0.0, 0.0, 0.05)]
+    with pytest.raises(ArithmeticError, match="h=0.05"):
+        fit_convergence(reports)

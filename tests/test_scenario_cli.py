@@ -325,3 +325,118 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     rc = main(["direct", "--config", str(p), "--out", str(tmp_path)])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# subcommands as stage subsets of run_scenario
+# --------------------------------------------------------------------------
+
+def _sweep_raw(**compute):
+    """Three-h saddle config with a basis override that the auto basis does not give."""
+    raw = json.loads(json.dumps(GOOD))
+    raw["model"]["higher_terms"] = [
+        {"alpha": [2, 2], "beta": [0, 0], "j": 0, "re": 0.2, "im": 0.0}
+    ]
+    raw["compute"].update({"order": 4, "h_values": [0.2, 0.1, 0.05], "label_cap": 2,
+                           "window": {"half_width": 0.5, "depth": 0.4},
+                           "basis": {"levels1": 24, "levels2": 22}, **compute})
+    return raw
+
+
+TAGS = ("0p2", "0p1", "0p05")
+_ALWAYS = {"scenario_echo.json", "run_report.json"}
+_NF = {"normal_form.json"}
+_LAT = {f"lattice_h{t}.csv" for t in TAGS}
+_SPEC = {f"spectrum_h{t}.csv" for t in TAGS}
+_MATCH = {f"{stem}_h{t}.{ext}" for t in TAGS
+          for stem, ext in (("match", "json"), ("match", "csv"), ("plot", "csv"))}
+_COMPARE = _ALWAYS | _NF | _LAT | _SPEC | _MATCH
+ARTIFACTS = {
+    "bnf": _ALWAYS | _NF,
+    "lattice": _ALWAYS | _NF | _LAT,
+    "direct": _ALWAYS | _SPEC,
+    "compare": _COMPARE,
+    "sweep": _COMPARE | {"convergence.json"},
+    "run": _COMPARE | {"convergence.json"},  # the config sets compute.sweep
+}
+
+
+@pytest.fixture(scope="module")
+def subcommand_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("subcommands")
+    cfg = root / "sweep.json"
+    cfg.write_text(json.dumps(_sweep_raw(sweep=True)))
+    for command in ARTIFACTS:
+        assert main([command, "--config", str(cfg), "--out", str(root / command)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_cli_subcommand_artifact_set(subcommand_runs, command):
+    out = subcommand_runs / command
+    assert {p.name for p in out.iterdir()} == ARTIFACTS[command]
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["status"] == "ok"
+    assert set(report["artifacts"]) == ARTIFACTS[command] - {"run_report.json"}
+
+
+def test_cli_compare_writes_the_run_artifacts(subcommand_runs):
+    for name in ARTIFACTS["compare"] - {"run_report.json"}:
+        assert (subcommand_runs / "compare" / name).read_bytes() == (
+            subcommand_runs / "run" / name
+        ).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sweep_fits_the_runs_own_matches(subcommand_runs, command):
+    out = subcommand_runs / command
+    conv = json.loads((out / "convergence.json").read_text())
+    want = {}
+    for tag, h in zip(TAGS, (0.2, 0.1, 0.05)):
+        match = json.loads((out / f"match_h{tag}.json").read_text())
+        want[format(h, ".6g")] = max(
+            p["abs_err"] for p in match["pairs"] if abs(p["k"]) <= 2 and p["l"] <= 2
+        )
+    assert conv["errors"] == want
+
+
+def test_cli_compare_honors_plot_data(tmp_path):
+    raw = json.loads(json.dumps(GOOD))
+    raw["output"]["plot_data"] = False
+    cfg = tmp_path / "noplot.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "match_h0p1.json").exists()
+    assert not (tmp_path / "o" / "plot_h0p1.csv").exists()
+
+
+@pytest.mark.parametrize("command, compute", [
+    ("run", {"sweep": True, "h_values": [0.2, 0.1]}),
+    ("sweep", {"h_values": [0.2, 0.1]}),
+    ("run", {"sweep": True, "direct": False}),
+])
+def test_cli_sweep_it_cannot_fit_is_a_config_error(tmp_path, capsys, command, compute):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(_sweep_raw(**compute)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bug_is_not_a_numeric_failure(tmp_path, monkeypatch):
+    import qbnf.scenario as scenario
+
+    def broken(config):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(scenario, "compute_normal_form", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["bnf", "--config", "quadratic_saddle", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("stages", [("match",), ("lattice",), ("bnf", "plot")])
+def test_run_scenario_rejects_stages_it_cannot_run(tmp_path, stages):
+    with pytest.raises(ValueError, match="runnable subset"):
+        run_scenario(load_config(GOOD), tmp_path / "out", stages)
+    assert not (tmp_path / "out").exists()
