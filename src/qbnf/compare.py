@@ -140,27 +140,32 @@ def match_lattices(
 # basis auto-sizing
 # --------------------------------------------------------------------------
 
-def cylinder_auto_basis(model: CylinderModel, window: Window, h, *, pad_k=6, pad_l=8,
-                        dim_cap=None) -> CylinderBasis:
+#: headroom of the auto bases: Fourier modes per side, Hermite levels per axis
+_PAD_K, _PAD_LEVELS = 6, 8
+
+#: how far the direct spectrum's window reaches beyond the lattice window,
+#: so that partners of boundary points are not lost
+MATCH_WINDOW_PAD = 0.02
+
+
+def cylinder_auto_basis(model: CylinderModel, window: Window, h) -> CylinderBasis:
     """Fourier range and level count covering a window with headroom."""
     fp0 = model.energy.derivative().coeffs[0].real
     mu0 = model.rate.coeffs[0].real
     offset = model.action / (2.0 * math.pi)
     tau_hw = 1.3 * window.half_width / fp0
     tau0 = model.energy.solve(window.center).real if window.center else 0.0
-    k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - pad_k
-    k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + pad_k
-    levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + pad_l
-    kw = {} if dim_cap is None else {"dim_cap": dim_cap}
-    return CylinderBasis(k_lo, k_hi, levels, h, model.action, model.orientable, **kw)
+    k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - _PAD_K
+    k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + _PAD_K
+    levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS
+    return CylinderBasis(k_lo, k_hi, levels, h, model.action, model.orientable)
 
 
-def saddle_auto_basis(model: SaddleModel, window: Window, h, *, pad=8, dim_cap=None) -> SaddleBasis:
+def saddle_auto_basis(model: SaddleModel, window: Window, h) -> SaddleBasis:
     """Per-axis level counts covering a window with headroom."""
-    l1 = int(math.ceil(1.4 * window.depth / (model.unstable_rate * h))) + pad
-    l2 = int(math.ceil(1.4 * window.half_width / (model.stable_freq * h))) + pad
-    kw = {} if dim_cap is None else {"dim_cap": dim_cap}
-    return SaddleBasis(l1, l2, h, **kw)
+    l1 = int(math.ceil(1.4 * window.depth / (model.unstable_rate * h))) + _PAD_LEVELS
+    l2 = int(math.ceil(1.4 * window.half_width / (model.stable_freq * h))) + _PAD_LEVELS
+    return SaddleBasis(l1, l2, h)
 
 
 # --------------------------------------------------------------------------
@@ -196,14 +201,13 @@ def convergence_sweep(
     window: Window,
     label_cap: int = 3,
     stability_check: bool = True,
-    match_window_pad: float = 0.02,
 ) -> SweepResult:
     """Fit the decay order of the lattice-versus-direct error in h.
 
     For each h the predicted lattice inside ``window`` is matched against
-    the directly computed spectrum on the auto basis (windowed with a
-    small pad so that partners of boundary points are not lost), and
-    ``fit_convergence`` fits the reports.
+    the directly computed spectrum on the auto basis (in the window
+    inflated by ``MATCH_WINDOW_PAD``), and ``fit_convergence`` fits the
+    reports.
     """
     h_values = sorted(h_values, reverse=True)
     if len(h_values) < 3:
@@ -223,7 +227,7 @@ def convergence_sweep(
             pred = saddle_lattice(nf, h, window)
             basis = saddle_auto_basis(model, window, h)
         accepted, _, _ = direct_spectrum(
-            sym, basis, window.inflated(match_window_pad),
+            sym, basis, window.inflated(MATCH_WINDOW_PAD),
             stability_check=stability_check,
         )
         reports.append(match_lattices(pred, accepted, order=order))

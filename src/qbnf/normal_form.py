@@ -1,19 +1,21 @@
 """Degree-by-degree Birkhoff normal forms, classical and quantum.
 
-Two pipelines share one elimination loop over the joint grade
-d = |alpha| + |beta| + 2j:
+Both pipelines run one elimination loop over the joint grade
+d = |alpha| + |beta| + 2j.  At each grade it divides the non-resonant
+part by the homological denominators and removes it by a Lie transform
+(classical part) or a star conjugation (h-part); each pipeline supplies
+only its starting symbol, first grade and division:
 
 * ``closed_orbit_bnf`` reduces a cylinder model f(tau) + mu(tau) x xi +
-  perturbation around a hyperbolic closed orbit.  Non-resonant classical
-  terms are removed by canonical transformations generated through the
-  transport equation; non-resonant h-terms by unitary conjugation in the
-  star algebra.  What survives depends only on (tau, x xi, h).
+  perturbation around a hyperbolic closed orbit; after the rate is
+  averaged over the angle, the loop divides through the transport
+  equation from grade 2.  What survives depends only on (tau, x xi, h).
 
 * ``equilibrium_bnf`` reduces a saddle model after the pi/4 complex
   scaling of the unstable axis.  A per-axis linear canonical change puts
   the quadratic part into nu_1 x1 xi1 + nu_2 x2 xi2 with nu = (lam1,
-  i lam2); the non-real ratio nu_1/nu_2 kills every small denominator, so
-  the loop never meets a resonance away from alpha == beta.
+  i lam2); the loop divides by nu . (alpha - beta) from grade 3.  The
+  non-real ratio nu_1/nu_2 keeps these at least min |nu_i| in size.
 
 The resulting resonant Weyl symbol is finally rewritten as a function of
 the harmonic actions (the form the quantization rules evaluate): powers
@@ -25,7 +27,7 @@ of the action itself, independently of any matrix code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -234,11 +236,13 @@ class GeneratorChain:
     """Record of the transformations that produced a normal form.
 
     ``steps`` is the ordered list of (method, grade, generator) with
-    method 'average', 'lie' or 'star'.  ``normalized_symbol`` is the
-    resonant Weyl symbol the loop converged to, kept for replay checks.
-    ``remainder`` holds the terms of grade > order seen when the chain is
-    replayed two grades higher; the replay costs more than the normal form
-    itself, so it runs on the first access and is cached.
+    method 'average', 'lie' or 'star'; the elimination loop adds at most
+    one 'lie' and one 'star' step per grade, whatever the division.
+    ``normalized_symbol`` is the resonant Weyl symbol the loop converged
+    to; a replay starts on its spec.  ``remainder`` holds the terms of
+    grade > order seen when the chain is replayed two grades higher; the
+    replay costs more than the normal form itself, so it runs on the first
+    access and is cached.
     """
 
     kind: str
@@ -434,6 +438,55 @@ def _functional_equilibrium(sym: FormalSymbol, order, energy0):
 
 
 # --------------------------------------------------------------------------
+# the elimination loop
+# --------------------------------------------------------------------------
+
+def _prepared_symbol(model, spec: PhaseSpec) -> FormalSymbol:
+    """Starting symbol of the elimination: cylinder, or scaled saddle in Birkhoff coordinates."""
+    if isinstance(model, CylinderModel):
+        return cylinder_symbol(model, spec)
+    from .quantize import complex_scale  # local import; no cycle at module load
+
+    return birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
+
+
+def _eliminate(p: FormalSymbol, chain: GeneratorChain, first_grade: int, solve) -> FormalSymbol:
+    """Remove the non-resonant part of ``p`` grade by grade up to the chain order.
+
+    ``solve(v, start)`` divides a non-resonant part v by the homological
+    denominators of ``start``, the symbol as the grade started; the
+    classical quotient generates a Lie transform, the h-part quotient
+    (negated) a star conjugation.  Returns the resonant symbol.
+    """
+    for d in range(first_grade, chain.order + 1):
+        start = p
+        _, nonres = resonant_project(p.grade_part(d))
+        if not nonres:
+            continue
+        cl, qu = nonres.h_split()
+        if cl:
+            if d < 3:
+                raise ModelDegeneracyError(
+                    "unexpected non-resonant classical grade-2 content after averaging"
+                )
+            G = solve(cl, start)
+            p = lie_transform(p, G)
+            chain.steps.append(("lie", d, G))
+        if qu:
+            A = -solve(qu, start)
+            p = star_conjugate(p, A)
+            chain.steps.append(("star", d, A))
+
+    res, dust = resonant_project(p)
+    if dust.max_abs() > 1e-10 * max(p.max_abs(), 1.0):
+        raise ArithmeticError(
+            f"normalization left non-resonant residue {dust.max_abs():.3e}"
+        )
+    chain.normalized_symbol = res
+    return res
+
+
+# --------------------------------------------------------------------------
 # closed-orbit pipeline
 # --------------------------------------------------------------------------
 
@@ -452,17 +505,17 @@ def closed_orbit_bnf(
 ) -> tuple[NormalFormPoly, GeneratorChain]:
     """Quantum Birkhoff normal form around a hyperbolic closed orbit.
 
-    Runs the unified elimination loop over joint grades up to ``order``
-    and returns the normal form as a function of (tau, zeta, h) together
-    with the generator chain.  Coefficients of grade <= N are stable when
-    N increases.
+    Averages the grade-2 rate over the angle, runs the elimination loop
+    from grade 2 with the transport equation as the division, and returns
+    the normal form in (tau, zeta, h) together with the generator chain.
+    Coefficients of grade <= N are stable when N increases.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     if tau_order is None:
-        tau_order = _default_tau_order(model, order)
+        tau_order = max(order, content_tau_order(model))
     spec = PhaseSpec.cylinder(order, tau_order, model.orientable)
-    p = cylinder_symbol(model, spec)
+    p = _prepared_symbol(model, spec)
     chain = GeneratorChain("closed_orbit", order, model)
 
     f = model.energy.resized(tau_order)
@@ -480,45 +533,13 @@ def closed_orbit_bnf(
         p = lie_transform(p, G2)
         chain.steps.append(("average", 2, G2))
 
-    for d in range(2, order + 1):
-        mu_eff = _effective_rate(p)
-        v = p.grade_part(d)
-        _, nonres = resonant_project(v)
-        if not nonres:
-            continue
-        cl, qu = nonres.h_split()
-        if cl and d >= 3:
-            G, _ = homological_solve(cl, f, mu_eff)
-            p = lie_transform(p, G)
-            chain.steps.append(("lie", d, G))
-        elif cl:
-            raise ModelDegeneracyError(
-                "unexpected non-resonant classical grade-2 content after averaging"
-            )
-        if qu:
-            u, _ = homological_solve(qu, f, mu_eff)
-            A = -u
-            p = star_conjugate(p, A)
-            chain.steps.append(("star", d, A))
-
-    res, dust = resonant_project(p)
-    scale = max(p.max_abs(), 1.0)
-    if dust.max_abs() > 1e-10 * scale:
-        raise ArithmeticError(
-            f"normalization left non-resonant residue {dust.max_abs():.3e}"
-        )
-    chain.normalized_symbol = res
+    res = _eliminate(
+        p, chain, 2, lambda v, start: homological_solve(v, f, _effective_rate(start))[0]
+    )
     nf = _functional_closed_orbit(
         res, order, model.action, model.reference_energy, model.orientable
     )
     return nf, chain
-
-
-def _default_tau_order(model: CylinderModel, order: int) -> int:
-    deg = max(model.energy.order, model.rate.order)
-    if model.perturbation is not None:
-        deg = max(deg, max((k[1] for k in model.perturbation.terms), default=0))
-    return max(order, deg)
 
 
 # --------------------------------------------------------------------------
@@ -541,14 +562,14 @@ def birkhoff_coordinates(symbol: FormalSymbol) -> FormalSymbol:
 
 
 def _equilibrium_solve(v: FormalSymbol, nu) -> FormalSymbol:
-    """Per-term division by the saddle denominators nu . (alpha - beta)."""
-    floor = min(abs(nu[0]), abs(nu[1]))
+    """Per-term division by nu . (alpha - beta), asserted >= min |nu_i| off resonance."""
+    floor = min(abs(nu[0]), abs(nu[1])) * (1 - 1e-12)
     out = {}
     for (m2, a, alpha, beta, j), c in v.terms.items():
         D = sum(n * (al - be) for n, al, be in zip(nu, alpha, beta))
-        if abs(D) < 0.5 * floor:
+        if abs(D) < floor:
             raise ModelDegeneracyError(
-                f"saddle denominator too small on alpha={alpha}, beta={beta}: {D}"
+                f"resonance bound violated at alpha={alpha}, beta={beta}"
             )
         out[(m2, a, alpha, beta, j)] = c / D
     return FormalSymbol(v.spec, out, _raw=True)
@@ -557,18 +578,15 @@ def _equilibrium_solve(v: FormalSymbol, nu) -> FormalSymbol:
 def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, GeneratorChain]:
     """Quantum Birkhoff normal form of the complex-scaled saddle.
 
-    Returns the normal form in the harmonic actions (iota1, iota2, h),
-    with leading part E0 + (lam1/i) iota1 + lam2 iota2, and the chain of
-    generators.  Denominators nu . (alpha - beta) with nu = (lam1,
-    i lam2) are bounded below by min(lam1, lam2) off the resonant set,
-    which is asserted during the run.
+    Runs the elimination loop from grade 3 with the saddle denominators
+    as the division.  Returns the normal form in the harmonic actions
+    (iota1, iota2, h), with leading part E0 + (lam1/i) iota1 + lam2 iota2,
+    and the chain of generators.
     """
-    from .quantize import complex_scale  # local import; no cycle at module load
-
     if order < 2:
         raise ValueError("order must be at least 2")
     spec = PhaseSpec.saddle(order)
-    p = birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
+    p = _prepared_symbol(model, spec)
     nu = (complex(model.unstable_rate), 1j * model.stable_freq)
 
     # trust but verify the prepared quadratic part
@@ -580,33 +598,7 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
         raise ModelValidationError("quadratic part is not in the prepared saddle form")
 
     chain = GeneratorChain("equilibrium", order, model)
-    for d in range(3, order + 1):
-        v = p.grade_part(d)
-        _, nonres = resonant_project(v)
-        if not nonres:
-            continue
-        for (m2, a, alpha, beta, j) in nonres.terms:
-            D = sum(n * (al - be) for n, al, be in zip(nu, alpha, beta))
-            if abs(D) < min(model.unstable_rate, model.stable_freq) * (1 - 1e-12):
-                raise ModelDegeneracyError(
-                    f"resonance bound violated at alpha={alpha}, beta={beta}"
-                )
-        cl, qu = nonres.h_split()
-        if cl:
-            G = _equilibrium_solve(cl, nu)
-            p = lie_transform(p, G)
-            chain.steps.append(("lie", d, G))
-        if qu:
-            A = -_equilibrium_solve(qu, nu)
-            p = star_conjugate(p, A)
-            chain.steps.append(("star", d, A))
-
-    res, dust = resonant_project(p)
-    if dust.max_abs() > 1e-10 * max(p.max_abs(), 1.0):
-        raise ArithmeticError(
-            f"normalization left non-resonant residue {dust.max_abs():.3e}"
-        )
-    chain.normalized_symbol = res
+    res = _eliminate(p, chain, 3, lambda v, start: _equilibrium_solve(v, nu))
     nf = _functional_equilibrium(res, order, model.energy0)
     return nf, chain
 
@@ -618,21 +610,14 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
 def replay_chain(model, chain: GeneratorChain, grade_max: int | None = None) -> FormalSymbol:
     """Re-apply a generator chain to its model at a chosen truncation.
 
-    With ``grade_max`` above the chain order, the result reproduces the
-    normalized symbol up to terms of grade > order (the remainder).
+    The replay runs on the chain's spec.  With ``grade_max`` above the
+    chain order, the result reproduces the normalized symbol up to terms
+    of grade > order (the remainder).
     """
     if grade_max is None:
         grade_max = chain.order
-    if chain.kind == "closed_orbit":
-        base = chain.steps[0][2].spec if chain.steps else None
-        tau_order = base.tau_max if base is not None else grade_max
-        spec = PhaseSpec.cylinder(grade_max, tau_order, model.orientable)
-        p = cylinder_symbol(model, spec)
-    else:
-        from .quantize import complex_scale
-
-        spec = PhaseSpec.saddle(grade_max)
-        p = birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
+    spec = replace(chain.normalized_symbol.spec, grade_max=grade_max)
+    p = _prepared_symbol(model, spec)
     for method, _, gen in chain.steps:
         gen = gen.reembedded(spec)
         if method in ("lie", "average"):

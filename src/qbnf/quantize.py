@@ -45,12 +45,18 @@ __all__ = [
     "direct_spectrum",
 ]
 
-#: default cap on assembled matrix dimension
+#: cap on assembled matrix dimension
 DIM_CAP = 5000
+
+#: Fourier modes and Hermite levels the stability check adds on each side
+_WIDEN_K, _WIDEN_LEVELS = 5, 10
+
+#: how far a windowed eigenvalue may move under the widening and be kept
+_STABILITY_TOL = 1e-6
 
 
 class DimensionCapError(ValueError):
-    """Requested basis exceeds the configured dimension cap."""
+    """Requested basis exceeds the dimension cap DIM_CAP."""
 
 
 # --------------------------------------------------------------------------
@@ -67,7 +73,6 @@ class CylinderBasis:
     h: float
     action: float = 0.0
     orientable: bool = True
-    dim_cap: int = DIM_CAP
 
     def __post_init__(self):
         if self.k_max < self.k_min:
@@ -76,10 +81,8 @@ class CylinderBasis:
             raise ValueError("levels must be nonnegative")
         if self.h <= 0:
             raise ValueError("h must be positive")
-        if self.dim > self.dim_cap:
-            raise DimensionCapError(
-                f"basis dimension {self.dim} exceeds cap {self.dim_cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise DimensionCapError(f"basis dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def num_k(self) -> int:
@@ -103,15 +106,14 @@ class CylinderBasis:
         base = k + 0.5 * l if not self.orientable else k
         return self.h * base - self.action / (2.0 * math.pi)
 
-    def widened(self, extra_k=5, extra_levels=10) -> "CylinderBasis":
+    def widened(self) -> "CylinderBasis":
         return CylinderBasis(
-            self.k_min - extra_k,
-            self.k_max + extra_k,
-            self.levels + extra_levels,
+            self.k_min - _WIDEN_K,
+            self.k_max + _WIDEN_K,
+            self.levels + _WIDEN_LEVELS,
             self.h,
             self.action,
             self.orientable,
-            self.dim_cap,
         )
 
 
@@ -122,17 +124,14 @@ class SaddleBasis:
     levels1: int
     levels2: int
     h: float
-    dim_cap: int = DIM_CAP
 
     def __post_init__(self):
         if self.levels1 < 0 or self.levels2 < 0:
             raise ValueError("levels must be nonnegative")
         if self.h <= 0:
             raise ValueError("h must be positive")
-        if self.dim > self.dim_cap:
-            raise DimensionCapError(
-                f"basis dimension {self.dim} exceeds cap {self.dim_cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise DimensionCapError(f"basis dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
@@ -144,10 +143,8 @@ class SaddleBasis:
     def labels(self):
         return [(k, l) for k in range(self.levels1 + 1) for l in range(self.levels2 + 1)]
 
-    def widened(self, extra=10) -> "SaddleBasis":
-        return SaddleBasis(
-            self.levels1 + extra, self.levels2 + extra, self.h, self.dim_cap
-        )
+    def widened(self) -> "SaddleBasis":
+        return SaddleBasis(self.levels1 + _WIDEN_LEVELS, self.levels2 + _WIDEN_LEVELS, self.h)
 
 
 @dataclass
@@ -328,16 +325,13 @@ def direct_spectrum(
     window=None,
     *,
     stability_check=True,
-    stability_tol=1e-6,
-    extra_levels=10,
-    extra_k=5,
 ):
     """Windowed eigenvalues of the assembled operator, spurious ones flagged.
 
     Solves the dense problem on ``basis`` and, when ``stability_check``
-    is set, again on a widened basis; eigenvalues that move more than
-    ``stability_tol`` under the widening are flagged as truncation
-    artifacts rather than silently dropped.
+    is set, again on ``basis.widened()``; eigenvalues that move more than
+    1e-6 under the widening are flagged as truncation artifacts rather
+    than silently dropped.
 
     Returns
     -------
@@ -348,14 +342,9 @@ def direct_spectrum(
     """
     from .eigensolve import eigenvalues
 
-    if isinstance(basis, CylinderBasis):
-        op = assemble_cylinder(symbol, basis)
-        wide_basis = basis.widened(extra_k, extra_levels) if stability_check else None
-        wide_op = assemble_cylinder(symbol, wide_basis) if stability_check else None
-    else:
-        op = assemble_saddle(symbol, basis)
-        wide_basis = basis.widened(extra_levels) if stability_check else None
-        wide_op = assemble_saddle(symbol, wide_basis) if stability_check else None
+    assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
+    op = assemble(symbol, basis)
+    wide_op = assemble(symbol, basis.widened()) if stability_check else None
 
     spec = eigenvalues(op)
     if window is not None:
@@ -374,7 +363,7 @@ def direct_spectrum(
     accepted, flagged = [], []
     for i in keep:
         z = spec.eigenvalues[i]
-        if np.min(np.abs(wide.eigenvalues - z)) <= stability_tol:
+        if np.min(np.abs(wide.eigenvalues - z)) <= _STABILITY_TOL:
             accepted.append((z, spec.residuals[i]))
         else:
             flagged.append(z)

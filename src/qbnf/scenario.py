@@ -12,7 +12,8 @@ A scenario is a JSON document (schema_version 1) with three blocks:
 ``compute``
     order (normal-form truncation N), optional tau_order, h_values
     (positive, descending), window {half_width, depth}, optional basis
-    overrides {k_min, k_max, levels} or {levels1, levels2}, flags
+    overrides {k_min, k_max, levels} or {levels1, levels2} (checked when
+    the config loads), flags
     stability_check / direct (default true; false stops the pipeline at
     the lattices) / sweep (fit the convergence order over the run's own
     match reports: needs direct and at least three h values, or it is a
@@ -38,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .compare import (
+    MATCH_WINDOW_PAD,
     MatchReport,
     cylinder_auto_basis,
     fit_convergence,
@@ -150,6 +152,7 @@ class ScenarioConfig:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 
     def basis_for(self, h: float):
+        """The ``compute.basis`` override at h (ConfigError if malformed), else the auto basis."""
         b = self.compute.get("basis")
         model = self.model()
         if b is None:
@@ -165,6 +168,10 @@ class ScenarioConfig:
             return SaddleBasis(int(b["levels1"]), int(b["levels2"]), h)
         except KeyError as exc:
             raise ConfigError(f"basis block is missing field {exc}") from exc
+        except DimensionCapError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid basis block {b!r}: {exc}") from exc
 
 
 def _build_tau_series(coeffs, what) -> TauSeries:
@@ -290,6 +297,12 @@ def load_config(source) -> ScenarioConfig:
     _validate(raw)
     config = ScenarioConfig(raw)
     config.model()  # raises ConfigError with the violated invariant
+    if config.compute.get("basis") is not None:
+        for h in config.h_values:
+            try:
+                config.basis_for(h)  # raises ConfigError for a malformed override
+            except DimensionCapError:
+                pass  # a numeric limit, reported when the direct stage runs
     return config
 
 
@@ -445,11 +458,11 @@ def assembled_operator(config: ScenarioConfig, h: float):
     return assemble_saddle(sym, basis)
 
 
-def computed_spectrum(config: ScenarioConfig, h: float, window_pad=0.02):
+def computed_spectrum(config: ScenarioConfig, h: float):
     sym = model_operator_symbol(config.model())
     basis = config.basis_for(h)
     return direct_spectrum(
-        sym, basis, config.window().inflated(window_pad),
+        sym, basis, config.window().inflated(MATCH_WINDOW_PAD),
         stability_check=bool(config.compute.get("stability_check", True)),
     )
 

@@ -780,38 +780,41 @@ def homological_solve(
     )
 
 
-def lie_transform(p: FormalSymbol, G: FormalSymbol, *, cap=None) -> FormalSymbol:
-    """Classical canonical push-forward p o exp(H_G) = sum_k H_G^k p / k!.
-
-    The Hamilton field acts as H_G q = {G, q}.  Generators of grade >= 3
-    terminate within the grade truncation; grade-2 generators are allowed
-    but guarded by an iteration cap with a tail check, since they act
-    tangentially to the grade filtration.
-    """
-    p._check(G)
-    if not G:
-        return p
-    gmin = G.min_grade()
-    if gmin < 2:
-        raise ValueError("every generator term must have grade >= 2")
-    if cap is None:
-        cap = 2 * p.spec.grade_max + 2
-    acc = p
-    w = p
+def _exp_series(P: FormalSymbol, step, what: str) -> FormalSymbol:
+    """sum_k step^k P / k! until a term truncates to zero, capped with a tail check."""
+    cap = 2 * P.spec.grade_max + 2
+    acc = P
+    w = P
     for k in range(1, cap + 1):
-        w = poisson_bracket(G, w) * (1.0 / k)
+        w = step(w) * (1.0 / k)
         if not w:
             return acc
         acc = acc + w
     tail = w.max_abs()
     if tail > PRUNE_REL * max(acc.max_abs(), 1.0) * 10.0:
         raise IterationCapError(
-            f"Lie series did not settle after {cap} iterations (tail {tail:.3e})"
+            f"{what} series did not settle after {cap} iterations (tail {tail:.3e})"
         )
     return acc
 
 
-def star_conjugate(P: FormalSymbol, A: FormalSymbol, *, cap=None) -> FormalSymbol:
+def lie_transform(p: FormalSymbol, G: FormalSymbol) -> FormalSymbol:
+    """Classical canonical push-forward p o exp(H_G) = sum_k H_G^k p / k!.
+
+    The Hamilton field acts as H_G q = {G, q}.  Generators of grade >= 3
+    terminate within the grade truncation; grade-2 generators are allowed
+    but guarded by the series cap with a tail check, since they act
+    tangentially to the grade filtration.
+    """
+    p._check(G)
+    if not G:
+        return p
+    if G.min_grade() < 2:
+        raise ValueError("every generator term must have grade >= 2")
+    return _exp_series(p, lambda w: poisson_bracket(G, w), "Lie")
+
+
+def star_conjugate(P: FormalSymbol, A: FormalSymbol) -> FormalSymbol:
     """Unitary conjugation exp(-iA/h) P exp(iA/h) at the symbol level.
 
     Computed as sum_k C^k P / k! with C = -(i/h) ad_A realised through the
@@ -824,18 +827,4 @@ def star_conjugate(P: FormalSymbol, A: FormalSymbol, *, cap=None) -> FormalSymbo
         return P
     if A.min_h_order() < 1:
         raise ValueError("conjugation generator must have h-order >= 1")
-    if cap is None:
-        cap = 2 * P.spec.grade_max + 2
-    acc = P
-    w = P
-    for k in range(1, cap + 1):
-        w = _ad_step(A, w) * (1.0 / k)
-        if not w:
-            return acc
-        acc = acc + w
-    tail = w.max_abs()
-    if tail > PRUNE_REL * max(acc.max_abs(), 1.0) * 10.0:
-        raise IterationCapError(
-            f"conjugation series did not settle after {cap} iterations (tail {tail:.3e})"
-        )
-    return acc
+    return _exp_series(P, lambda w: _ad_step(A, w), "conjugation")

@@ -417,6 +417,21 @@ def test_remainder_is_computed_on_demand(monkeypatch):
         assert eager
 
 
+
+def test_stepless_chain_remainder_keeps_high_tau_terms():
+    # a resonant grade-6 term at tau^8: no step below order 4, and the
+    # replay must still run at the chain's tau truncation, not at grade_max
+    spec = PhaseSpec.cylinder(6, 8)
+    model = CylinderModel(
+        TauSeries([0.0, 1.0]), TauSeries([1.0]),
+        FormalSymbol.monomial(spec, 0.1, a=8, alpha=3, beta=3),
+    )
+    _, chain = closed_orbit_bnf(model, 4)
+    assert chain.steps == []
+    assert chain.remainder.spec.tau_max == 8
+    assert chain.remainder.terms == {(0, 8, (3,), (3,), 0): 0.1}
+
+
 def test_saddle_model_validation():
     with pytest.raises(ModelValidationError):
         SaddleModel(0.0, -1.0, 1.0)

@@ -10,6 +10,7 @@ from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
 from qbnf.compare import MatchedPair, MatchReport
 from qbnf.scenario import (
     ConfigError,
+    bundled_scenarios,
     emit_plot_data,
     load_config,
     run_scenario,
@@ -87,6 +88,7 @@ def _with_terms(kind, terms):
     if kind == "cylinder":
         raw["model"] = {"kind": "cylinder", "energy_coeffs": [0.0, 1.0],
                         "rate_coeffs": [1.0], "perturbation": terms}
+        del raw["compute"]["basis"]  # GOOD's basis block is a saddle one
     else:
         raw["model"]["higher_terms"] = terms
     return raw
@@ -325,6 +327,26 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     rc = main(["direct", "--config", str(p), "--out", str(tmp_path)])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, basis", [
+    ("quadratic_saddle", {"levels1": 10}),
+    ("quadratic_saddle", {"levels1": -1, "levels2": 10}),
+    ("quadratic_saddle", {"levels1": "ten", "levels2": 10}),
+    ("cylinder_unperturbed", {"k_min": 3, "k_max": 2, "levels": 4}),
+    ("cylinder_unperturbed", {"levels1": 10, "levels2": 10}),
+])
+def test_cli_bad_basis_block_is_a_config_error(tmp_path, capsys, name, basis):
+    cfg = json.loads(bundled_scenarios()[name].read_text())
+    cfg["compute"]["basis"] = basis
+    p = tmp_path / "bad_basis.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="basis block"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
