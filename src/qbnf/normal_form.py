@@ -253,7 +253,7 @@ class GeneratorChain:
 
     @cached_property
     def remainder(self) -> FormalSymbol:
-        wide = replay_chain(self.model, self, grade_max=self.order + 2)
+        wide = replay_chain(self, grade_max=self.order + 2)
         tail = {
             k: c for k, c in wide.terms.items() if wide.spec.grade(k) > self.order
         }
@@ -607,8 +607,8 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
 # replay and diagnostics
 # --------------------------------------------------------------------------
 
-def replay_chain(model, chain: GeneratorChain, grade_max: int | None = None) -> FormalSymbol:
-    """Re-apply a generator chain to its model at a chosen truncation.
+def replay_chain(chain: GeneratorChain, grade_max: int | None = None) -> FormalSymbol:
+    """Re-apply a generator chain to its own model at a chosen truncation.
 
     The replay runs on the chain's spec.  With ``grade_max`` above the
     chain order, the result reproduces the normalized symbol up to terms
@@ -617,7 +617,7 @@ def replay_chain(model, chain: GeneratorChain, grade_max: int | None = None) -> 
     if grade_max is None:
         grade_max = chain.order
     spec = replace(chain.normalized_symbol.spec, grade_max=grade_max)
-    p = _prepared_symbol(model, spec)
+    p = _prepared_symbol(chain.model, spec)
     for method, _, gen in chain.steps:
         gen = gen.reembedded(spec)
         if method in ("lie", "average"):

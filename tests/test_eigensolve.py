@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qbnf.eigensolve import eigenvalues, spectral_norm
+from qbnf.eigensolve import EigensolveError, eigenvalues, spectral_norm
 
 
 def _match_sets(a, b, tol):
@@ -75,3 +76,110 @@ def test_rejects_bad_input():
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3)))
+
+
+def test_spectral_norm_bit_equal_to_per_iteration_adjoint(rng):
+    # reference: the same power iteration, forming the adjoint on every step
+    def per_iteration(M, iters=60, tol=1e-10):
+        n = M.shape[0]
+        v = np.ones(n, dtype=complex) / np.sqrt(n)
+        prev = 0.0
+        for _ in range(iters):
+            w = M.conj().T @ (M @ v)
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                return 0.0
+            v = w / nw
+            sigma = np.sqrt(nw)
+            if abs(sigma - prev) <= tol * max(sigma, 1.0):
+                return float(sigma)
+            prev = sigma
+        return float(prev)
+
+    for n in (1, 7, 64, 201):
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert spectral_norm(M) == per_iteration(M)
+        assert spectral_norm(M[:, ::-1]) == per_iteration(M[:, ::-1])
+
+
+def _block_diagonal(rng, sizes):
+    n = sum(sizes)
+    M = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        M[start:start + k, start:start + k] = (
+            rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        )
+        start += k
+    return M
+
+
+def _permuted(rng, M):
+    perm = rng.permutation(M.shape[0])
+    return M[np.ix_(perm, perm)]
+
+
+def test_blockwise_match_dense(rng, monkeypatch):
+    sizes = [1, 4, 9, 2, 16, 1, 7]
+    M = _permuted(rng, _block_diagonal(rng, sizes))
+    dense = eigenvalues(M)
+    solved = []
+    eig = scipy.linalg.eig
+
+    def recording_eig(A):
+        solved.append(A.shape[0])
+        return eig(A)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    blocks = eigenvalues(M, blockwise=True)
+    assert sorted(solved) == sorted(sizes)
+    assert len(blocks) == len(dense) == M.shape[0]
+    for z in dense.eigenvalues:
+        assert np.min(np.abs(blocks.eigenvalues - z)) <= 1e-12 * dense.matrix_norm
+    for z in blocks.eigenvalues:
+        assert np.min(np.abs(dense.eigenvalues - z)) <= 1e-12 * dense.matrix_norm
+    assert np.all(blocks.residuals <= 1e-8 * blocks.matrix_norm)
+    # the certificate is read off the whole matrix
+    assert blocks.matrix_norm == dense.matrix_norm
+    assert blocks.matrix_fingerprint == dense.matrix_fingerprint
+
+
+def test_blockwise_single_component_is_dense_solve(rng):
+    # two blocks joined by one entry: weakly, not strongly, connected
+    M = _block_diagonal(rng, [12, 18])
+    M[3, 20] = 0.5
+    for A in (_permuted(rng, M), _permuted(rng, M.T)):
+        dense = eigenvalues(A)
+        blocks = eigenvalues(A, blockwise=True)
+        assert np.array_equal(blocks.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(blocks.residuals, dense.residuals)
+        assert blocks.matrix_norm == dense.matrix_norm
+        assert blocks.matrix_fingerprint == dense.matrix_fingerprint
+
+
+def test_blockwise_diagonal():
+    d = np.array([3.0, -1.0 + 2.0j, 0.0, 0.5j, 3.0])
+    s = eigenvalues(np.diag(d), blockwise=True)
+    assert np.array_equal(s.eigenvalues, d)
+    assert np.all(s.residuals == 0.0)
+    assert s.matrix_norm == eigenvalues(np.diag(d)).matrix_norm
+
+
+def test_blockwise_certificate_failure(rng):
+    M = _permuted(rng, _block_diagonal(rng, [3, 5, 2]))
+    with pytest.raises(EigensolveError) as info:
+        eigenvalues(M, tol_rel=1e-30, blockwise=True)
+    partial = info.value.partial
+    assert partial is not None and len(partial) == M.shape[0]
+    assert partial.matrix_fingerprint == eigenvalues(M).matrix_fingerprint
+
+
+def test_blockwise_rejects_bad_input():
+    with pytest.raises(ValueError):
+        eigenvalues(np.zeros((0, 0)), blockwise=True)
+    with pytest.raises(ValueError):
+        eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]), blockwise=True)
+    with pytest.raises(ValueError):
+        eigenvalues(np.array([[1.0, 0.0], [0.0, np.inf]]), blockwise=True)
+    with pytest.raises(ValueError):
+        eigenvalues(np.zeros((2, 3)), blockwise=True)

@@ -195,7 +195,7 @@ def test_closed_orbit_replay_consistency():
     model = CylinderModel(F_LIN, MU_ONE, pert)
     nf, chain = closed_orbit_bnf(model, 4)
     assert any(method == "star" for method, _, _ in chain.steps)
-    wide = replay_chain(model, chain, grade_max=6)
+    wide = replay_chain(chain, grade_max=6)
     low = FormalSymbol(
         wide.spec,
         {k: c for k, c in wide.terms.items() if wide.spec.grade(k) <= 4},
@@ -365,7 +365,7 @@ def test_equilibrium_replay_consistency():
         + FormalSymbol.monomial(spec, 0.1, alpha=(1, 0), beta=(0, 2)),
     )
     nf, chain = equilibrium_bnf(model, 4)
-    wide = replay_chain(model, chain, grade_max=6)
+    wide = replay_chain(chain, grade_max=6)
     low = FormalSymbol(
         wide.spec, {k: c for k, c in wide.terms.items() if wide.spec.grade(k) <= 4}
     )
@@ -394,8 +394,7 @@ def test_remainder_is_computed_on_demand(monkeypatch):
         raise AssertionError("the normal form replayed its chain")
 
     monkeypatch.setattr(normal_form, "replay_chain", refuse)
-    runs = [(cylinder, closed_orbit_bnf(cylinder, 4)[1]),
-            (saddle, equilibrium_bnf(saddle, 4)[1])]
+    chains = [closed_orbit_bnf(cylinder, 4)[1], equilibrium_bnf(saddle, 4)[1]]
 
     calls = []
 
@@ -404,13 +403,13 @@ def test_remainder_is_computed_on_demand(monkeypatch):
         return replay_chain(*args, **kwargs)
 
     monkeypatch.setattr(normal_form, "replay_chain", counting)
-    for model, chain in runs:
+    for chain in chains:
         calls.clear()
         remainder = chain.remainder
         assert chain.remainder is remainder
         assert len(calls) == 1
         # the eager computation the normal forms used to run
-        wide = replay_chain(model, chain, grade_max=chain.order + 2)
+        wide = replay_chain(chain, grade_max=chain.order + 2)
         eager = {k: c for k, c in wide.terms.items() if wide.spec.grade(k) > chain.order}
         assert remainder.spec == wide.spec
         assert remainder.terms == eager

@@ -359,3 +359,34 @@ def test_direct_spectrum_stability_gate():
     assert accepted and not flagged
     for z, res in accepted:
         assert res <= 1e-8 * spec.matrix_norm
+
+
+@pytest.mark.parametrize("name", ["quadratic_saddle", "cylinder_cubic"])
+def test_direct_spectrum_block_solve_matches_dense_oracle(name):
+    # the widened operator is solved block by block; a stability test on
+    # one dense solve of the same operator must accept and flag the same
+    from qbnf.compare import MATCH_WINDOW_PAD, model_operator_symbol
+    from qbnf.eigensolve import eigenvalues
+    from qbnf.quantize import _STABILITY_TOL
+    from qbnf.scenario import load_config
+
+    config = load_config(name)
+    h = config.h_values[0]
+    sym = model_operator_symbol(config.model())
+    basis = config.basis_for(h)
+    window = config.window().inflated(MATCH_WINDOW_PAD)
+    accepted, flagged, spec = direct_spectrum(sym, basis, window)
+
+    assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
+    wide = eigenvalues(assemble(sym, basis.widened())).eigenvalues
+    oracle_accepted, oracle_flagged = [], []
+    for z, res in zip(spec.eigenvalues, spec.residuals):
+        if not window.contains(z):
+            continue
+        if np.min(np.abs(wide - z)) <= _STABILITY_TOL:
+            oracle_accepted.append((z, res))
+        else:
+            oracle_flagged.append(z)
+    assert accepted == oracle_accepted
+    assert flagged == oracle_flagged
+    assert accepted
