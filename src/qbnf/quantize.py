@@ -332,10 +332,13 @@ def direct_spectrum(
     is set, again on ``basis.widened()``; eigenvalues that move more than
     1e-6 under the widening are flagged as truncation artifacts rather
     than silently dropped.  The widened operator is solved block by block
-    (``eigenvalues(..., blockwise=True)``: one solve per independent
-    diagonal block) and certified against the norm of the whole widened
-    matrix; its eigenvalues feed only the 1e-6 test.  The base operator,
-    whose eigenvalues and residuals are returned, is one dense solve.
+    (``eigenvalues(..., blockwise=True)``): its blocks are those of the
+    entries above eps * max|W|, so assembly rounding (about 1e-17 max|W|)
+    does not join them; every residual is measured on the whole widened
+    matrix and certified against its norm, taken by power iteration on
+    its non-zero entries.  Its eigenvalues feed only the 1e-6 test.  The
+    base operator, whose eigenvalues and residuals are returned, is one
+    dense solve of the matrix as assembled.
 
     Returns
     -------

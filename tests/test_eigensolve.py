@@ -1,10 +1,15 @@
 """Eigensolver certification tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qbnf.eigensolve import EigensolveError, eigenvalues, spectral_norm
+from qbnf.eigensolve import PATTERN_EPS, EigensolveError, eigenvalues, spectral_norm
 
 
 def _match_sets(a, b, tol):
@@ -69,6 +74,61 @@ def test_spectral_norm_close_to_svd(rng):
     assert est >= 0.98 * exact
 
 
+def _sparse(rng, n, density):
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return M * (rng.random((n, n)) < density)
+
+
+def _dense_power_iteration(M, iters=60, tol=1e-10):
+    # spectral_norm's iteration, with dense products
+    n = M.shape[0]
+    v = np.ones(n, dtype=complex) / np.sqrt(n)
+    prev = 0.0
+    for _ in range(iters):
+        w = M.conj().T @ (M @ v)
+        nw = np.linalg.norm(w)
+        v = w / nw
+        sigma = np.sqrt(nw)
+        if abs(sigma - prev) <= tol * max(sigma, 1.0):
+            return float(sigma)
+        prev = sigma
+    return float(prev)
+
+
+def test_spectral_norm_is_a_lower_bound(rng):
+    # power iteration approaches ||M||_2 from below: the certificate bound
+    # tol_rel * sigma is never looser than stated
+    for n, density in ((1, 1.0), (7, 1.0), (64, 0.05), (201, 0.01), (201, 1.0)):
+        M = _sparse(rng, n, density)
+        for A in (M, M.real):
+            assert spectral_norm(A) <= np.linalg.norm(A, 2) * (1 + 1e-13)
+
+
+def test_spectral_norm_matches_dense_iteration_at_convergence(rng):
+    # a dominant singular value, so both iterations converge well inside 1e-12
+    n = 120
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    s = np.concatenate([[3.0], rng.uniform(0.0, 0.15, n - 1)])
+    dense = Q @ np.diag(s) @ Q[::-1].conj().T
+    sparse = _permuted(rng, np.diag(s) + np.diag(0.01 * rng.normal(size=n - 1), 1))
+    for M in (dense, sparse):
+        exact = np.linalg.norm(M, 2)
+        assert spectral_norm(M) == pytest.approx(_dense_power_iteration(M), rel=1e-12)
+        assert spectral_norm(M) == pytest.approx(exact, rel=1e-12)
+
+
+def test_spectral_norm_of_block_diagonal_is_largest_block_norm(rng):
+    sizes = [3, 8, 1, 20, 5]
+    M = 0.2 * _block_diagonal(rng, sizes) / np.sqrt(max(sizes))
+    # the largest block: a dominant rank-one part, so the iteration converges
+    u = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    M[3:11, 3:11] += 2.0 * np.outer(u, v.conj()) / np.linalg.norm(u) / np.linalg.norm(v)
+    starts = np.cumsum(sizes) - sizes
+    largest = max(np.linalg.norm(M[a:a + k, a:a + k], 2) for a, k in zip(starts, sizes))
+    assert spectral_norm(_permuted(rng, M)) == pytest.approx(largest, rel=1e-12)
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((0, 0)))
@@ -76,30 +136,6 @@ def test_rejects_bad_input():
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3)))
-
-
-def test_spectral_norm_bit_equal_to_per_iteration_adjoint(rng):
-    # reference: the same power iteration, forming the adjoint on every step
-    def per_iteration(M, iters=60, tol=1e-10):
-        n = M.shape[0]
-        v = np.ones(n, dtype=complex) / np.sqrt(n)
-        prev = 0.0
-        for _ in range(iters):
-            w = M.conj().T @ (M @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            sigma = np.sqrt(nw)
-            if abs(sigma - prev) <= tol * max(sigma, 1.0):
-                return float(sigma)
-            prev = sigma
-        return float(prev)
-
-    for n in (1, 7, 64, 201):
-        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert spectral_norm(M) == per_iteration(M)
-        assert spectral_norm(M[:, ::-1]) == per_iteration(M[:, ::-1])
 
 
 def _block_diagonal(rng, sizes):
@@ -132,7 +168,8 @@ def test_blockwise_match_dense(rng, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
     blocks = eigenvalues(M, blockwise=True)
-    assert sorted(solved) == sorted(sizes)
+    # 1x1 blocks are read off the diagonal without a solve
+    assert sorted(solved) == sorted(k for k in sizes if k > 1)
     assert len(blocks) == len(dense) == M.shape[0]
     for z in dense.eigenvalues:
         assert np.min(np.abs(blocks.eigenvalues - z)) <= 1e-12 * dense.matrix_norm
@@ -183,3 +220,75 @@ def test_blockwise_rejects_bad_input():
         eigenvalues(np.array([[1.0, 0.0], [0.0, np.inf]]), blockwise=True)
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3)), blockwise=True)
+
+
+def _chained(rng, sizes, above):
+    """Permuted block-diagonal matrix whose consecutive blocks are joined,
+    both ways, by one real entry of modulus PATTERN_EPS * max|M|, or one
+    ulp more with ``above``."""
+    M = _block_diagonal(rng, sizes)
+    coupling = PATTERN_EPS * np.abs(M).max()
+    if above:
+        coupling = np.nextafter(coupling, np.inf)
+    starts = np.cumsum(sizes) - sizes
+    for a, b in zip(starts[:-1], starts[1:]):
+        M[a, b] = coupling
+        M[b, a] = -coupling
+    return _permuted(rng, M)
+
+
+def test_blockwise_rounding_level_entries_do_not_join_blocks(rng, monkeypatch):
+    sizes = [1, 4, 9, 2, 16, 1, 7]
+    M = _chained(rng, sizes, above=False)
+    dense = eigenvalues(M)
+    solved = []
+    eig = scipy.linalg.eig
+
+    def recording_eig(A):
+        solved.append(A.shape[0])
+        return eig(A)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    blocks = eigenvalues(M, blockwise=True)
+    assert sorted(solved) == sorted(k for k in sizes if k > 1)
+    assert _match_sets(blocks.eigenvalues, dense.eigenvalues, 1e-12 * dense.matrix_norm)
+    assert np.all(blocks.residuals <= 1e-8 * blocks.matrix_norm)
+    assert blocks.matrix_norm == dense.matrix_norm
+    assert blocks.matrix_fingerprint == dense.matrix_fingerprint
+
+
+def test_blockwise_entries_above_the_pattern_threshold_join_blocks(rng):
+    M = _chained(rng, [1, 4, 9, 2, 16, 1, 7], above=True)
+    dense = eigenvalues(M)
+    blocks = eigenvalues(M, blockwise=True)
+    assert np.array_equal(blocks.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(blocks.residuals, dense.residuals)
+
+
+def test_blockwise_residuals_are_taken_on_the_whole_matrix(rng):
+    # one large diagonal entry lifts the pattern threshold above delta, so
+    # the delta couplings join no blocks; every column i also holds delta at
+    # row (i + n/2) mod n, in another block, so each unit block eigenvector
+    # has a residual of delta on the whole matrix and ~1e-15 on its block
+    sizes = [1, 3, 1, 4, 1]
+    n = sum(sizes)
+    M = _block_diagonal(rng, sizes)
+    M[n - 1, n - 1] = 1e6
+    delta = 1e-10
+    assert delta < PATTERN_EPS * 1e6
+    M[(np.arange(n) + n // 2) % n, np.arange(n)] = delta
+    s = eigenvalues(_permuted(rng, M), blockwise=True)
+    assert np.allclose(s.residuals, delta, rtol=1e-4, atol=0.0)
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg loads at the first solve, so ``import qbnf`` and the
+    # solve-free commands (``qbnf bnf``, ``qbnf lattice``) skip it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qbnf, qbnf.scenario; print('scipy.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -361,20 +361,39 @@ def test_direct_spectrum_stability_gate():
         assert res <= 1e-8 * spec.matrix_norm
 
 
-@pytest.mark.parametrize("name", ["quadratic_saddle", "cylinder_cubic"])
-def test_direct_spectrum_block_solve_matches_dense_oracle(name):
-    # the widened operator is solved block by block; a stability test on
-    # one dense solve of the same operator must accept and flag the same
+def _bundled_operator(name, **basis_fields):
+    """Model symbol, basis (auto, or with fields replaced) and window of a bundled scenario."""
+    import dataclasses
+
     from qbnf.compare import MATCH_WINDOW_PAD, model_operator_symbol
-    from qbnf.eigensolve import eigenvalues
-    from qbnf.quantize import _STABILITY_TOL
     from qbnf.scenario import load_config
 
     config = load_config(name)
-    h = config.h_values[0]
-    sym = model_operator_symbol(config.model())
-    basis = config.basis_for(h)
+    basis = dataclasses.replace(config.basis_for(config.h_values[0]), **basis_fields)
     window = config.window().inflated(MATCH_WINDOW_PAD)
+    return model_operator_symbol(config.model()), basis, window
+
+
+@pytest.mark.parametrize(
+    "name, basis_fields, num_flagged",
+    [
+        pytest.param("quadratic_saddle", {}, 0, id="quadratic_saddle"),
+        pytest.param("cylinder_cubic", {}, 0, id="cylinder_cubic"),
+        pytest.param("nonorientable_halfmode", {}, 0, id="nonorientable_halfmode"),
+        # smaller bases, so that the stability test has something to flag
+        pytest.param("cylinder_cubic", dict(k_min=-8, k_max=8, levels=9), 13,
+                     id="cylinder_cubic-dim170"),
+        pytest.param("perturbed_saddle", dict(levels1=7, levels2=7), 9,
+                     id="perturbed_saddle-dim64"),
+    ],
+)
+def test_direct_spectrum_block_solve_matches_dense_oracle(name, basis_fields, num_flagged):
+    # the widened operator is solved block by block; a stability test on
+    # one dense solve of the same operator must accept and flag the same
+    from qbnf.eigensolve import eigenvalues
+    from qbnf.quantize import _STABILITY_TOL
+
+    sym, basis, window = _bundled_operator(name, **basis_fields)
     accepted, flagged, spec = direct_spectrum(sym, basis, window)
 
     assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
@@ -390,3 +409,19 @@ def test_direct_spectrum_block_solve_matches_dense_oracle(name):
     assert accepted == oracle_accepted
     assert flagged == oracle_flagged
     assert accepted
+    assert len(flagged) == num_flagged
+
+
+def test_widened_operators_split_into_their_true_blocks():
+    # rounding-level entries of the assembled widened operators (about
+    # 1e-17 max|W|) must not merge the blocks their real couplings define
+    from qbnf.eigensolve import _components
+
+    counts = {}
+    for name in ("quadratic_saddle", "cylinder_unperturbed", "cylinder_cubic",
+                 "nonorientable_halfmode"):
+        sym, basis, _ = _bundled_operator(name)
+        assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
+        counts[name] = len(_components(assemble(sym, basis.widened()).matrix))
+    assert counts == {"quadratic_saddle": 725, "cylinder_unperturbed": 962,
+                      "cylinder_cubic": 140, "nonorientable_halfmode": 39}
