@@ -1,4 +1,10 @@
-"""Dense non-Hermitian eigenvalue computation with residual certificates.
+"""Non-Hermitian eigenvalue computation with residual certificates.
+
+Matrices come in as an OperatorMatrix (canonical triplets: the non-zero
+entries in row-major order) or as a plain ndarray, whose triplets one
+``np.nonzero`` scan yields.  The finiteness check, the fingerprint (a
+hash of the dimension and the triplets), the norm and the block pattern
+are read off the triplets.
 
 The solver is LAPACK's balancing + Hessenberg + shifted-QR route through
 scipy.  Each returned eigenvalue carries the residual
@@ -6,7 +12,8 @@ scipy.  Each returned eigenvalue carries the residual
 smallest singular value of (M - z I); the certificate requires every
 residual to stay below tol_rel * ||M||_2.  ||M||_2 comes from power
 iteration on M's non-zero entries, which approaches it from below, so
-the certificate is at least as strict as stated.
+the certificate is at least as strict as stated.  The default solve makes
+the matrix dense once and solves it in one piece.
 
 With ``blockwise=True`` the same solve runs on each diagonal block of a
 matrix whose couplings split it into independent blocks (the widened
@@ -20,11 +27,14 @@ joined spectrum is certified exactly like a dense one: against
 tol_rel * ||M||_2 of the whole matrix, with the whole matrix's
 fingerprint.  A pattern that cut a real coupling shows as a large
 residual, so it fails the certificate rather than passing unnoticed.
+Blocks and their columns are built from the triplets, so a matrix that
+splits is never made dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +59,32 @@ class Spectrum:
     residuals: np.ndarray
     matrix_fingerprint: str
     matrix_norm: float
+    #: whether the power iteration for matrix_norm met its tolerance; either
+    #: way matrix_norm is a lower bound for ||M||_2
+    norm_converged: bool = True
 
     def __len__(self):
         return len(self.eigenvalues)
+
+
+class _Triplets(NamedTuple):
+    """A square matrix's non-zero entries in row-major order (as OperatorMatrix holds them)."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _triplets(M) -> _Triplets:
+    """The non-zeros of an OperatorMatrix as it holds them, of a dense matrix by one scan."""
+    if hasattr(M, "rows"):
+        return _Triplets(M.dim, M.rows, M.cols, np.asarray(M.values, dtype=complex))
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("expected a square matrix")
+    rows, cols = np.nonzero(A)
+    return _Triplets(A.shape[0], rows, cols, A[rows, cols])
 
 
 def _spmv(index, values, n):
@@ -59,40 +92,59 @@ def _spmv(index, values, n):
     return np.bincount(index, values.real, n) + 1j * np.bincount(index, values.imag, n)
 
 
-def spectral_norm(M: np.ndarray, iters: int = 60, tol: float = 1e-10) -> float:
+def spectral_norm(M, iters: int = 60, tol: float = 1e-10, *, return_converged: bool = False):
     """Largest singular value by deterministic power iteration on M*M.
 
-    The products run over M's non-zero entries only (index arrays and
-    ``np.bincount``), since the assembled operators are well under 1 %
-    dense.  Power iteration approaches the largest singular value from
-    below, so the result is a lower bound for ||M||_2 (up to rounding): a
-    residual bound tol_rel * sigma is then at most tol_rel * ||M||_2.
+    ``M`` is a dense matrix or an OperatorMatrix; the products run over its
+    non-zero entries only (index arrays and ``np.bincount``), since the
+    assembled operators are well under 1 % dense.  The iteration starts
+    from the normalized all-ones vector; only when M*M maps that to zero on
+    a non-zero M does it restart from a fixed pseudo-random vector.  Power
+    iteration approaches the largest singular value from below, so the
+    result is a lower bound for ||M||_2 (up to rounding): a residual bound
+    tol_rel * sigma is then at most tol_rel * ||M||_2.  With
+    ``return_converged`` it returns ``(sigma, converged)``, where
+    ``converged`` says whether two successive estimates met ``tol``
+    within ``iters`` steps.
     """
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    rows, cols = np.nonzero(M)
-    vals = M[rows, cols]
+    n, rows, cols, vals = _triplets(M)
+    if not len(vals):
+        return (0.0, True) if return_converged else 0.0
     vals_h = vals.conj()
+
+    def gram(v):  # M* M v
+        return _spmv(cols, vals_h * _spmv(rows, vals * v[cols], n)[rows], n)
+
+    sigma, converged = 0.0, False
     v = np.ones(n, dtype=complex) / np.sqrt(n)
-    prev = 0.0
-    for _ in range(iters):
-        w = _spmv(cols, vals_h * _spmv(rows, vals * v[cols], n)[rows], n)
+    for i in range(iters):
+        w = gram(v)
         nw = np.linalg.norm(w)
+        if nw == 0.0 and i == 0:
+            # the start vector lies in the kernel of M*M, as it does when
+            # the rows of M sum to zero; a generic fixed vector does not
+            g = np.random.default_rng(0).standard_normal((2, n))
+            w = gram((g[0] + 1j * g[1]) / np.linalg.norm(g))
+            nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0
+            break
         v = w / nw
-        sigma = np.sqrt(nw)
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
-            return float(sigma)
-        prev = sigma
-    return float(prev)
+        prev, sigma = sigma, float(np.sqrt(nw))
+        converged = abs(sigma - prev) <= tol * max(sigma, 1.0)
+        if converged:
+            break
+    return (sigma, converged) if return_converged else sigma
 
 
-def _fingerprint(M: np.ndarray) -> str:
+def _fingerprint(T: _Triplets) -> str:
+    """Hash of the dimension and the triplets, so it reads nnz entries, not n^2."""
     import hashlib
 
-    return hashlib.sha256(np.ascontiguousarray(M).tobytes()).hexdigest()[:16]
+    digest = hashlib.sha256(np.int64(T.dim).tobytes())
+    for a in (T.rows.astype(np.int64, copy=False), T.cols.astype(np.int64, copy=False),
+              T.values):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _eig(A: np.ndarray):
@@ -118,21 +170,21 @@ def _solve(A: np.ndarray):
     return w, _residual_norms(A @ V - V * w[np.newaxis, :], V)
 
 
-def _components(A: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the weakly connected components of A's couplings.
+def _components(M) -> list[np.ndarray]:
+    """Index sets of the weakly connected components of M's couplings.
 
-    The edges are the entries with |a_ij| > PATTERN_EPS * max|A|.
-    Min-label propagation over them, with pointer jumping after each
-    sweep; components come out ordered by their smallest index.  Plain
-    numpy, because importing ``scipy.sparse.csgraph`` alone raises a run's
-    peak memory by about 5 MB.
+    ``M`` is an OperatorMatrix, triplets or a dense matrix.  The edges are
+    the entries with |m_ij| > PATTERN_EPS * max|M|.  Min-label propagation
+    over them, with pointer jumping after each sweep; components come out
+    ordered by their smallest index.  Plain numpy, because importing
+    ``scipy.sparse.csgraph`` alone raises a run's peak memory by about 5 MB.
     """
-    rows, cols = np.nonzero(A)
-    mag = np.abs(A[rows, cols])
+    n, rows, cols, vals = _triplets(M)
+    mag = np.abs(vals)
     if len(mag):
         edge = mag > PATTERN_EPS * mag.max()
         rows, cols = rows[edge], cols[edge]
-    labels = np.arange(A.shape[0])
+    labels = np.arange(n)
     while True:
         low = np.minimum(labels[rows], labels[cols])
         new = labels.copy()
@@ -149,27 +201,45 @@ def _components(A: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == root) for root in np.unique(labels)]
 
 
-def _solve_blocks(A: np.ndarray, blocks: list[np.ndarray]):
-    """Eigenvalues block by block, each residual taken on the whole of A."""
-    n = A.shape[0]
+def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
+    """Eigenvalues block by block, each residual taken on the whole matrix.
+
+    A block's columns of the whole matrix come from the triplets as a dense
+    n x size slab C; C[idx] is the diagonal block and C @ V the product of
+    the whole matrix with the zero-padded block eigenvectors.
+    """
+    n, rows, cols, vals = T
     order = np.concatenate(blocks)
     sizes = np.array([len(idx) for idx in blocks])
     starts = np.cumsum(sizes) - sizes
+    block_of = np.empty(n, dtype=np.intp)
+    block_of[order] = np.repeat(np.arange(len(blocks)), sizes)
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n) - np.repeat(starts, sizes)
     w = np.empty(n, dtype=complex)
     residuals = np.empty(n)
-    # 1x1 blocks: eigenvector e_i, eigenvalue a_ii, residual the norm of
+    # 1x1 blocks: eigenvector e_i, eigenvalue m_ii, residual the norm of
     # the rest of column i
     one = starts[sizes == 1]
     i = order[one]
-    rows, cols = np.nonzero(A)
-    off = rows != cols
-    colsq = np.bincount(cols[off], np.abs(A[rows[off], cols[off]]) ** 2, n)
-    w[one] = A[i, i]
+    diag = rows == cols
+    d = np.zeros(n, dtype=complex)
+    d[rows[diag]] = vals[diag]
+    colsq = np.bincount(cols[~diag], np.abs(vals[~diag]) ** 2, n)
+    w[one] = d[i]
     residuals[one] = np.sqrt(colsq[i])
-    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
-        idx = order[start:start + size]
-        wb, V = _eig(A[np.ix_(idx, idx)])
-        R = A[:, idx] @ V
+    # the entries of each larger block's columns, grouped by block
+    col_block = block_of[cols]
+    by_block = np.argsort(col_block, kind="stable")
+    bounds = np.searchsorted(col_block, np.arange(len(blocks) + 1), sorter=by_block)
+    for b in np.flatnonzero(sizes > 1):
+        idx = blocks[b]
+        start, size = starts[b], sizes[b]
+        k = by_block[bounds[b]:bounds[b + 1]]
+        C = np.zeros((n, size), dtype=complex)
+        C[rows[k], place[cols[k]]] = vals[k]
+        wb, V = _eig(C[idx])
+        R = C @ V
         R[idx] -= V * wb[np.newaxis, :]
         w[start:start + size] = wb
         residuals[start:start + size] = _residual_norms(R, V)
@@ -177,36 +247,42 @@ def _solve_blocks(A: np.ndarray, blocks: list[np.ndarray]):
 
 
 def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectrum:
-    """Certified spectrum of a dense complex matrix.
+    """Certified spectrum of a complex matrix.
 
     Accepts an OperatorMatrix or a plain ndarray.  Raises
     EigensolveError (carrying whatever partial data exists) when the QR
     iteration fails to converge or any residual exceeds
     tol_rel * ||M||_2, with ||M||_2 from power iteration on the non-zero
-    entries (a lower bound).
+    entries (a lower bound; ``Spectrum.norm_converged`` says whether the
+    iteration met its tolerance).  The finiteness check, the fingerprint
+    and the norm read the matrix's triplets: those an OperatorMatrix holds,
+    or one scan of a dense array.  Without ``blockwise`` the matrix is
+    made dense and solved in one piece.
 
     With ``blockwise`` the matrix is solved one independent diagonal
     block at a time: the weakly connected components of the entries
-    with |m_ij| > PATTERN_EPS * max|M|, 1x1 blocks all in one step.  The
+    with |m_ij| > PATTERN_EPS * max|M|, 1x1 blocks all in one step.  Each
+    block, and its columns of the whole matrix, are built from the
+    triplets, so an OperatorMatrix that splits is never made dense.  The
     eigenvalues come block by block, in the order of each block's
     smallest index, and each residual is that of the zero-padded block
     eigenvector on the whole matrix.  The certificate, fingerprint and
     norm are those of the whole matrix; a single-block matrix is solved in
     place and gives the dense result bit for bit.
     """
-    A = np.asarray(getattr(M, "matrix", M), dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    T = _triplets(M)
+    if T.dim == 0:
         raise ValueError("expected a nonempty square matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(T.values)):
         raise ValueError("matrix has non-finite entries")
-    fp = _fingerprint(A)
-    blocks = _components(A) if blockwise else []
+    fp = _fingerprint(T)
+    blocks = _components(T) if blockwise else []
     if len(blocks) > 1:
-        w, residuals = _solve_blocks(A, blocks)
+        w, residuals = _solve_blocks(T, blocks)
     else:
-        w, residuals = _solve(A)
-    norm = spectral_norm(A)
-    spec = Spectrum(w, residuals, fp, norm)
+        w, residuals = _solve(np.asarray(getattr(M, "matrix", M), dtype=complex))
+    norm, converged = spectral_norm(T, return_converged=True)
+    spec = Spectrum(w, residuals, fp, norm, converged)
     bound = tol_rel * max(norm, np.finfo(float).tiny)
     worst = float(np.max(residuals)) if len(residuals) else 0.0
     if worst > bound:

@@ -18,6 +18,12 @@ Matrix elements are exact:
   Weyl quantization with linear factors.  Products are computed on an
   enlarged level range and cropped, so every retained entry equals the
   infinite-basis matrix element.
+
+An assembled operator is an OperatorMatrix of canonical triplets: the
+non-zero entries in row-major order, each summed from +0.0 over its
+contributions in the order the terms list them, exact zeros dropped.
+Each term adds its contributions in one vectorised step over the non-zeros
+of its Weyl monomial(s); the dense array is built only when asked for.
 """
 
 from __future__ import annotations
@@ -149,15 +155,46 @@ class SaddleBasis:
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix together with its basis and symbol fingerprint."""
+    """Assembled operator as canonical triplets, with its basis and symbol fingerprint.
 
-    matrix: np.ndarray
+    ``rows``, ``cols`` and ``values`` list the non-zero entries in row-major
+    order.  Each value is the sum, from +0.0 and in assembly order, of the
+    contributions to its entry, and entries that sum to exactly zero are
+    dropped.  ``matrix`` builds the dense array on each access.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     basis: CylinderBasis | SaddleBasis
     symbol_fingerprint: str
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M[self.rows, self.cols] = self.values
+        return M
+
+
+_NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))
+
+
+def _summed(parts, basis, symbol: FormalSymbol) -> OperatorMatrix:
+    """OperatorMatrix of the (rows, cols, values) contributions ``parts``, in assembly order."""
+    n = basis.dim
+    rows, cols, values = (np.concatenate(arrays) for arrays in zip(*parts, _NO_ENTRIES))
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    summed = np.empty(len(keys), dtype=complex)
+    # np.bincount adds each slot's weights in input order, starting from +0.0
+    summed.real = np.bincount(slot, values.real, len(keys))
+    summed.imag = np.bincount(slot, values.imag, len(keys))
+    keep = summed != 0
+    keys = keys[keep]
+    return OperatorMatrix(keys // n, keys % n, summed[keep], basis, symbol.fingerprint())
 
 
 # --------------------------------------------------------------------------
@@ -235,13 +272,21 @@ def weyl_monomial_matrix(p: int, q: int, levels: int, h: float) -> np.ndarray:
 # assembly
 # --------------------------------------------------------------------------
 
+def _nonzeros(F: np.ndarray):
+    """Row indices, column indices and values of F's non-zeros, row-major."""
+    r, c = np.nonzero(F)
+    return r, c, F[r, c]
+
+
 def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMatrix:
     """Matrix of the Weyl quantization of a cylinder symbol.
 
     The symbol must already be in oscillator coordinates (after
     ``metaplectic_substitute``).  Entries are exact; couplings leaving
     the Fourier window or the level range are dropped, which affects the
-    spectrum only through the usual basis-truncation error.
+    spectrum only through the usual basis-truncation error.  Each term
+    contributes, for every non-zero W[l', l] of its Weyl monomial (l-major,
+    then l') and every k, the entry ((k', l'), (k, l)).
     """
     spec = symbol.spec
     if not (spec.has_angle and spec.num_pairs == 1):
@@ -249,70 +294,70 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
     if spec.orientable != basis.orientable:
         raise ValueError("symbol and basis orientability flags disagree")
     L = basis.levels
-    nk = basis.num_k
-    dim = basis.dim
-    M = np.zeros((dim, dim), dtype=complex)
-
     ks = np.arange(basis.k_min, basis.k_max + 1)
-    offset = basis.action / (2.0 * math.pi)
-    wm_cache: dict[tuple[int, int], np.ndarray] = {}
+    # tau of the column (k, l), one row per level l
+    shift = np.zeros(L + 1) if basis.orientable else 0.5 * np.arange(L + 1)
+    col_tau = basis.h * (ks + shift[:, np.newaxis]) - basis.action / (2.0 * math.pi)
+    wm_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    parts = []
 
     for (m2, a, alpha, beta, j), c in symbol.terms.items():
         pq = (alpha[0], beta[0])
         if pq not in wm_cache:
-            wm_cache[pq] = weyl_monomial_matrix(pq[0], pq[1], L, basis.h)
-        W = wm_cache[pq]
+            # (l, l', W[l', l]), l-major
+            wm_cache[pq] = _nonzeros(weyl_monomial_matrix(pq[0], pq[1], L, basis.h).T)
+        l, lp, w = wm_cache[pq]
         if basis.orientable:
             if m2 % 2:
                 raise ValueError("half-integer mode in an orientable assembly")
-            m = m2 // 2
+            dk = np.full(len(l), m2 // 2)
         else:
             if (m2 - (alpha[0] - beta[0])) % 2:
                 raise ValueError(
                     "assembly rejected a term violating the anti-periodicity parity"
                 )
+            num = m2 + (l - lp)
+            even = num % 2 == 0  # the other level transitions are parity-forbidden
+            l, lp, w, dk = l[even], lp[even], w[even], num[even] // 2
         base = c * basis.h**j
-        for l in range(L + 1):
-            col_tau = basis.h * (ks + (0.5 * l if not basis.orientable else 0.0)) - offset
-            mid = col_tau + 0.25 * m2 * basis.h
-            weight = base * mid**a if a else base * np.ones_like(mid)
-            for lp in range(L + 1):
-                w = W[lp, l]
-                if w == 0:
-                    continue
-                if basis.orientable:
-                    kp = ks + m2 // 2
-                else:
-                    num = m2 + (l - lp)
-                    if num % 2:
-                        continue  # parity-forbidden level transition
-                    kp = ks + num // 2
-                sel = (kp >= basis.k_min) & (kp <= basis.k_max)
-                if not np.any(sel):
-                    continue
-                rows = (kp[sel] - basis.k_min) * (L + 1) + lp
-                cols = (ks[sel] - basis.k_min) * (L + 1) + l
-                np.add.at(M, (rows, cols), weight[sel] * w)
-    return OperatorMatrix(M, basis, symbol.fingerprint())
+        mid = col_tau + 0.25 * m2 * basis.h
+        weight = base * mid**a if a else base * np.ones_like(mid)
+        kp = ks + dk[:, np.newaxis]
+        sel = (kp >= basis.k_min) & (kp <= basis.k_max)
+        rows = (kp - basis.k_min) * (L + 1) + lp[:, np.newaxis]
+        cols = (ks - basis.k_min) * (L + 1) + l[:, np.newaxis]
+        parts.append((rows[sel], cols[sel], (weight[l] * w[:, np.newaxis])[sel]))
+    return _summed(parts, basis, symbol)
 
 
 def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
-    """Matrix of the Weyl quantization of a two-pair polynomial symbol."""
+    """Matrix of the Weyl quantization of a two-pair polynomial symbol.
+
+    Each term contributes the non-zeros of the Kronecker product of its two
+    factors' Weyl monomials, scaled by c h^j.
+    """
     spec = symbol.spec
     if spec.has_angle or spec.num_pairs != 2:
         raise ValueError("assemble_saddle expects a two-pair symbol")
-    M = np.zeros((basis.dim, basis.dim), dtype=complex)
-    cache1: dict[tuple[int, int], np.ndarray] = {}
-    cache2: dict[tuple[int, int], np.ndarray] = {}
+    n2 = basis.levels2 + 1
+    cache1: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    cache2: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    parts = []
     for (m2, a, alpha, beta, j), c in symbol.terms.items():
         k1 = (alpha[0], beta[0])
         k2 = (alpha[1], beta[1])
         if k1 not in cache1:
-            cache1[k1] = weyl_monomial_matrix(k1[0], k1[1], basis.levels1, basis.h)
+            cache1[k1] = _nonzeros(weyl_monomial_matrix(k1[0], k1[1], basis.levels1, basis.h))
         if k2 not in cache2:
-            cache2[k2] = weyl_monomial_matrix(k2[0], k2[1], basis.levels2, basis.h)
-        M += (c * basis.h**j) * np.kron(cache1[k1], cache2[k2])
-    return OperatorMatrix(M, basis, symbol.fingerprint())
+            cache2[k2] = _nonzeros(weyl_monomial_matrix(k2[0], k2[1], basis.levels2, basis.h))
+        r1, c1, v1 = cache1[k1]
+        r2, c2, v2 = cache2[k2]
+        parts.append((
+            (r1[:, np.newaxis] * n2 + r2).ravel(),
+            (c1[:, np.newaxis] * n2 + c2).ravel(),
+            ((c * basis.h**j) * (v1[:, np.newaxis] * v2)).ravel(),
+        ))
+    return _summed(parts, basis, symbol)
 
 
 # --------------------------------------------------------------------------
@@ -336,9 +381,11 @@ def direct_spectrum(
     entries above eps * max|W|, so assembly rounding (about 1e-17 max|W|)
     does not join them; every residual is measured on the whole widened
     matrix and certified against its norm, taken by power iteration on
-    its non-zero entries.  Its eigenvalues feed only the 1e-6 test.  The
-    base operator, whose eigenvalues and residuals are returned, is one
-    dense solve of the matrix as assembled.
+    its non-zero entries.  Blocks, residuals and norm come from the
+    assembled triplets, so the dense widened matrix is never built.  Its
+    eigenvalues feed only the 1e-6 test.  The base operator, whose
+    eigenvalues and residuals are returned, is one dense solve of the
+    matrix as assembled.
 
     Returns
     -------

@@ -292,3 +292,46 @@ def test_import_does_not_load_scipy_linalg():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_spectral_norm_when_the_rows_sum_to_zero():
+    # the all-ones start vector lies in the kernel of a graph Laplacian
+    L = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+    assert spectral_norm(L) == pytest.approx(3.0, rel=1e-12)
+    s = eigenvalues(L)
+    assert s.matrix_norm == pytest.approx(3.0, rel=1e-12) and s.norm_converged
+    assert _match_sets(s.eigenvalues, [0.0, 3.0, 3.0], 1e-12)
+    assert spectral_norm(np.zeros((3, 3)), return_converged=True) == (0.0, True)
+
+
+def test_norm_convergence_is_reported():
+    # top singular values 1 and 1 - 1e-4: 60 power steps do not settle to 1e-10
+    M = np.diag([1.0, 1.0 - 1e-4, 0.5])
+    sigma, converged = spectral_norm(M, return_converged=True)
+    assert not converged
+    assert sigma == spectral_norm(M) <= 1.0
+    s = eigenvalues(M)
+    assert not s.norm_converged and s.matrix_norm == sigma
+    # a clear gap converges, and the certificate is unchanged either way
+    s = eigenvalues(np.diag([1.0, 0.1, 0.01]))
+    assert s.norm_converged and s.matrix_norm == pytest.approx(1.0, rel=1e-12)
+
+
+def test_triplet_and_dense_inputs_agree():
+    from qbnf.quantize import CylinderBasis, assemble_cylinder, metaplectic_substitute
+    from qbnf.symbols import FormalSymbol, PhaseSpec
+
+    spec = PhaseSpec.cylinder(8, 4)
+    sym = metaplectic_substitute(
+        FormalSymbol.monomial(spec, 1.0, a=1) + FormalSymbol.monomial(spec, 0.5, alpha=1, beta=1)
+        + FormalSymbol.monomial(spec, 0.1, m=1, alpha=3)
+    )
+    op = assemble_cylinder(sym, CylinderBasis(-3, 3, 5, 0.1))
+    for blockwise in (False, True):
+        a = eigenvalues(op, blockwise=blockwise)
+        b = eigenvalues(op.matrix, blockwise=blockwise)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.residuals, b.residuals)
+        assert a.matrix_norm == b.matrix_norm
+        assert a.matrix_fingerprint == b.matrix_fingerprint
+    assert eigenvalues(2 * op.matrix).matrix_fingerprint != a.matrix_fingerprint

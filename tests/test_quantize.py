@@ -422,6 +422,123 @@ def test_widened_operators_split_into_their_true_blocks():
                  "nonorientable_halfmode"):
         sym, basis, _ = _bundled_operator(name)
         assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
-        counts[name] = len(_components(assemble(sym, basis.widened()).matrix))
+        counts[name] = len(_components(assemble(sym, basis.widened())))
     assert counts == {"quadratic_saddle": 725, "cylinder_unperturbed": 962,
                       "cylinder_cubic": 140, "nonorientable_halfmode": 39}
+
+
+# --------------------------------------------------------------------------
+# triplet assembly against the per-entry dense loops it replaced
+# --------------------------------------------------------------------------
+
+def _oracle_cylinder(symbol, basis):
+    """Dense cylinder assembly, one np.add.at per (term, l, l')."""
+    L = basis.levels
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    ks = np.arange(basis.k_min, basis.k_max + 1)
+    offset = basis.action / (2.0 * math.pi)
+    for (m2, a, alpha, beta, j), c in symbol.terms.items():
+        W = weyl_monomial_matrix(alpha[0], beta[0], L, basis.h)
+        base = c * basis.h**j
+        for l in range(L + 1):
+            col_tau = basis.h * (ks + (0.5 * l if not basis.orientable else 0.0)) - offset
+            mid = col_tau + 0.25 * m2 * basis.h
+            weight = base * mid**a if a else base * np.ones_like(mid)
+            for lp in range(L + 1):
+                w = W[lp, l]
+                if w == 0:
+                    continue
+                if basis.orientable:
+                    kp = ks + m2 // 2
+                else:
+                    num = m2 + (l - lp)
+                    if num % 2:
+                        continue
+                    kp = ks + num // 2
+                sel = (kp >= basis.k_min) & (kp <= basis.k_max)
+                rows = (kp[sel] - basis.k_min) * (L + 1) + lp
+                cols = (ks[sel] - basis.k_min) * (L + 1) + l
+                np.add.at(M, (rows, cols), weight[sel] * w)
+    return M
+
+
+def _oracle_saddle(symbol, basis):
+    """Dense saddle assembly, one Kronecker product per term."""
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for (m2, a, alpha, beta, j), c in symbol.terms.items():
+        F1 = weyl_monomial_matrix(alpha[0], beta[0], basis.levels1, basis.h)
+        F2 = weyl_monomial_matrix(alpha[1], beta[1], basis.levels2, basis.h)
+        M += (c * basis.h**j) * np.kron(F1, F2)
+    return M
+
+
+def _assert_bit_equal_to_oracle(sym, basis):
+    if isinstance(basis, CylinderBasis):
+        op, oracle = assemble_cylinder(sym, basis), _oracle_cylinder(sym, basis)
+    else:
+        op, oracle = assemble_saddle(sym, basis), _oracle_saddle(sym, basis)
+    # the bit patterns, so that -0.0 and last-bit drift fail too
+    assert np.array_equal(op.matrix.view(np.uint64), oracle.view(np.uint64))
+    rows, cols = np.nonzero(oracle)
+    assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
+    assert op.dim == basis.dim
+
+
+@pytest.mark.parametrize("name", ["quadratic_saddle", "cylinder_unperturbed", "cylinder_cubic",
+                                  "nonorientable_halfmode", "perturbed_saddle"])
+def test_assembly_bit_equal_to_dense_loops(name):
+    sym, basis, _ = _bundled_operator(name)
+    for b in (basis, basis.widened()):
+        _assert_bit_equal_to_oracle(sym, b)
+
+
+def test_assembly_bit_equal_to_dense_loops_on_random_symbols(rng):
+    # many terms sharing entries, so the summation order shows
+    for orientable in (True, False):
+        spec = PhaseSpec.cylinder(8, 3, orientable=orientable)
+        basis = CylinderBasis(-4, 5, 7, 0.07, action=0.3, orientable=orientable)
+        _assert_bit_equal_to_oracle(random_symbol(spec, rng, n_terms=30, max_exp=3), basis)
+    _assert_bit_equal_to_oracle(random_symbol(SPEC2, rng, n_terms=30, max_exp=3),
+                                SaddleBasis(6, 4, 0.07))
+
+
+def test_assembly_drops_entries_that_cancel():
+    # y1^2 and -eta1^2 have equal diagonals, so only the off-diagonal survives
+    basis = SaddleBasis(4, 2, 0.1)
+    op = assemble_saddle(mono2(1.0, alpha=(2, 0)) - mono2(1.0, beta=(2, 0)), basis)
+    assert np.all(op.values != 0) and not np.any(op.rows == op.cols)
+    _assert_bit_equal_to_oracle(mono2(1.0, alpha=(2, 0)) - mono2(1.0, beta=(2, 0)), basis)
+    # a symbol without terms assembles to no entries
+    empty = assemble_cylinder(mono(1.0, alpha=1) - mono(1.0, alpha=1), CylinderBasis(-2, 2, 4, 0.1))
+    assert len(empty.rows) == len(empty.cols) == len(empty.values) == 0
+    assert not np.any(empty.matrix)
+
+
+def test_nonorientable_parity_violation_rejected_after_valid_terms():
+    # the parity check runs per term, also after terms that assembled
+    spec = PhaseSpec.cylinder(8, 8, orientable=False)
+    basis = CylinderBasis(-3, 3, 6, 0.1, orientable=False)
+    good = FormalSymbol.monomial(spec, 1.0, m=0.5, alpha=1)
+    _assert_bit_equal_to_oracle(good, basis)
+    bad = FormalSymbol(spec, {**good.terms, (2, 0, (1,), (0,), 0): 1.0}, _raw=True)
+    with pytest.raises(ValueError, match="parity"):
+        assemble_cylinder(bad, basis)
+
+
+def test_widened_solve_never_builds_the_dense_widened_matrix(monkeypatch):
+    from qbnf import quantize
+
+    densified = []
+    dense = quantize.OperatorMatrix.matrix.fget
+
+    def recording(op):
+        densified.append(op.dim)
+        return dense(op)
+
+    monkeypatch.setattr(quantize.OperatorMatrix, "matrix", property(recording))
+    sym, basis, window = _bundled_operator("cylinder_cubic")
+    accepted, _, _ = direct_spectrum(sym, basis, window)
+    assert accepted
+    # the base operator is made dense once, for its dense solve; the
+    # widened one never is
+    assert densified == [basis.dim]
