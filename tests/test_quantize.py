@@ -428,7 +428,7 @@ def test_widened_operators_split_into_their_true_blocks():
 
 
 # --------------------------------------------------------------------------
-# triplet assembly against the per-entry dense loops it replaced
+# triplet assembly against per-entry dense loops
 # --------------------------------------------------------------------------
 
 def _oracle_cylinder(symbol, basis):
@@ -504,10 +504,10 @@ def test_assembly_bit_equal_to_dense_loops_on_random_symbols(rng):
 
 def test_assembly_drops_entries_that_cancel():
     # y1^2 and -eta1^2 have equal diagonals, so only the off-diagonal survives
-    basis = SaddleBasis(4, 2, 0.1)
-    op = assemble_saddle(mono2(1.0, alpha=(2, 0)) - mono2(1.0, beta=(2, 0)), basis)
+    sym, basis = mono2(1.0, alpha=(2, 0)) - mono2(1.0, beta=(2, 0)), SaddleBasis(4, 2, 0.1)
+    op = assemble_saddle(sym, basis)
     assert np.all(op.values != 0) and not np.any(op.rows == op.cols)
-    _assert_bit_equal_to_oracle(mono2(1.0, alpha=(2, 0)) - mono2(1.0, beta=(2, 0)), basis)
+    _assert_bit_equal_to_oracle(sym, basis)
     # a symbol without terms assembles to no entries
     empty = assemble_cylinder(mono(1.0, alpha=1) - mono(1.0, alpha=1), CylinderBasis(-2, 2, 4, 0.1))
     assert len(empty.rows) == len(empty.cols) == len(empty.values) == 0
