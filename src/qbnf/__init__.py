@@ -19,9 +19,7 @@ from .symbols import (
     moyal_commutator,
     moyal_star,
     poisson_bracket,
-    resonant_project,
     star_conjugate,
-    substitute_pair,
 )
 from .normal_form import (
     CylinderModel,
@@ -29,13 +27,10 @@ from .normal_form import (
     ModelValidationError,
     NormalFormPoly,
     SaddleModel,
-    average_rate,
-    birkhoff_coordinates,
     closed_orbit_bnf,
     cylinder_symbol,
     equilibrium_bnf,
     orbit_diagnostics,
-    replay_chain,
     saddle_symbol,
 )
 from .quantize import (
@@ -48,7 +43,6 @@ from .quantize import (
     complex_scale,
     direct_spectrum,
     metaplectic_substitute,
-    weyl_monomial_matrix,
 )
 from .eigensolve import EigensolveError, Spectrum, eigenvalues
 from .lattice import (
@@ -57,21 +51,19 @@ from .lattice import (
     closed_orbit_lattice,
     homogeneity_check,
     lattice_rescaling_check,
+    predicted_lattice,
     saddle_lattice,
 )
 from .compare import (
     MatchReport,
     SweepResult,
+    auto_basis,
     convergence_sweep,
-    cylinder_auto_basis,
     match_lattices,
-    saddle_auto_basis,
 )
 from .scenario import (
     ConfigError,
     ScenarioConfig,
-    bundled_scenarios,
-    emit_plot_data,
     load_config,
     run_scenario,
 )

@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="config path or bundled scenario name")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface stability; runs are deterministic")
     return ap
 
 

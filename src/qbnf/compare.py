@@ -3,7 +3,9 @@
 ``match_lattices`` pairs lattice points with eigenvalues by mutual
 nearest neighbors inside a radius; ``fit_convergence`` fits the decay
 order in h of the matched error, over the match reports that
-``convergence_sweep`` computes or a scenario run wrote.
+``convergence_sweep`` computes or a scenario run wrote.  ``auto_basis``
+sizes the direct-solve basis of a model to a window at h, for both the
+sweep and a scenario without a basis override.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ResonanceLattice, Window, closed_orbit_lattice, saddle_lattice
+from .lattice import ResonanceLattice, Window, predicted_lattice
 from .normal_form import (
     CylinderModel,
-    SaddleModel,
     closed_orbit_bnf,
     content_grade,
     content_tau_order,
@@ -42,8 +43,7 @@ __all__ = [
     "fit_convergence",
     "convergence_sweep",
     "model_operator_symbol",
-    "cylinder_auto_basis",
-    "saddle_auto_basis",
+    "auto_basis",
 ]
 
 
@@ -148,21 +148,19 @@ _PAD_K, _PAD_LEVELS = 6, 8
 MATCH_WINDOW_PAD = 0.02
 
 
-def cylinder_auto_basis(model: CylinderModel, window: Window, h) -> CylinderBasis:
-    """Fourier range and level count covering a window with headroom."""
-    fp0 = model.energy.derivative().coeffs[0].real
-    mu0 = model.rate.coeffs[0].real
-    offset = model.action / (2.0 * math.pi)
-    tau_hw = 1.3 * window.half_width / fp0
-    tau0 = model.energy.solve(window.center).real if window.center else 0.0
-    k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - _PAD_K
-    k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + _PAD_K
-    levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS
-    return CylinderBasis(k_lo, k_hi, levels, h, model.action, model.orientable)
-
-
-def saddle_auto_basis(model: SaddleModel, window: Window, h) -> SaddleBasis:
-    """Per-axis level counts covering a window with headroom."""
+def auto_basis(model, window: Window, h) -> CylinderBasis | SaddleBasis:
+    """Basis covering ``window`` at h with headroom: a cylinder's Fourier range
+    and levels, or a saddle's per-axis levels."""
+    if isinstance(model, CylinderModel):
+        fp0 = model.energy.derivative().coeffs[0].real
+        mu0 = model.rate.coeffs[0].real
+        offset = model.action / (2.0 * math.pi)
+        tau_hw = 1.3 * window.half_width / fp0
+        tau0 = model.energy.solve(window.center).real if window.center else 0.0
+        k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - _PAD_K
+        k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + _PAD_K
+        levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS
+        return CylinderBasis(k_lo, k_hi, levels, h, model.action, model.orientable)
     l1 = int(math.ceil(1.4 * window.depth / (model.unstable_rate * h))) + _PAD_LEVELS
     l2 = int(math.ceil(1.4 * window.half_width / (model.stable_freq * h))) + _PAD_LEVELS
     return SaddleBasis(l1, l2, h)
@@ -204,33 +202,25 @@ def convergence_sweep(
 ) -> SweepResult:
     """Fit the decay order of the lattice-versus-direct error in h.
 
-    For each h the predicted lattice inside ``window`` is matched against
-    the directly computed spectrum on the auto basis (in the window
+    For each h the ``predicted_lattice`` inside ``window`` is matched
+    against the ``direct_spectrum`` on the ``auto_basis`` (in the window
     inflated by ``MATCH_WINDOW_PAD``), and ``fit_convergence`` fits the
     reports.
     """
     h_values = sorted(h_values, reverse=True)
     if len(h_values) < 3:
         raise ValueError("need at least three h values for a slope fit")
-    if isinstance(model, CylinderModel):
-        nf, _ = closed_orbit_bnf(model, order)
-    else:
-        nf, _ = equilibrium_bnf(model, order)
+    bnf = closed_orbit_bnf if isinstance(model, CylinderModel) else equilibrium_bnf
+    nf, _ = bnf(model, order)
     sym = model_operator_symbol(model)
 
     reports = []
     for h in h_values:
-        if isinstance(model, CylinderModel):
-            pred = closed_orbit_lattice(nf, h, window)
-            basis = cylinder_auto_basis(model, window, h)
-        else:
-            pred = saddle_lattice(nf, h, window)
-            basis = saddle_auto_basis(model, window, h)
         accepted, _, _ = direct_spectrum(
-            sym, basis, window.inflated(MATCH_WINDOW_PAD),
+            sym, auto_basis(model, window, h), window.inflated(MATCH_WINDOW_PAD),
             stability_check=stability_check,
         )
-        reports.append(match_lattices(pred, accepted, order=order))
+        reports.append(match_lattices(predicted_lattice(nf, h, window), accepted, order=order))
     return fit_convergence(reports, label_cap)
 
 

@@ -12,6 +12,7 @@ and an equilibrium normal form F(iota1, iota2; h) yields
 Lattices are enumerated inside a complex window (an energy interval times
 a decay-depth strip); candidate ranges come from the linear part of the
 normal form with a safety margin and are then filtered exactly.
+``predicted_lattice`` applies the rule of the normal form's kind.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "Window",
     "LatticeEntry",
     "ResonanceLattice",
+    "predicted_lattice",
     "closed_orbit_lattice",
     "saddle_lattice",
     "homogeneity_check",
@@ -74,7 +76,6 @@ class ResonanceLattice:
     entries: list
     window: Window
     h: float
-    provenance: str = ""
 
     def __len__(self):
         return len(self.entries)
@@ -92,6 +93,17 @@ class ResonanceLattice:
 
 
 _MARGIN = 1.2  # enumeration safety margin before exact filtering
+
+
+def predicted_lattice(
+    nf: NormalFormPoly, h: float, window: Window, *, k_cap=None, l_cap=None
+) -> ResonanceLattice:
+    """The windowed lattice of ``nf`` by its kind; a closed-orbit lattice has no k cap."""
+    if nf.kind != "closed_orbit":
+        return saddle_lattice(nf, h, window, k_cap=k_cap, l_cap=l_cap)
+    if k_cap is not None:
+        raise ValueError("a closed-orbit lattice has no k cap")
+    return closed_orbit_lattice(nf, h, window, l_cap=l_cap)
 
 
 def closed_orbit_lattice(
@@ -134,7 +146,7 @@ def closed_orbit_lattice(
             if window.contains(z):
                 entries.append(LatticeEntry(k, l, z))
     entries.sort(key=lambda e: (e.k, e.l))
-    return ResonanceLattice(entries, window, h, provenance=f"closed_orbit:N={nf.order}")
+    return ResonanceLattice(entries, window, h)
 
 
 def saddle_lattice(
@@ -162,7 +174,7 @@ def saddle_lattice(
             if window.contains(z):
                 entries.append(LatticeEntry(k, l, z))
     entries.sort(key=lambda e: (e.k, e.l))
-    return ResonanceLattice(entries, window, h, provenance=f"equilibrium:N={nf.order}")
+    return ResonanceLattice(entries, window, h)
 
 
 def _invert_monotone(series, target):

@@ -155,7 +155,7 @@ class SaddleBasis:
 
 @dataclass
 class OperatorMatrix:
-    """Assembled operator as canonical triplets, with its basis and symbol fingerprint.
+    """Assembled operator as canonical triplets, with its basis.
 
     ``rows``, ``cols`` and ``values`` list the non-zero entries in row-major
     order.  Each value is the sum, from +0.0 and in assembly order, of the
@@ -167,7 +167,6 @@ class OperatorMatrix:
     cols: np.ndarray
     values: np.ndarray
     basis: CylinderBasis | SaddleBasis
-    symbol_fingerprint: str
 
     @property
     def dim(self) -> int:
@@ -183,7 +182,7 @@ class OperatorMatrix:
 _NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))
 
 
-def _summed(parts, basis, symbol: FormalSymbol) -> OperatorMatrix:
+def _summed(parts, basis) -> OperatorMatrix:
     """OperatorMatrix of the (rows, cols, values) contributions ``parts``, in assembly order."""
     n = basis.dim
     rows, cols, values = (np.concatenate(arrays) for arrays in zip(*parts, _NO_ENTRIES))
@@ -194,7 +193,7 @@ def _summed(parts, basis, symbol: FormalSymbol) -> OperatorMatrix:
     summed.imag = np.bincount(slot, values.imag, len(keys))
     keep = summed != 0
     keys = keys[keep]
-    return OperatorMatrix(keys // n, keys % n, summed[keep], basis, symbol.fingerprint())
+    return OperatorMatrix(keys // n, keys % n, summed[keep], basis)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +326,7 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
         rows = (kp - basis.k_min) * (L + 1) + lp[:, np.newaxis]
         cols = (ks - basis.k_min) * (L + 1) + l[:, np.newaxis]
         parts.append((rows[sel], cols[sel], (weight[l] * w[:, np.newaxis])[sel]))
-    return _summed(parts, basis, symbol)
+    return _summed(parts, basis)
 
 
 def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
@@ -357,7 +356,7 @@ def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
             (c1[:, np.newaxis] * n2 + c2).ravel(),
             ((c * basis.h**j) * (v1[:, np.newaxis] * v2)).ravel(),
         ))
-    return _summed(parts, basis, symbol)
+    return _summed(parts, basis)
 
 
 # --------------------------------------------------------------------------

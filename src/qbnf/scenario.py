@@ -18,11 +18,11 @@ A scenario is a JSON document (schema_version 1) with three blocks:
     the lattices) / sweep (fit the convergence order over the run's own
     match reports: needs direct and at least three h values, or it is a
     ConfigError) / dump_matrices (debug dump of the assembled operator,
-    column-major complex pairs), optional match_radius, k_cap, l_cap
-    and label_cap.
+    column-major complex pairs), optional match_radius, k_cap (saddle
+    models only), l_cap and label_cap.
 
 ``output``
-    directory, formats, plot_data flag.
+    directory, plot_data flag.
 
 Artifacts are deterministic: CSV numbers are printed with 17 significant
 digits, JSON keys are sorted, reruns are bit-identical.
@@ -41,19 +41,13 @@ import numpy as np
 from .compare import (
     MATCH_WINDOW_PAD,
     MatchReport,
-    cylinder_auto_basis,
+    auto_basis,
     fit_convergence,
     match_lattices,
     model_operator_symbol,
-    saddle_auto_basis,
 )
 from .eigensolve import EigensolveError
-from .lattice import (
-    ResonanceLattice,
-    Window,
-    closed_orbit_lattice,
-    saddle_lattice,
-)
+from .lattice import ResonanceLattice, Window, predicted_lattice
 from .normal_form import (
     CylinderModel,
     ModelValidationError,
@@ -83,7 +77,6 @@ __all__ = [
     "dump_matrix",
     "assembled_operator",
     "compute_normal_form",
-    "predicted_lattice",
     "computed_spectrum",
     "FLOAT_FMT",
 ]
@@ -156,9 +149,7 @@ class ScenarioConfig:
         b = self.compute.get("basis")
         model = self.model()
         if b is None:
-            if self.kind == "cylinder":
-                return cylinder_auto_basis(model, self.window(), h)
-            return saddle_auto_basis(model, self.window(), h)
+            return auto_basis(model, self.window(), h)
         try:
             if self.kind == "cylinder":
                 return CylinderBasis(
@@ -276,6 +267,8 @@ def _validate(raw: dict) -> None:
     w = comp.get("window")
     if not w or w.get("half_width", 0) <= 0 or w.get("depth", 0) <= 0:
         raise ConfigError("compute.window needs positive half_width and depth")
+    if raw["model"].get("kind") == "cylinder" and comp.get("k_cap") is not None:
+        raise ConfigError("compute.k_cap is for saddle models: a closed orbit has no k cap")
 
 
 def load_config(source) -> ScenarioConfig:
@@ -440,15 +433,6 @@ def compute_normal_form(config: ScenarioConfig):
     return equilibrium_bnf(model, config.order)
 
 
-def predicted_lattice(config: ScenarioConfig, nf, h: float) -> ResonanceLattice:
-    if nf.kind == "closed_orbit":
-        return closed_orbit_lattice(nf, h, config.window(),
-                                    l_cap=config.compute.get("l_cap"))
-    return saddle_lattice(nf, h, config.window(),
-                          k_cap=config.compute.get("k_cap"),
-                          l_cap=config.compute.get("l_cap"))
-
-
 def assembled_operator(config: ScenarioConfig, h: float):
     """The model operator on the configured basis (debugging aid)."""
     sym = model_operator_symbol(config.model())
@@ -514,7 +498,9 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
         for h in config.h_values:
             tag = _h_tag(h)
             if "lattice" in stages:
-                lat = predicted_lattice(config, nf, h)
+                lat = predicted_lattice(nf, h, config.window(),
+                                        k_cap=config.compute.get("k_cap"),
+                                        l_cap=config.compute.get("l_cap"))
                 write(f"lattice_h{tag}.csv", _write_lattice_csv, lat)
             if "direct" in stages:
                 accepted, flagged, _ = computed_spectrum(config, h)

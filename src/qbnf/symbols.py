@@ -416,14 +416,6 @@ class FormalSymbol:
             total += val
         return complex(total)
 
-    def fingerprint(self) -> str:
-        import hashlib
-
-        blob = ";".join(
-            f"{k}:{c.real:.17e},{c.imag:.17e}" for k, c in sorted(self._terms.items())
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def __repr__(self):
         n = len(self._terms)
         return f"FormalSymbol({n} terms, grade<={self.spec.grade_max})"

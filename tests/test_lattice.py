@@ -10,6 +10,7 @@ from qbnf.lattice import (
     closed_orbit_lattice,
     homogeneity_check,
     lattice_rescaling_check,
+    predicted_lattice,
     saddle_lattice,
 )
 from qbnf.normal_form import (
@@ -145,3 +146,15 @@ def test_lattice_kind_mismatch():
     nfs = NormalFormPoly("equilibrium", {(1, 0, 0): -1j, (0, 1, 0): 1.0}, 2)
     with pytest.raises(ValueError):
         closed_orbit_lattice(nfs, 0.1, Window(0.0, 0.3, 0.3))
+
+
+def test_predicted_lattice_applies_the_rule_of_the_kind():
+    w = Window(0.0, 0.5, 0.5)
+    nfs = NormalFormPoly("equilibrium", {(1, 0, 0): -1j, (0, 1, 0): 2.0}, 2)
+    for nf, lattice in ((NF_LIN, closed_orbit_lattice), (nfs, saddle_lattice)):
+        assert predicted_lattice(nf, 0.1, w, l_cap=1).entries == \
+            lattice(nf, 0.1, w, l_cap=1).entries
+    assert predicted_lattice(nfs, 0.1, w, k_cap=0).entries == \
+        saddle_lattice(nfs, 0.1, w, k_cap=0).entries
+    with pytest.raises(ValueError, match="no k cap"):
+        predicted_lattice(NF_LIN, 0.1, w, k_cap=1)

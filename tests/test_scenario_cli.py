@@ -7,7 +7,7 @@ import pytest
 
 from qbnf.cli import main
 from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
-from qbnf.compare import MatchedPair, MatchReport
+from qbnf.compare import MatchedPair, MatchReport, convergence_sweep
 from qbnf.scenario import (
     ConfigError,
     bundled_scenarios,
@@ -462,3 +462,60 @@ def test_run_scenario_rejects_stages_it_cannot_run(tmp_path, stages):
     with pytest.raises(ValueError, match="runnable subset"):
         run_scenario(load_config(GOOD), tmp_path / "out", stages)
     assert not (tmp_path / "out").exists()
+
+
+# --------------------------------------------------------------------------
+# lattice caps and the per-h route
+# --------------------------------------------------------------------------
+
+def test_config_rejects_k_cap_on_a_cylinder(tmp_path, capsys):
+    raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())
+    raw["compute"]["k_cap"] = 1
+    with pytest.raises(ConfigError, match="k_cap"):
+        load_config(raw)
+    p = tmp_path / "k_cap.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", str(p), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _written_labels(tmp_path, name, **caps):
+    raw = json.loads(bundled_scenarios()[name].read_text())
+    raw["compute"].update(caps)
+    out = tmp_path / ("capped" if caps else "full")
+    run_scenario(load_config(raw), out, ["bnf", "lattice"])
+    (csv,) = out.glob("lattice_h*.csv")
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    return {(int(k), int(l)) for k, l, _, _ in rows}
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("quadratic_saddle", {"k_cap": 1, "l_cap": 2}),
+    ("cylinder_cubic", {"l_cap": 1}),
+])
+def test_config_caps_bound_the_written_lattice(tmp_path, name, caps):
+    full = _written_labels(tmp_path, name)
+    capped = _written_labels(tmp_path, name, **caps)
+    kept = {(k, l) for k, l in full
+            if k <= caps.get("k_cap", k) and l <= caps["l_cap"]}
+    assert capped == kept and capped != full
+
+
+def test_scenario_sweep_matches_convergence_sweep(tmp_path):
+    raw = json.loads(json.dumps(GOOD))
+    raw["model"]["higher_terms"] = [
+        {"alpha": [2, 2], "beta": [0, 0], "j": 0, "re": 0.2, "im": 0.0}
+    ]
+    del raw["compute"]["basis"]
+    raw["compute"].update({"order": 4, "h_values": [0.2, 0.1, 0.05], "sweep": True,
+                           "window": {"half_width": 0.6, "depth": 0.45}, "label_cap": 2})
+    config = load_config(raw)
+    run_scenario(config, tmp_path)
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    res = convergence_sweep(config.model(), config.order, config.h_values,
+                            window=config.window(), label_cap=2, stability_check=False)
+    assert res.slope is not None and not res.exact
+    assert conv["slope"] == res.slope and conv["exact"] == res.exact
+    assert conv["errors"] == {format(h, ".6g"): e for h, e in res.errors.items()}
