@@ -10,16 +10,20 @@ A scenario is a JSON document (schema_version 1) with three blocks:
     with entries {alpha, beta, j, re, im}.
 
 ``compute``
-    order (normal-form truncation N), optional tau_order, h_values
-    (positive, descending), window {half_width, depth}, optional basis
-    overrides {k_min, k_max, levels} or {levels1, levels2} (checked when
-    the config loads), flags
+    order (normal-form truncation N), optional tau_order (cylinder
+    models only: the tau truncation, an integer no lower than the highest
+    tau power of the energy, rate and perturbation, by default the larger
+    of that and N), h_values (positive, descending), window {half_width,
+    depth}, optional basis overrides {k_min, k_max, levels} or {levels1,
+    levels2} (checked when the config loads), flags
     stability_check / direct (default true; false stops the pipeline at
     the lattices) / sweep (fit the convergence order over the run's own
     match reports: needs direct and at least three h values, or it is a
     ConfigError) / dump_matrices (debug dump of the assembled operator,
-    column-major complex pairs), optional match_radius, k_cap (saddle
-    models only), l_cap and label_cap.
+    column-major complex pairs), optional match_radius and label_cap,
+    and optional k_cap (saddle models only) and l_cap: non-negative
+    integers that bound the written lattice labels.  tau_order, k_cap and
+    l_cap are checked when the config loads.
 
 ``output``
     directory, plot_data flag.
@@ -53,6 +57,7 @@ from .normal_form import (
     ModelValidationError,
     SaddleModel,
     closed_orbit_bnf,
+    content_tau_order,
     equilibrium_bnf,
 )
 from .quantize import (
@@ -267,8 +272,19 @@ def _validate(raw: dict) -> None:
     w = comp.get("window")
     if not w or w.get("half_width", 0) <= 0 or w.get("depth", 0) <= 0:
         raise ConfigError("compute.window needs positive half_width and depth")
+    for name in ("k_cap", "l_cap"):
+        _check_count(comp, name, 0)
     if raw["model"].get("kind") == "cylinder" and comp.get("k_cap") is not None:
         raise ConfigError("compute.k_cap is for saddle models: a closed orbit has no k cap")
+    if raw["model"].get("kind") == "saddle" and comp.get("tau_order") is not None:
+        raise ConfigError("compute.tau_order is for cylinder models: a saddle has no tau")
+
+
+def _check_count(comp: dict, name: str, least: int, why: str = "") -> None:
+    """ConfigError unless compute.<name> is absent, null or an integer >= least."""
+    v = comp.get(name)
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < least):
+        raise ConfigError(f"compute.{name} must be an integer >= {least}{why}, got {v!r}")
 
 
 def load_config(source) -> ScenarioConfig:
@@ -289,7 +305,10 @@ def load_config(source) -> ScenarioConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _validate(raw)
     config = ScenarioConfig(raw)
-    config.model()  # raises ConfigError with the violated invariant
+    model = config.model()  # raises ConfigError with the violated invariant
+    if config.kind == "cylinder":
+        _check_count(config.compute, "tau_order", content_tau_order(model),
+                     " (the highest tau power of the model)")
     if config.compute.get("basis") is not None:
         for h in config.h_values:
             try:

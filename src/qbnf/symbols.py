@@ -32,6 +32,11 @@ suite:
 * Operator conjugation exp(-iA/h) P exp(iA/h) is realised on symbols by
   ``star_conjugate``; its leading effect is P -> P + {P, A}/h-shifted,
   i.e. an A with h-order one changes the h^1 coefficient by {p, a}.
+
+The bracket, the star product, the star commutator and the conjugation
+step are one bidifferential kernel: one numpy pass per call, each of whose
+coefficients is the floating-point sum that a nested loop over term pairs
+and derivation counts forms, added in that loop's order.
 """
 
 from __future__ import annotations
@@ -478,49 +483,38 @@ class FormalSymbol:
 # --------------------------------------------------------------------------
 
 # A channel is one elementary derivation (left derivative, right derivative,
-# sign); derivative codes are "tau", "t" or ("x"|"xi", pair index).  Every
-# geometry has four: two per conjugate pair, (t, tau) counting as a pair on
-# the cylinder.  A plain single pair keeps the angle channels too; with no
-# Fourier mode and no tau power they never act.
+# sign).  A derivative is named by the key column it lowers: 1 for d_tau,
+# 2 + i for d_x_i and 2 + P + i for d_xi_i; 0 stands for d_t, which lowers
+# no power and pulls down i m / 2.  Every geometry has four channels: two
+# per conjugate pair, (t, tau) counting as a pair on the cylinder.  A plain
+# single pair keeps the angle channels too; with no Fourier mode and no
+# tau power they never act.
 
 def _channels(spec: PhaseSpec):
-    ch = []
-    if spec.num_pairs == 1:
-        ch.append(("tau", "t", 1.0))
-        ch.append(("t", "tau", -1.0))
-    for i in range(spec.num_pairs):
-        ch.append((("xi", i), ("x", i), 1.0))
-        ch.append((("x", i), ("xi", i), -1.0))
+    P = spec.num_pairs
+    ch = [(1, 0, 1.0), (0, 1, -1.0)] if P == 1 else []
+    for i in range(P):
+        ch += [(2 + P + i, 2 + i, 1.0), (2 + i, 2 + P + i, -1.0)]
     return ch
 
 
-def _operand(spec, chs, side, terms):
-    """Derivative tables for (key, coef, grade) terms of one kernel operand.
+def _cmul(ar, ai, br, bi):
+    """Complex products on real and imaginary parts, as CPython forms them.
 
-    ``side`` is 0 for the left operand, 1 for the right.  Yields (key, coef,
-    grade, caps, facs): caps[c] is how often the term's derivative in
-    channel c can act and facs[c][kappa] the factor d^kappa pulls down, a
-    falling factorial or (i m / 2)^kappa for d_t.
+    A float factor enters as ``x + 0j``.  Each product and sum is its own
+    array operation, so no two of them are fused into one rounding.
     """
-    t_pows: dict = {}
-    for key, coef, grade in terms:
-        m2, a, alpha, beta, _ = key
-        caps, facs = [], []
-        for ch in chs:
-            code = ch[side]
-            if code == "t":
-                cap = spec.tau_max if m2 else 0
-                if m2 not in t_pows:
-                    t_pows[m2] = [(0.5j * m2) ** k for k in range(cap + 1)]
-                f = t_pows[m2]
-            else:
-                cap = a if code == "tau" else (alpha if code[0] == "x" else beta)[code[1]]
-                f = [1.0]
-                for r in range(cap):
-                    f.append(f[-1] * (cap - r))
-            caps.append(cap)
-            facs.append(f)
-        yield key, coef, grade, caps, facs
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _columns(sym: FormalSymbol):
+    """Key columns (2m, a, alpha..., beta..., j), coefficient parts, numpy-scalar flags."""
+    coefs = list(sym._terms.values())
+    cols = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in sym._terms],
+                    dtype=np.int64).reshape(len(coefs), 3 + 2 * sym.spec.num_pairs)
+    c = np.array(coefs, dtype=complex)
+    return cols, c.real, c.imag, np.array(
+        [isinstance(v, np.generic) for v in coefs], dtype=bool)
 
 
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
@@ -529,110 +523,103 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
 
     ``orders`` is "all", "odd" or "first" (k = 1 only).  B_k sums, over
     every multiset of k elementary derivations, the signed derivatives with
-    1/kappa! weights per channel.  A term pair can only reach output grades
-    >= g_a + g_b + 2 h_shift, so pairs above the truncation are skipped
-    before any key is built; the others are expanded in a fixed order, so
-    every coefficient is the same floating-point sum whatever is skipped.
+    1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
+    the truncation are never formed.
+
+    One array pass gives what a nested loop would, bit for bit: over term
+    pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
+    lexicographic order, each contribution the CPython complex products
+    ((f kf) fa) fb per active channel times the weight, dropped when its
+    chain is exactly zero, and added to its key from +0.0, keys listed by
+    first occurrence.  A coefficient fed by a numpy-scalar operand
+    coefficient is a numpy scalar, as in Python arithmetic: numpy and
+    Python divide complex numbers differently in the last bit.
     """
     a._check(b)
     spec = a.spec
+    P, gmax, tmax = spec.num_pairs, spec.grade_max, spec.tau_max
     chs = _channels(spec)
     if orders == "first":
-        # the expansion below meets single derivations last channel first;
-        # the bracket sums them in the order of its formula, and floating-
-        # point sums depend on that order
+        # single derivations are met last channel first; the bracket sums
+        # them in the order of its formula, and floating-point sums depend
+        # on that order
         chs = chs[::-1]
-    K = spec.grade_max + spec.tau_max  # bounds every channel multiplicity
-    kmax = 1 if orders == "first" else 4 * K
-    odd = orders != "all"
-    kf = []
-    for _, _, sign in chs:
-        f = [1.0]
-        for kappa in range(1, K + 1):
-            f.append(f[-1] * (sign / kappa))
-        kf.append(f)
-    kf0, kf1, kf2, kf3 = kf
-    weight = [scale * (-0.5j) ** k for k in range(kmax + 1)]
-    # channels 0, 1 and 2, 3 each act on one conjugate pair: the tau slot
-    # (0) or pair i (slot i + 1); a derivation in pair i lowers alpha_i and
-    # beta_i together, one in the angle pair lowers tau and raises the grade
-    slot0 = 0 if chs[0][0] in ("tau", "t") else chs[0][0][1] + 1
-    slot1 = 0 if chs[2][0] in ("tau", "t") else chs[2][0][1] + 1
-    gmax, tmax = spec.grade_max, spec.tau_max
-    left = [(k, c, spec.grade(k)) for k, c in a._terms.items()]
-    right = [(k, c, spec.grade(k)) for k, c in b._terms.items()]
-    # a term no partner can reach the truncation with needs no tables
-    room = gmax - 2 * h_shift
-    gl = room - min((g for _, _, g in right), default=room + 1)
-    gr = room - min((g for _, _, g in left), default=room + 1)
-    right = list(_operand(spec, chs, 1, [t for t in right if t[2] <= gr]))
-    out: dict = {}
-    for ka, ca, ga, capa, fa in _operand(spec, chs, 0, [t for t in left if t[2] <= gl]):
-        lim = room - ga
-        m2a, aa, ala, bea, ja = ka
-        fa0, fa1, fa2, fa3 = fa
-        for kb, cb, gb, capb, fb in right:
-            if gb > lim:
+    kmax = 1 if orders == "first" else 4 * (gmax + tmax)
+    (lc, lre, lim, lnp), (rc, rre, rim, rnp) = _columns(a), _columns(b)
+
+    def grade(cols):
+        return cols[:, 2:2 + 2 * P].sum(axis=1) + 2 * cols[:, -1]
+
+    def cap(cols, col):
+        return np.where(cols[:, 0] != 0, tmax, 0) if col == 0 else cols[:, col]
+
+    g = grade(lc).astype(np.int16)[:, None] + grade(rc).astype(np.int16)
+    li, ri = np.nonzero(g <= gmax - 2 * h_shift)
+    # expand every pair into its derivation counts, channel by channel
+    pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
+    for cl, cr, _ in chs:
+        cnt = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k) + 1
+        parent = np.repeat(np.arange(len(cnt)), cnt)
+        kc = np.arange(len(parent)) - (np.cumsum(cnt) - cnt)[parent]
+        pair, ks, k = pair[parent], [x[parent] for x in ks] + [kc], k[parent] + kc
+    # channels 0, 1 and 2, 3 each act on one conjugate pair: a derivation in
+    # pair i lowers alpha_i and beta_i together, one in (t, tau) lowers tau
+    key = lc[li[pair]] + rc[ri[pair]]
+    key[:, -1] += h_shift + k
+    for c in (0, 2):
+        i = (chs[c][0] - 2) % P
+        key[:, [1] if chs[c][0] < 2 else [2 + i, 2 + P + i]] -= (ks[c] + ks[c + 1])[:, None]
+    keep = (key[:, 1] <= tmax) & (grade(key) <= gmax)
+    if orders != "all":
+        keep &= k % 2 == 1
+    rows = np.nonzero(keep)[0]
+    pl, pr, k, ks = li[pair[rows]], ri[pair[rows]], k[rows], [x[rows] for x in ks]
+
+    # [cap, kappa] -> cap (cap - 1) ... (cap - kappa + 1), multiplied up in
+    # sequence; d_t pulls down (i m / 2)^kappa, the Python power
+    c = np.arange(max(gmax, tmax) + 1.0)[:, None]
+    falling = np.cumprod(np.hstack([np.ones_like(c), c - np.arange(len(c) - 1)]), axis=1)
+
+    def factor(cols, terms, col, x):
+        if col:
+            return falling[cols[terms, col], x], 0.0
+        m2 = cols[terms, 0]
+        lo = int(m2.min(initial=0))
+        tab = np.array([[(0.5j * m) ** n for n in range(tmax + 1)]
+                        for m in range(lo, int(m2.max(initial=0)) + 1)])
+        return tab.real[m2 - lo, x], tab.imag[m2 - lo, x]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
+        fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
+        for (cl, cr, sign), kc in zip(chs, ks):
+            on = np.nonzero(kc)[0]
+            if not len(on):
                 continue
-            m2b, ab, alb, beb, jb = kb
-            fb0, fb1, fb2, fb3 = fb
-            m2 = m2a + m2b
-            atot = aa + ab
-            gtot = ga + gb + 2 * h_shift
-            jtot = ja + jb + h_shift
-            al = [x + y for x, y in zip(ala, alb)]
-            be = [x + y for x, y in zip(bea, beb)]
-            n0 = min(capa[0], capb[0], kmax)
-            n1 = min(capa[1], capb[1])
-            n2 = min(capa[2], capb[2])
-            n3 = min(capa[3], capb[3])
-            f = ca * cb
-            for k0 in range(n0 + 1):
-                if k0:
-                    f0 = f * kf0[k0] * fa0[k0] * fb0[k0]
-                    if f0 == 0:
-                        continue
-                else:
-                    f0 = f
-                for k1 in range(min(n1, kmax - k0) + 1):
-                    if k1:
-                        f1 = f0 * kf1[k1] * fa1[k1] * fb1[k1]
-                        if f1 == 0:
-                            continue
-                    else:
-                        f1 = f0
-                    d0 = k0 + k1
-                    for k2 in range(min(n2, kmax - d0) + 1):
-                        if k2:
-                            f2 = f1 * kf2[k2] * fa2[k2] * fb2[k2]
-                            if f2 == 0:
-                                continue
-                        else:
-                            f2 = f1
-                        for k3 in range(min(n3, kmax - d0 - k2) + 1):
-                            if k3:
-                                f3 = f2 * kf3[k3] * fa3[k3] * fb3[k3]
-                                if f3 == 0:
-                                    continue
-                            else:
-                                f3 = f2
-                            d1 = k2 + k3
-                            k = d0 + d1
-                            if odd and not k % 2:
-                                continue
-                            drop = [0, 0, 0]
-                            drop[slot0] += d0
-                            drop[slot1] += d1
-                            tau = atot - drop[0]
-                            if tau > tmax or gtot + 2 * drop[0] > gmax:
-                                continue
-                            key = (
-                                m2, tau,
-                                tuple(x - d for x, d in zip(al, drop[1:])),
-                                tuple(x - d for x, d in zip(be, drop[1:])),
-                                jtot + k,
-                            )
-                            out[key] = out.get(key, 0.0) + f3 * weight[k]
+            x = kc[on]
+            kf = [1.0]
+            for kappa in range(1, int(x.max()) + 1):
+                kf.append(kf[-1] * (sign / kappa))
+            re, im = _cmul(fre[on], fim[on], np.array(kf)[x], 0.0)
+            re, im = _cmul(re, im, *factor(lc, pl[on], cl, x))
+            fre[on], fim[on] = _cmul(re, im, *factor(rc, pr[on], cr, x))
+        nz = np.nonzero((k == 0) | (fre != 0) | (fim != 0))[0]
+        w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
+        fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
+    key, from_np = key[rows[nz]], (lnp[pl] | rnp[pr])[nz]
+    lo = key.min(axis=0, initial=0)
+    code = np.ravel_multi_index(tuple((key - lo).T), tuple(key.max(axis=0, initial=0) - lo + 1))
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique keys by first occurrence
+    lab, n = np.argsort(order)[inv.ravel()], len(order)
+    vals = np.empty(n, dtype=complex)
+    vals.real = np.bincount(lab, weights=fre, minlength=n)
+    vals.imag = np.bincount(lab, weights=fim, minlength=n)
+    as_np = np.bincount(lab, weights=from_np, minlength=n) > 0
+    out = {
+        (r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]):
+            (v if f else complex(v))
+        for r, v, f in zip(key[first[order]].tolist(), vals, as_np)
+    }
     return FormalSymbol(spec, _prune(out), _raw=True)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbnf import normal_form, symbols
 from qbnf.eigensolve import eigenvalues
 from qbnf.normal_form import (
     CylinderModel,
@@ -24,6 +25,7 @@ from qbnf.quantize import (
     complex_scale,
     weyl_monomial_matrix,
 )
+from qbnf.scenario import load_config
 from qbnf.symbols import (
     FormalSymbol,
     PhaseSpec,
@@ -32,6 +34,7 @@ from qbnf.symbols import (
 )
 
 from conftest import random_symbol, symbols_close
+from loop_kernel import loop_bidifferential
 
 
 # --------------------------------------------------------------------------
@@ -437,3 +440,55 @@ def test_saddle_model_validation():
     spec = PhaseSpec.saddle(4)
     with pytest.raises(ModelValidationError):
         SaddleModel(0.0, 1.0, 1.0, FormalSymbol.monomial(spec, 1.0, alpha=(1, 1)))
+
+
+# --------------------------------------------------------------------------
+# both pipelines through the nested-loop kernel oracle
+# --------------------------------------------------------------------------
+
+def _bnf_model(kind, quantum):
+    """The saddle or cylinder model of the bnf benchmark workloads, with
+    their h-term when ``quantum``."""
+    if kind == "saddle":
+        terms = [
+            {"alpha": [2, 2], "beta": [0, 0], "j": 0, "re": 0.2},
+            {"alpha": [3, 0], "beta": [0, 0], "j": 0, "re": 0.05},
+            {"alpha": [1, 1], "beta": [1, 1], "j": 0, "re": 0.1},
+        ] + ([{"alpha": [1, 0], "beta": [0, 1], "j": 1, "re": 0.05}] if quantum else [])
+        model = {"kind": "saddle", "energy0": 0.0, "lambda_unstable": 1.0,
+                 "lambda_stable": math.sqrt(2.0), "higher_terms": terms}
+    else:
+        terms = [
+            {"m": 1, "alpha": [3], "beta": [0], "re": 0.1},
+            {"m": -1, "alpha": [0], "beta": [3], "re": 0.1},
+            {"m": 2, "a": 1, "alpha": [2], "beta": [2], "re": 0.05},
+        ] + ([{"m": 1, "alpha": [1], "beta": [0], "j": 1, "re": 0.05}] if quantum else [])
+        model = {"kind": "cylinder", "orientable": True, "action": 0.0,
+                 "energy_coeffs": [0.0, 1.0, -0.2], "rate_coeffs": [1.0, 0.3],
+                 "perturbation": terms}
+    return load_config({
+        "schema_version": 1, "model": model,
+        "compute": {"order": 8, "h_values": [0.05],
+                    "window": {"half_width": 0.3, "depth": 0.25}},
+    }).model()
+
+
+@pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
+@pytest.mark.parametrize("kind", ["saddle", "cylinder"])
+def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, quantum):
+    model = _bnf_model(kind, quantum)
+    bnf = closed_orbit_bnf if kind == "cylinder" else equilibrium_bnf
+
+    def coeffs():
+        normal_form._action_power_corrections.cache_clear()
+        return bnf(model, 8)[0].coeffs
+
+    got = coeffs()
+    monkeypatch.setattr(symbols, "_bidifferential", loop_bidifferential)
+    want = coeffs()
+    normal_form._action_power_corrections.cache_clear()
+    assert len(want) > 10
+    assert list(got) == list(want)
+    assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
+                          np.array(list(want.values()), dtype=complex).view(np.uint64))
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]

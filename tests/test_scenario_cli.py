@@ -11,6 +11,7 @@ from qbnf.compare import MatchedPair, MatchReport, convergence_sweep
 from qbnf.scenario import (
     ConfigError,
     bundled_scenarios,
+    compute_normal_form,
     emit_plot_data,
     load_config,
     run_scenario,
@@ -468,17 +469,60 @@ def test_run_scenario_rejects_stages_it_cannot_run(tmp_path, stages):
 # lattice caps and the per-h route
 # --------------------------------------------------------------------------
 
-def test_config_rejects_k_cap_on_a_cylinder(tmp_path, capsys):
-    raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())
-    raw["compute"]["k_cap"] = 1
-    with pytest.raises(ConfigError, match="k_cap"):
+def _assert_config_error(tmp_path, capsys, raw, match):
+    """load_config raises, and the CLI exits 2 before writing anything."""
+    with pytest.raises(ConfigError, match=match):
         load_config(raw)
-    p = tmp_path / "k_cap.json"
+    p = tmp_path / "bad.json"
     p.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["lattice", "--config", str(p), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_rejects_k_cap_on_a_cylinder(tmp_path, capsys):
+    raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())
+    raw["compute"]["k_cap"] = 1
+    _assert_config_error(tmp_path, capsys, raw, "k_cap")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("quadratic_saddle", "l_cap", -1),
+    ("quadratic_saddle", "l_cap", 1.5),
+    ("quadratic_saddle", "k_cap", "2"),
+    ("quadratic_saddle", "k_cap", True),
+    ("cylinder_cubic", "l_cap", -1),
+])
+def test_config_rejects_caps_that_are_not_counts(tmp_path, capsys, name, key, value):
+    raw = json.loads(bundled_scenarios()[name].read_text())
+    raw["compute"][key] = value
+    _assert_config_error(tmp_path, capsys, raw, key)
+
+
+def _cubic_energy_cylinder(**compute):
+    """cylinder_cubic with a degree-3 energy, so the model reaches tau^3."""
+    raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())
+    raw["model"]["energy_coeffs"] = [0.0, 1.0, -0.2, 0.05]
+    raw["compute"].update(compute)
+    return raw
+
+
+@pytest.mark.parametrize("value", [1, 0, -1, 2.5, "3"])
+def test_config_rejects_a_tau_order_below_the_model(tmp_path, capsys, value):
+    _assert_config_error(tmp_path, capsys, _cubic_energy_cylinder(tau_order=value),
+                         "tau_order")
+
+
+def test_config_rejects_tau_order_on_a_saddle(tmp_path, capsys):
+    raw = json.loads(bundled_scenarios()["quadratic_saddle"].read_text())
+    raw["compute"]["tau_order"] = 4
+    _assert_config_error(tmp_path, capsys, raw, "tau_order")
+
+
+def test_config_tau_order_at_the_model_degree_keeps_every_energy_term():
+    nf, _ = compute_normal_form(load_config(_cubic_energy_cylinder(tau_order=3)))
+    assert nf.coeffs[(3, 0, 0)] == 0.05
 
 
 def _written_labels(tmp_path, name, **caps):

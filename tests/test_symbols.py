@@ -16,6 +16,7 @@ from qbnf.symbols import (
     SpecMismatchError,
     TauSeries,
     _ad_step,
+    _bidifferential,
     homological_solve,
     lie_transform,
     moyal_commutator,
@@ -27,6 +28,7 @@ from qbnf.symbols import (
 )
 
 from conftest import random_symbol, symbols_close
+from loop_kernel import loop_bidifferential
 
 SPEC = PhaseSpec.cylinder(8, 8)
 
@@ -480,6 +482,83 @@ def test_truncation_commutes_with_operations(kind, grade, tau, seed):
         got = op(a.reembedded(wide), b.reembedded(wide))
         diff = got.reembedded(narrow) - want
         assert diff.max_abs() <= 1e-15 * max(got.max_abs(), want.max_abs()), op
+
+
+# --------------------------------------------------------------------------
+# the array kernel against the nested-loop oracle, bit for bit
+# --------------------------------------------------------------------------
+
+KERNEL_SPECS = {
+    "saddle": PhaseSpec.saddle(8),
+    "cylinder": PhaseSpec.cylinder(8, 4),
+    "nonorientable": PhaseSpec.cylinder(8, 4, orientable=False),
+}
+#: each mode with the scale one of its callers passes
+KERNEL_MODES = [("first", 2j), ("odd", -2j), ("all", 1.0)]
+
+
+def _assert_kernel_matches_loop(a, b, orders, h_shift, scale):
+    got = _bidifferential(a, b, orders, h_shift, scale)._terms
+    want = loop_bidifferential(a, b, orders, h_shift, scale)._terms
+    assert list(got) == list(want)
+
+    def bits(terms):
+        return np.array(list(terms.values()), dtype=complex).view(np.uint64)
+
+    assert np.array_equal(bits(got), bits(want))
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    return got
+
+
+def _mixed(sym, rng):
+    """sym with some coefficients numpy scalars and some real or imaginary
+    with a signed-zero other part, as all occur in the normal-form pipelines."""
+    terms = {}
+    for key, c in sym.terms.items():
+        zero = float(rng.choice([0.0, -0.0]))
+        c = [c, complex(c.real, zero), complex(zero, c.imag)][rng.integers(3)]
+        terms[key] = np.complex128(c) if rng.random() < 0.5 else c
+    return FormalSymbol(sym.spec, terms, _raw=True)
+
+
+@pytest.mark.parametrize("h_shift", [0, -1])
+@pytest.mark.parametrize("orders,scale", KERNEL_MODES)
+@pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
+def test_kernel_matches_loop_oracle(kind, orders, scale, h_shift):
+    spec = KERNEL_SPECS[kind]
+    rng = np.random.default_rng(7)
+    terms_out = 0
+    for n_terms in (1, 3, 8, 16, 32):
+        a = _mixed(random_symbol(spec, rng, n_terms=n_terms, max_tau=3), rng)
+        b = _mixed(random_symbol(spec, rng, n_terms=n_terms, max_tau=3), rng)
+        terms_out += len(_assert_kernel_matches_loop(a, b, orders, h_shift, scale))
+    assert terms_out > 100
+
+
+def test_kernel_skips_contributions_that_underflow_to_zero():
+    # x2 and xi2 are 1e-200 each, so every contribution of that pair is
+    # exactly 0; the h^1 key it would list first comes after x1 xi1
+    spec = PhaseSpec.saddle(6)
+    a = FormalSymbol(spec, {(0, 0, (0, 1), (0, 0), 0): 1e-200 + 0j,
+                            (0, 0, (0, 0), (1, 0), 0): 0.24400126107973663 + 0j}, _raw=True)
+    b = FormalSymbol(spec, {(0, 0, (0, 0), (0, 1), 0): 1e-200 + 0j,
+                            (0, 0, (1, 0), (0, 0), 0): 1.5498095656014481 + 0j}, _raw=True)
+    assert 1e-200 * 1e-200 == 0.0
+    got = _assert_kernel_matches_loop(a, b, "all", 0, 1.0)
+    assert list(got) == [(0, 0, (1, 0), (1, 0), 0), (0, 0, (0, 0), (0, 0), 1)]
+
+
+@pytest.mark.parametrize("orders,scale", KERNEL_MODES)
+def test_kernel_on_empty_operands_and_an_empty_pair_set(orders, scale):
+    spec = PhaseSpec.cylinder(6, 4)
+    rng = np.random.default_rng(11)
+    some = random_symbol(spec, rng, n_terms=5)
+    empty = FormalSymbol.zero(spec)
+    for a, b in ((empty, some), (some, empty), (empty, empty)):
+        assert not _assert_kernel_matches_loop(a, b, orders, 0, scale)
+    # grade 5 + grade 5 is above the truncation 6: no pair is formed
+    top = FormalSymbol.monomial(spec, 1.0 + 2j, m=1, a=1, alpha=3, beta=2)
+    assert not _assert_kernel_matches_loop(top, top, orders, 0, scale)
 
 
 # --------------------------------------------------------------------------
