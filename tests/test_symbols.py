@@ -511,8 +511,8 @@ def _assert_kernel_matches_loop(a, b, orders, h_shift, scale):
 
 
 def _mixed(sym, rng):
-    """sym with some coefficients numpy scalars and some real or imaginary
-    with a signed-zero other part, as all occur in the normal-form pipelines."""
+    """sym with some coefficients numpy scalars and some purely real or
+    imaginary, with a signed zero as the other part."""
     terms = {}
     for key, c in sym.terms.items():
         zero = float(rng.choice([0.0, -0.0]))
