@@ -15,6 +15,16 @@ iteration on M's non-zero entries, which approaches it from below, so
 the certificate is at least as strict as stated.  The default solve makes
 the matrix dense once and solves it in one piece.
 
+A matrix whose stored entries all lie on the diagonal is not made dense:
+its eigenvalues are the diagonal entries in index order, with zero
+residuals.  That is exactly what LAPACK returns, because its balancing
+isolates every eigenvalue of a diagonal matrix without a permutation and
+leaves the QR step nothing to do.  The rule keys on the stored entries,
+not on the coupling pattern below: a matrix that is diagonal only once
+rounding-level entries are cut still takes the dense solve, which sets
+the last digits of its eigenvalues.  So does every other base operator:
+solving one block by block would move those digits.
+
 With ``blockwise=True`` the same solve runs on each diagonal block of a
 matrix whose couplings split it into independent blocks (the widened
 operator of the stability check does).  Only an entry with
@@ -27,8 +37,9 @@ joined spectrum is certified exactly like a dense one: against
 tol_rel * ||M||_2 of the whole matrix, with the whole matrix's
 fingerprint.  A pattern that cut a real coupling shows as a large
 residual, so it fails the certificate rather than passing unnoticed.
-Blocks and their columns are built from the triplets, so a matrix that
-splits is never made dense.
+Blocks and their columns are built from the triplets, over the rows
+where a block's columns hold entries, so a matrix that splits is never
+made dense.
 """
 
 from __future__ import annotations
@@ -204,9 +215,12 @@ def _components(M) -> list[np.ndarray]:
 def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
     """Eigenvalues block by block, each residual taken on the whole matrix.
 
-    A block's columns of the whole matrix come from the triplets as a dense
-    n x size slab C; C[idx] is the diagonal block and C @ V the product of
-    the whole matrix with the zero-padded block eigenvectors.
+    A larger block's columns of the whole matrix come from the triplets as
+    a dense slab C over its support rows only: the block's indices and the
+    rows of its columns' entries, in index order.  Its rows at ``idx`` are
+    the diagonal block, and C @ V holds every non-zero row of the whole
+    matrix times the zero-padded block eigenvectors, the entries the
+    pattern left out included.
     """
     n, rows, cols, vals = T
     order = np.concatenate(blocks)
@@ -236,11 +250,13 @@ def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
         idx = blocks[b]
         start, size = starts[b], sizes[b]
         k = by_block[bounds[b]:bounds[b + 1]]
-        C = np.zeros((n, size), dtype=complex)
-        C[rows[k], place[cols[k]]] = vals[k]
-        wb, V = _eig(C[idx])
+        support = np.union1d(idx, rows[k])
+        at = np.searchsorted(support, idx)
+        C = np.zeros((len(support), size), dtype=complex)
+        C[np.searchsorted(support, rows[k]), place[cols[k]]] = vals[k]
+        wb, V = _eig(C[at])
         R = C @ V
-        R[idx] -= V * wb[np.newaxis, :]
+        R[at] -= V * wb[np.newaxis, :]
         w[start:start + size] = wb
         residuals[start:start + size] = _residual_norms(R, V)
     return w, residuals
@@ -257,18 +273,23 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     iteration met its tolerance).  The finiteness check, the fingerprint
     and the norm read the matrix's triplets: those an OperatorMatrix holds,
     or one scan of a dense array.  Without ``blockwise`` the matrix is
-    made dense and solved in one piece.
+    made dense and solved in one piece, unless every stored entry lies on
+    the diagonal: then the eigenvalues are the diagonal entries in index
+    order and the residuals are zero, LAPACK's own result bit for bit.
+    The one exception is a dense input with a zero diagonal entry that
+    has a -0.0 part: the triplets do not store it, so it reads as +0.0,
+    where LAPACK returns it as given.  Assembled operators hold no zeros.
 
     With ``blockwise`` the matrix is solved one independent diagonal
     block at a time: the weakly connected components of the entries
     with |m_ij| > PATTERN_EPS * max|M|, 1x1 blocks all in one step.  Each
-    block, and its columns of the whole matrix, are built from the
-    triplets, so an OperatorMatrix that splits is never made dense.  The
-    eigenvalues come block by block, in the order of each block's
-    smallest index, and each residual is that of the zero-padded block
-    eigenvector on the whole matrix.  The certificate, fingerprint and
-    norm are those of the whole matrix; a single-block matrix is solved in
-    place and gives the dense result bit for bit.
+    block, and its columns of the whole matrix over their non-zero rows,
+    are built from the triplets, so an OperatorMatrix that splits is
+    never made dense.  The eigenvalues come block by block, in the order
+    of each block's smallest index, and each residual is that of the
+    zero-padded block eigenvector on the whole matrix.  The certificate,
+    fingerprint and norm are those of the whole matrix; a single-block
+    matrix is solved in place and gives the dense result bit for bit.
     """
     T = _triplets(M)
     if T.dim == 0:
@@ -276,7 +297,8 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     if not np.all(np.isfinite(T.values)):
         raise ValueError("matrix has non-finite entries")
     fp = _fingerprint(T)
-    blocks = _components(T) if blockwise else []
+    diagonal = np.array_equal(T.rows, T.cols)
+    blocks = _components(T) if blockwise or diagonal else []
     if len(blocks) > 1:
         w, residuals = _solve_blocks(T, blocks)
     else:

@@ -384,7 +384,9 @@ def direct_spectrum(
     assembled triplets, so the dense widened matrix is never built.  Its
     eigenvalues feed only the 1e-6 test.  The base operator, whose
     eigenvalues and residuals are returned, is one dense solve of the
-    matrix as assembled.
+    matrix as assembled, except when every assembled entry lies on the
+    diagonal: then its diagonal is its spectrum, with zero residuals,
+    which is what the dense solve would return bit for bit.
 
     Returns
     -------

@@ -10,20 +10,23 @@ A scenario is a JSON document (schema_version 1) with three blocks:
     with entries {alpha, beta, j, re, im}.
 
 ``compute``
-    order (normal-form truncation N), optional tau_order (cylinder
-    models only: the tau truncation, an integer no lower than the highest
-    tau power of the energy, rate and perturbation, by default the larger
-    of that and N), h_values (positive, descending), window {half_width,
-    depth}, optional basis overrides {k_min, k_max, levels} or {levels1,
+    order (normal-form truncation N, an integer >= 2), optional
+    tau_order (cylinder models only: the tau truncation, an integer no
+    lower than the highest tau power of the energy, rate and
+    perturbation, by default the larger of that and N), h_values
+    (positive numbers, descending), window {half_width, depth} (positive
+    numbers), optional basis overrides {k_min, k_max, levels} or {levels1,
     levels2} (checked when the config loads), flags
     stability_check / direct (default true; false stops the pipeline at
     the lattices) / sweep (fit the convergence order over the run's own
     match reports: needs direct and at least three h values, or it is a
     ConfigError) / dump_matrices (debug dump of the assembled operator,
-    column-major complex pairs), optional match_radius and label_cap,
-    and optional k_cap (saddle models only) and l_cap: non-negative
-    integers that bound the written lattice labels.  tau_order, k_cap and
-    l_cap are checked when the config loads.
+    column-major complex pairs), optional match_radius (a positive
+    number) and label_cap (a non-negative integer), and optional k_cap
+    (saddle models only) and l_cap: non-negative integers that bound the
+    written lattice labels.  These values are checked when the config
+    loads: a number is never truncated, and one of the wrong type is a
+    ConfigError, not a crash in a later stage.
 
 ``output``
     directory, plot_data flag.
@@ -128,7 +131,7 @@ class ScenarioConfig:
 
     @property
     def order(self) -> int:
-        return int(self.compute["order"])
+        return self.compute["order"]
 
     def window(self) -> Window:
         w = self.compute["window"]
@@ -262,22 +265,33 @@ def _validate(raw: dict) -> None:
         if block not in raw:
             raise ConfigError(f"missing required block {block!r}")
     comp = raw["compute"]
-    if "order" not in comp or int(comp["order"]) < 2:
+    if comp.get("order") is None:
         raise ConfigError("compute.order must be an integer >= 2")
+    _check_count(comp, "order", 2)
     hs = comp.get("h_values")
-    if not hs or any(h <= 0 for h in hs):
-        raise ConfigError("compute.h_values must be positive")
+    if not isinstance(hs, (list, tuple)) or not hs or not all(_positive(h) for h in hs):
+        raise ConfigError(f"compute.h_values must be a nonempty list of positive numbers, "
+                          f"got {hs!r}")
     if list(hs) != sorted(hs, reverse=True):
         raise ConfigError("compute.h_values must be in descending order")
     w = comp.get("window")
-    if not w or w.get("half_width", 0) <= 0 or w.get("depth", 0) <= 0:
+    if not isinstance(w, dict) or not (_positive(w.get("half_width"))
+                                       and _positive(w.get("depth"))):
         raise ConfigError("compute.window needs positive half_width and depth")
-    for name in ("k_cap", "l_cap"):
+    for name in ("k_cap", "l_cap", "label_cap"):
         _check_count(comp, name, 0)
+    if comp.get("match_radius") is not None and not _positive(comp["match_radius"]):
+        raise ConfigError(
+            f"compute.match_radius must be a positive number, got {comp['match_radius']!r}")
     if raw["model"].get("kind") == "cylinder" and comp.get("k_cap") is not None:
         raise ConfigError("compute.k_cap is for saddle models: a closed orbit has no k cap")
     if raw["model"].get("kind") == "saddle" and comp.get("tau_order") is not None:
         raise ConfigError("compute.tau_order is for cylinder models: a saddle has no tau")
+
+
+def _positive(v) -> bool:
+    """Whether v is a positive real number (not a bool, a string or NaN)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
 
 
 def _check_count(comp: dict, name: str, least: int, why: str = "") -> None:
@@ -538,7 +552,8 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
                 reports.append(rep)
 
         if "sweep" in stages:
-            res = fit_convergence(reports, int(config.compute.get("label_cap", 3)))
+            cap = config.compute.get("label_cap")
+            res = fit_convergence(reports, 3 if cap is None else cap)
             write("convergence.json", _dump_json, {
                 "slope": res.slope,
                 "exact": res.exact,

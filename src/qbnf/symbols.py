@@ -281,10 +281,11 @@ class FormalSymbol:
     the largest coefficient.
     """
 
-    __slots__ = ("spec", "_terms")
+    __slots__ = ("spec", "_terms", "_cols")
 
     def __init__(self, spec: PhaseSpec, terms: Mapping | None = None, *, _raw=False):
         self.spec = spec
+        self._cols = None  # the kernel's key columns, built on first use
         if terms is None:
             self._terms = {}
         elif _raw:
@@ -508,13 +509,21 @@ def _cmul(ar, ai, br, bi):
 
 
 def _columns(sym: FormalSymbol):
-    """Key columns (2m, a, alpha..., beta..., j), coefficient parts, numpy-scalar flags."""
-    coefs = list(sym._terms.values())
-    cols = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in sym._terms],
-                    dtype=np.int64).reshape(len(coefs), 3 + 2 * sym.spec.num_pairs)
-    c = np.array(coefs, dtype=complex)
-    return cols, c.real, c.imag, np.array(
-        [isinstance(v, np.generic) for v in coefs], dtype=bool)
+    """Key columns (2m, a, alpha..., beta..., j), coefficient parts, numpy-scalar flags.
+
+    Built on the first call and kept, read-only, on the immutable symbol:
+    a series passes the same generator to every one of its kernel calls.
+    """
+    if sym._cols is None:
+        coefs = list(sym._terms.values())
+        cols = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in sym._terms],
+                        dtype=np.int64).reshape(len(coefs), 3 + 2 * sym.spec.num_pairs)
+        c = np.array(coefs, dtype=complex)
+        flags = np.array([isinstance(v, np.generic) for v in coefs], dtype=bool)
+        for x in (cols, c, flags):
+            x.flags.writeable = False
+        sym._cols = cols, c.real, c.imag, flags
+    return sym._cols
 
 
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
@@ -555,6 +564,8 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
 
     g = grade(lc).astype(np.int16)[:, None] + grade(rc).astype(np.int16)
     li, ri = np.nonzero(g <= gmax - 2 * h_shift)
+    if not len(li):
+        return FormalSymbol(spec)
     # expand every pair into its derivation counts, channel by channel
     pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
     for cl, cr, _ in chs:

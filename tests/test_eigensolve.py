@@ -222,6 +222,48 @@ def test_blockwise_rejects_bad_input():
         eigenvalues(np.zeros((2, 3)), blockwise=True)
 
 
+def _no_lapack(A):
+    raise AssertionError("diagonal matrix sent to LAPACK")
+
+
+def test_diagonal_matrix_gives_lapack_bits_without_lapack(rng, monkeypatch):
+    # LAPACK's balancing isolates every eigenvalue of a diagonal matrix in
+    # place, so xGEEV returns the diagonal in index order with unit
+    # eigenvectors; the 1x1 rule gives those bits with no dense solve
+    for n in (2, 7, 64, 301):
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        d[rng.random(n) < 0.2] = d[0]  # repeated eigenvalues
+        d[rng.random(n) < 0.2] = 0.0
+        pick = rng.random(n)
+        d.real[pick < 0.1] = -0.0  # signed zeros in non-zero entries
+        d.imag[(pick >= 0.1) & (pick < 0.2)] = -0.0
+        d.imag[(pick >= 0.2) & (pick < 0.3)] = 0.0
+        d[0], d[-1] = complex(-0.0, 1.5), complex(2.5, -0.0)
+        d[d == 0] = 0.0  # zero entries are +0.0 (see the next test)
+        lapack, _ = scipy.linalg.eig(np.diag(d))
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "eig", _no_lapack)
+            s = eigenvalues(np.diag(d))
+        assert np.array_equal(s.eigenvalues.view(np.uint64), lapack.view(np.uint64))
+        assert np.all(s.residuals == 0.0)
+        assert s.matrix_norm == spectral_norm(np.diag(d))
+
+
+def test_diagonal_matrix_negative_zero_entry_reads_as_positive_zero(monkeypatch):
+    # the one known departure from LAPACK's bits: a dense input whose
+    # diagonal holds a zero with a -0.0 part.  The triplets do not store a
+    # zero, so it reads as +0.0, where LAPACK returns the entry as given.
+    # Assembled operators never hold one: assembly drops exact zeros.
+    d = np.array([1.0, complex(-0.0, 0.0), 2.0j, complex(0.0, -0.0)])
+    lapack, _ = scipy.linalg.eig(np.diag(d))
+    monkeypatch.setattr(scipy.linalg, "eig", _no_lapack)
+    s = eigenvalues(np.diag(d))
+    assert np.array_equal(s.eigenvalues, lapack)
+    sign = np.signbit(np.stack([s.eigenvalues.real, s.eigenvalues.imag]))
+    assert not sign.any()
+    assert np.signbit(lapack[1].real) and np.signbit(lapack[3].imag)
+
+
 def _chained(rng, sizes, above):
     """Permuted block-diagonal matrix whose consecutive blocks are joined,
     both ways, by one real entry of modulus PATTERN_EPS * max|M|, or one

@@ -427,6 +427,75 @@ def test_widened_operators_split_into_their_true_blocks():
                       "cylinder_cubic": 140, "nonorientable_halfmode": 39}
 
 
+@pytest.mark.parametrize(
+    "name, basis_fields",
+    [
+        pytest.param("quadratic_saddle", {}, id="quadratic_saddle"),
+        pytest.param("cylinder_unperturbed", {}, id="cylinder_unperturbed"),
+        pytest.param("cylinder_cubic", {}, id="cylinder_cubic"),
+        pytest.param("nonorientable_halfmode", {}, id="nonorientable_halfmode"),
+        pytest.param("cylinder_cubic", dict(k_min=-8, k_max=8, levels=9),
+                     id="cylinder_cubic-dim170"),
+        pytest.param("perturbed_saddle", dict(levels1=7, levels2=7), id="perturbed_saddle-dim64"),
+    ],
+)
+def test_block_solve_on_support_rows_is_bit_equal_to_full_slabs(name, basis_fields):
+    # each larger block's slab holds only its support rows; the rows it
+    # leaves out are zero, so eigenvalues and residuals keep their bits
+    from qbnf.eigensolve import _components, _solve_blocks, _triplets
+
+    from slab_solve import slab_solve_blocks
+
+    sym, basis, _ = _bundled_operator(name, **basis_fields)
+    assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
+    T = _triplets(assemble(sym, basis.widened()))
+    blocks = _components(T)
+    w, residuals = _solve_blocks(T, blocks)
+    oracle_w, oracle_residuals = slab_solve_blocks(T, blocks)
+    assert np.array_equal(w.view(np.uint64), oracle_w.view(np.uint64))
+    assert np.array_equal(residuals.view(np.uint64), oracle_residuals.view(np.uint64))
+
+
+def test_diagonal_base_operator_skips_lapack(monkeypatch):
+    # cylinder_unperturbed's base operator stores only diagonal entries:
+    # its spectrum is read off the diagonal with LAPACK's bits and zero
+    # residuals, and no dense solve runs
+    from qbnf.eigensolve import eigenvalues
+
+    sym, basis, _ = _bundled_operator("cylinder_unperturbed")
+    op = assemble_cylinder(sym, basis)
+    assert np.array_equal(op.rows, op.cols)
+    lapack, _ = scipy.linalg.eig(op.matrix)
+
+    def no_lapack(A):
+        raise AssertionError("diagonal operator sent to LAPACK")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_lapack)
+    s = eigenvalues(op)
+    assert np.array_equal(s.eigenvalues.view(np.uint64), lapack.view(np.uint64))
+    assert np.all(s.residuals == 0.0)
+
+
+def test_base_operator_diagonal_only_under_the_pattern_is_solved_dense(monkeypatch):
+    # quadratic_saddle's base operator splits into 1x1 blocks only once
+    # rounding-level entries are cut; the dense solve sets its last digits
+    from qbnf.eigensolve import _components, eigenvalues
+
+    sym, basis, _ = _bundled_operator("quadratic_saddle")
+    op = assemble_saddle(sym, basis)
+    assert len(_components(op)) == basis.dim and not np.array_equal(op.rows, op.cols)
+    solved = []
+    eig = scipy.linalg.eig
+
+    def recording_eig(A):
+        solved.append(A.shape[0])
+        return eig(A)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    eigenvalues(op)
+    assert solved == [basis.dim]
+
+
 # --------------------------------------------------------------------------
 # triplet assembly against per-entry dense loops
 # --------------------------------------------------------------------------

@@ -500,6 +500,25 @@ def test_config_rejects_caps_that_are_not_counts(tmp_path, capsys, name, key, va
     _assert_config_error(tmp_path, capsys, raw, key)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("order", 3.7),
+    ("order", "abc"),
+    ("order", True),
+    ("h_values", ["0.1"]),
+    ("h_values", 0.05),
+    ("window", {"half_width": "x", "depth": 0.5}),
+    ("label_cap", "x"),
+    ("label_cap", 2.5),
+    ("match_radius", "x"),
+    ("match_radius", 0),
+])
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    # none of these may be truncated, ignored or left to crash a later stage
+    raw = json.loads(bundled_scenarios()["quadratic_saddle"].read_text())
+    raw["compute"][key] = value
+    _assert_config_error(tmp_path, capsys, raw, key)
+
+
 def _cubic_energy_cylinder(**compute):
     """cylinder_cubic with a degree-3 energy, so the model reaches tau^3."""
     raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())

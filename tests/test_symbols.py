@@ -561,6 +561,32 @@ def test_kernel_on_empty_operands_and_an_empty_pair_set(orders, scale):
     assert not _assert_kernel_matches_loop(top, top, orders, 0, scale)
 
 
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_series_builds_the_generators_key_columns_once(monkeypatch, conjugate):
+    from qbnf import symbols
+
+    spec = PhaseSpec.cylinder(8, 4)
+    G = FormalSymbol.monomial(spec, 0.3, m=1, alpha=3) + FormalSymbol.monomial(spec, 0.2, beta=3)
+    p = FormalSymbol.monomial(spec, 1.0, a=1) + FormalSymbol.monomial(spec, 1.0, alpha=1, beta=1)
+    if conjugate:
+        G = G * FormalSymbol.monomial(spec, 1.0, j=1)
+    columns, seen = symbols._columns, []
+
+    def recording(sym):
+        cols = columns(sym)
+        if sym is G:
+            seen.append(cols)
+        return cols
+
+    monkeypatch.setattr(symbols, "_columns", recording)
+    (star_conjugate if conjugate else lie_transform)(p, G)
+    # one build, handed out again at every later step of the series
+    assert len(seen) >= 3 and all(cols is seen[0] for cols in seen)
+    assert not any(x.flags.writeable for x in seen[0])
+    with pytest.raises(ValueError):
+        seen[0][0][0, 0] = 1
+
+
 # --------------------------------------------------------------------------
 # TauSeries basics
 # --------------------------------------------------------------------------
