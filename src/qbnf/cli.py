@@ -19,8 +19,11 @@ runs the direct solve.  The BLAS thread count is set in the environment
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) before the process starts.
 
 Exit codes: 0 success, 1 a bug (the traceback is printed), 2
-configuration error, 3 numeric failure (``run_report.json`` is marked
-incomplete).
+configuration error, before any file is written: an unknown or
+misspelled key, a value of the wrong JSON type (a flag that is not true
+or false, an integer field given as a float or a string) or out of its
+range, or a broken model invariant (``qbnf.schema.SCHEMA`` lists every
+key), 3 numeric failure (``run_report.json`` is marked incomplete).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = sc.load_config(args.config)
-        out = args.out or config.output.get("directory", "qbnf_out")
+        out = args.out or config.get("output.directory")
         sc.run_scenario(config, out, COMMANDS[args.command][1])
     except sc.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

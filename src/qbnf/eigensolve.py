@@ -13,7 +13,8 @@ smallest singular value of (M - z I); the certificate requires every
 residual to stay below tol_rel * ||M||_2.  ||M||_2 comes from power
 iteration on M's non-zero entries, which approaches it from below, so
 the certificate is at least as strict as stated.  The default solve makes
-the matrix dense once and solves it in one piece.
+the matrix dense in Fortran order, lets LAPACK overwrite it, and solves
+it in one piece.
 
 A matrix whose stored entries all lie on the diagonal is not made dense:
 its eigenvalues are the diagonal entries in index order, with zero
@@ -158,13 +159,13 @@ def _fingerprint(T: _Triplets) -> str:
     return digest.hexdigest()[:16]
 
 
-def _eig(A: np.ndarray):
+def _eig(A: np.ndarray, overwrite: bool = False):
     # imported here: ``import qbnf`` and the solve-free CLI commands skip
     # the cost of loading scipy.linalg
     import scipy.linalg
 
     try:
-        return scipy.linalg.eig(A)
+        return scipy.linalg.eig(A, overwrite_a=overwrite)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolveError(f"QR iteration failed: {exc}") from exc
 
@@ -175,10 +176,37 @@ def _residual_norms(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=0) / vn
 
 
-def _solve(A: np.ndarray):
-    """Eigenvalues of A and the residual of each computed eigenvector."""
-    w, V = _eig(A)
-    return w, _residual_norms(A @ V - V * w[np.newaxis, :], V)
+#: columns per step of the dense solve's residual norms
+_RESIDUAL_COLS = 64
+
+
+def _solve(M, T: _Triplets):
+    """Eigenvalues of M and the residual of each computed eigenvector.
+
+    LAPACK works in place on a Fortran-ordered copy of M: built from the
+    triplets for an OperatorMatrix, copied for an ndarray.  The one
+    product M @ V runs on the row-major matrix (``M.matrix``, rebuilt from
+    the triplets); V * w is taken off it and the column norms are read in
+    blocks of at least two columns, in place, so no further n x n array is
+    made.  Each norm sums its column in row order, as a whole-matrix
+    column norm does, so the residuals keep their bits.
+    """
+    if hasattr(M, "rows"):
+        A = np.zeros((T.dim, T.dim), dtype=complex, order="F")
+        A[T.rows, T.cols] = T.values
+    else:
+        A = np.array(M, dtype=complex, order="F")
+    w, V = _eig(A, overwrite=True)
+    del A  # overwritten by LAPACK
+    R = np.asarray(getattr(M, "matrix", M), dtype=complex) @ V
+    edges = np.linspace(0, T.dim, max(T.dim // _RESIDUAL_COLS, 1) + 1).astype(int)
+    residuals = np.empty(T.dim)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        R[:, lo:hi] -= V[:, lo:hi] * w[lo:hi]
+        residuals[lo:hi] = np.linalg.norm(R[:, lo:hi], axis=0)
+    vn = np.linalg.norm(V, axis=0)
+    vn[vn == 0.0] = 1.0
+    return w, residuals / vn
 
 
 def _components(M) -> list[np.ndarray]:
@@ -209,7 +237,10 @@ def _components(M) -> list[np.ndarray]:
         if np.array_equal(new, labels):
             break
         labels = new
-    return [np.flatnonzero(labels == root) for root in np.unique(labels)]
+    # a stable sort keeps each component's indices ascending; every label
+    # is its component's smallest index, so the groups come in that order
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
@@ -302,7 +333,7 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     if len(blocks) > 1:
         w, residuals = _solve_blocks(T, blocks)
     else:
-        w, residuals = _solve(np.asarray(getattr(M, "matrix", M), dtype=complex))
+        w, residuals = _solve(M, T)
     norm, converged = spectral_norm(T, return_converged=True)
     spec = Spectrum(w, residuals, fp, norm, converged)
     bound = tol_rel * max(norm, np.finfo(float).tiny)

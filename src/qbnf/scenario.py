@@ -1,38 +1,21 @@
 """Scenario configuration, batch orchestration and artifact emission.
 
-A scenario is a JSON document (schema_version 1) with three blocks:
-
-``model``
-    kind: "cylinder" | "saddle".  Cylinder models carry orientable,
-    action, energy_coeffs (f), rate_coeffs (mu) and a perturbation term
-    list with entries {m, a, alpha, beta, j, re, im}.  Saddle models
-    carry energy0, lambda_unstable, lambda_stable and a higher_terms list
-    with entries {alpha, beta, j, re, im}.
-
-``compute``
-    order (normal-form truncation N, an integer >= 2), optional
-    tau_order (cylinder models only: the tau truncation, an integer no
-    lower than the highest tau power of the energy, rate and
-    perturbation, by default the larger of that and N), h_values
-    (positive numbers, descending), window {half_width, depth} (positive
-    numbers), optional basis overrides {k_min, k_max, levels} or {levels1,
-    levels2} (checked when the config loads), flags
-    stability_check / direct (default true; false stops the pipeline at
-    the lattices) / sweep (fit the convergence order over the run's own
-    match reports: needs direct and at least three h values, or it is a
-    ConfigError) / dump_matrices (debug dump of the assembled operator,
-    column-major complex pairs), optional match_radius (a positive
-    number) and label_cap (a non-negative integer), and optional k_cap
-    (saddle models only) and l_cap: non-negative integers that bound the
-    written lattice labels.  These values are checked when the config
-    loads: a number is never truncated, and one of the wrong type is a
-    ConfigError, not a crash in a later stage.
-
-``output``
-    directory, plot_data flag.
+A scenario is a JSON object.  ``qbnf.schema.SCHEMA`` is the one table
+of its keys, listed below; README.md says what each does.  ``load_config``
+holds a config to the table, which rejects an unknown key, a key of the
+other model kind and a value of the wrong JSON type or out of its range,
+then checks the rules that tie keys together: h_values descend,
+tau_order is no lower than the model's tau content, a term's Fourier mode
+m is a multiple of 1/2, no term lies below the pruning floor, and the
+model keeps its invariants.  A sweep needs the direct stage and at least
+three h values.  ``scenario_echo.json`` is the raw input, with no
+defaults filled in.
 
 Artifacts are deterministic: CSV numbers are printed with 17 significant
 digits, JSON keys are sorted, reruns are bit-identical.
+
+The keys (name: what it accepts; model kinds; default):
+
 """
 
 from __future__ import annotations
@@ -45,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .compare import (
     MATCH_WINDOW_PAD,
     MatchReport,
@@ -71,6 +55,7 @@ from .quantize import (
     assemble_saddle,
     direct_spectrum,
 )
+from .schema import ConfigError
 from .symbols import PRUNE_REL, FormalSymbol, PhaseSpec, TauSeries
 
 __all__ = [
@@ -89,18 +74,17 @@ __all__ = [
     "FLOAT_FMT",
 ]
 
-SCHEMA_VERSION = 1
-
 #: fixed CSV float formatting, 17 significant digits
 FLOAT_FMT = ".17e"
 
 
-class ConfigError(ValueError):
-    """Configuration file is malformed or violates a model invariant."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), FLOAT_FMT)
+
+
+if __doc__:  # None under python -OO
+    __doc__ += "".join(f"    {name}: {accepts}; {kinds}; {default}\n"
+                       for name, accepts, kinds, default in schema.entries())
 
 
 # --------------------------------------------------------------------------
@@ -117,28 +101,27 @@ class ScenarioConfig:
     def kind(self) -> str:
         return self.raw["model"]["kind"]
 
-    @property
-    def compute(self) -> dict:
-        return self.raw["compute"]
-
-    @property
-    def output(self) -> dict:
-        return self.raw.get("output", {})
+    def get(self, name: str):
+        """The value of the key with dotted ``name`` ("compute.window.depth"), or its default."""
+        block = self.raw
+        for part in name.split(".")[:-1]:
+            block = block.get(part) or {}
+        return schema.read(block, name, self.kind)
 
     @property
     def h_values(self):
-        return list(self.compute["h_values"])
+        return self.get("compute.h_values")
 
     @property
     def order(self) -> int:
-        return self.compute["order"]
+        return self.get("compute.order")
 
     def window(self) -> Window:
-        w = self.compute["window"]
-        center = self.raw["model"].get("energy0", None)
-        if center is None and self.kind == "cylinder":
-            center = float(np.real(self.model().energy.coeffs[0]))
-        return Window(float(center or 0.0), float(w["half_width"]), float(w["depth"]))
+        center = self.get("model.energy0")
+        if center is None:  # a cylinder's default: the orbit energy f(0)
+            center = self.model().reference_energy
+        return Window(center, self.get("compute.window.half_width"),
+                      self.get("compute.window.depth"))
 
     def model(self):
         """The model of ``raw``, built on the first call and then reused."""
@@ -153,60 +136,47 @@ class ScenarioConfig:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 
     def basis_for(self, h: float):
-        """The ``compute.basis`` override at h (ConfigError if malformed), else the auto basis."""
-        b = self.compute.get("basis")
-        model = self.model()
+        """The ``compute.basis`` override at h (ConfigError if empty), else the auto basis."""
+        model, b = self.model(), self.get("compute.basis")
         if b is None:
             return auto_basis(model, self.window(), h)
+
+        def field(name):
+            return self.get(f"compute.basis.{name}")
+
         try:
             if self.kind == "cylinder":
-                return CylinderBasis(
-                    int(b["k_min"]), int(b["k_max"]), int(b["levels"]), h,
-                    model.action, model.orientable,
-                )
-            return SaddleBasis(int(b["levels1"]), int(b["levels2"]), h)
-        except KeyError as exc:
-            raise ConfigError(f"basis block is missing field {exc}") from exc
+                return CylinderBasis(field("k_min"), field("k_max"), field("levels"), h,
+                                     model.action, model.orientable)
+            return SaddleBasis(field("levels1"), field("levels2"), h)
         except DimensionCapError:
             raise
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid basis block {b!r}: {exc}") from exc
 
 
-def _build_tau_series(coeffs, what) -> TauSeries:
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ConfigError(f"{what} must be a nonempty list of numbers")
-    return TauSeries([float(c) for c in coeffs])
-
-
 def _build_terms(shape: PhaseSpec, items, what) -> FormalSymbol | None:
-    """Symbol of a term list on a spec of ``shape`` sized to hold every term.
+    """Symbol of a checked term list on a spec of ``shape`` sized to hold every term.
 
-    Raises ConfigError for a term the symbol would still drop: one whose
+    Raises ConfigError for a term the symbol cannot hold: a Fourier mode
+    that is not a multiple of 1/2, a key ``shape`` rejects, or one whose
     coefficient is below the relative pruning floor.
     """
     if not items:
         return None
     terms = {}
     for it in items:
-        try:
-            m = it.get("m", 0)
-            a = int(it.get("a", 0))
-            alpha = tuple(int(v) for v in it["alpha"])
-            beta = tuple(int(v) for v in it["beta"])
-            j = int(it.get("j", 0))
-            coef = complex(float(it.get("re", 0.0)), float(it.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed {what} entry {it!r}: {exc}") from exc
+        m, a, alpha, beta, j, re, im = (schema.read(it, f"term.{name}") for name in
+                                        ("m", "a", "alpha", "beta", "j", "re", "im"))
         m2 = 2 * m
         if abs(m2 - round(m2)) > 1e-12:
             raise ConfigError(f"{what} Fourier mode must be integer or half-integer")
-        key = (int(round(m2)), a, alpha, beta, j)
+        key = (round(m2), a, tuple(alpha), tuple(beta), j)
         try:
             shape.validate_key(key)
         except ValueError as exc:
             raise ConfigError(f"invalid {what} entry {it!r}: {exc}") from exc
-        terms[key] = terms.get(key, 0.0) + coef
+        terms[key] = terms.get(key, 0.0) + complex(re, im)
     spec = replace(
         shape,
         grade_max=max(2, max(shape.grade(k) for k in terms)),
@@ -226,83 +196,35 @@ def _build_terms(shape: PhaseSpec, items, what) -> FormalSymbol | None:
 
 
 def _build_model(m: dict):
-    kind = m.get("kind")
-    if kind == "cylinder":
-        orientable = bool(m.get("orientable", True))
-        energy = _build_tau_series(m["energy_coeffs"], "energy_coeffs")
-        rate = _build_tau_series(m["rate_coeffs"], "rate_coeffs")
-        shape = PhaseSpec.cylinder(2, 0, orientable)
-        pert = _build_terms(shape, m.get("perturbation", []), "perturbation")
-        try:
+    """The model of a checked ``model`` block."""
+    kind = m["kind"]
+
+    def get(name):
+        return schema.read(m, f"model.{name}", kind)
+
+    try:
+        if kind == "cylinder":
+            shape = PhaseSpec.cylinder(2, 0, get("orientable"))
             return CylinderModel(
-                energy, rate, pert, orientable,
-                float(m.get("action", 0.0)), m.get("energy0"),
+                TauSeries(get("energy_coeffs")), TauSeries(get("rate_coeffs")),
+                _build_terms(shape, get("perturbation"), "perturbation"),
+                get("orientable"), get("action"), get("energy0"),
             )
-        except ModelValidationError as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "saddle":
-        higher = _build_terms(PhaseSpec.saddle(2), m.get("higher_terms", []), "higher_terms")
-        try:
-            return SaddleModel(
-                float(m.get("energy0", 0.0)),
-                float(m["lambda_unstable"]),
-                float(m["lambda_stable"]),
-                higher,
-            )
-        except ModelValidationError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"model.kind must be 'cylinder' or 'saddle', got {kind!r}")
-
-
-def _validate(raw: dict) -> None:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
+        return SaddleModel(
+            get("energy0"), get("lambda_unstable"), get("lambda_stable"),
+            _build_terms(PhaseSpec.saddle(2), get("higher_terms"), "higher_terms"),
         )
-    for block in ("model", "compute"):
-        if block not in raw:
-            raise ConfigError(f"missing required block {block!r}")
-    comp = raw["compute"]
-    if comp.get("order") is None:
-        raise ConfigError("compute.order must be an integer >= 2")
-    _check_count(comp, "order", 2)
-    hs = comp.get("h_values")
-    if not isinstance(hs, (list, tuple)) or not hs or not all(_positive(h) for h in hs):
-        raise ConfigError(f"compute.h_values must be a nonempty list of positive numbers, "
-                          f"got {hs!r}")
-    if list(hs) != sorted(hs, reverse=True):
-        raise ConfigError("compute.h_values must be in descending order")
-    w = comp.get("window")
-    if not isinstance(w, dict) or not (_positive(w.get("half_width"))
-                                       and _positive(w.get("depth"))):
-        raise ConfigError("compute.window needs positive half_width and depth")
-    for name in ("k_cap", "l_cap", "label_cap"):
-        _check_count(comp, name, 0)
-    if comp.get("match_radius") is not None and not _positive(comp["match_radius"]):
-        raise ConfigError(
-            f"compute.match_radius must be a positive number, got {comp['match_radius']!r}")
-    if raw["model"].get("kind") == "cylinder" and comp.get("k_cap") is not None:
-        raise ConfigError("compute.k_cap is for saddle models: a closed orbit has no k cap")
-    if raw["model"].get("kind") == "saddle" and comp.get("tau_order") is not None:
-        raise ConfigError("compute.tau_order is for cylinder models: a saddle has no tau")
-
-
-def _positive(v) -> bool:
-    """Whether v is a positive real number (not a bool, a string or NaN)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-
-
-def _check_count(comp: dict, name: str, least: int, why: str = "") -> None:
-    """ConfigError unless compute.<name> is absent, null or an integer >= least."""
-    v = comp.get(name)
-    if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < least):
-        raise ConfigError(f"compute.{name} must be an integer >= {least}{why}, got {v!r}")
+    except ModelValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(source) -> ScenarioConfig:
-    """Load a scenario from a path, a bundled name, or a dict."""
+    """Load a scenario from a path, a bundled name, or a dict.
+
+    The config is held to ``qbnf.schema.SCHEMA``, then to the rules that
+    tie keys together: descending h values, a tau order no lower than the
+    model's, the model's own invariants and a buildable basis.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -317,16 +239,20 @@ def load_config(source) -> ScenarioConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _validate(raw)
+    schema.check(raw)
     config = ScenarioConfig(raw)
+    hs = config.h_values
+    if hs != sorted(hs, reverse=True):
+        raise ConfigError("compute.h_values must be in descending order")
     model = config.model()  # raises ConfigError with the violated invariant
-    if config.kind == "cylinder":
-        _check_count(config.compute, "tau_order", content_tau_order(model),
-                     " (the highest tau power of the model)")
-    if config.compute.get("basis") is not None:
-        for h in config.h_values:
+    tau_order = config.get("compute.tau_order")
+    if tau_order is not None and tau_order < content_tau_order(model):
+        raise ConfigError(f"compute.tau_order must be an integer >= {content_tau_order(model)} "
+                          f"(the highest tau power of the model), got {tau_order}")
+    if config.get("compute.basis") is not None:
+        for h in hs:
             try:
-                config.basis_for(h)  # raises ConfigError for a malformed override
+                config.basis_for(h)  # raises ConfigError for an empty Fourier range
             except DimensionCapError:
                 pass  # a numeric limit, reported when the direct stage runs
     return config
@@ -460,9 +386,8 @@ def _h_tag(h: float) -> str:
 
 def compute_normal_form(config: ScenarioConfig):
     model = config.model()
-    tau_order = config.compute.get("tau_order")
     if config.kind == "cylinder":
-        return closed_orbit_bnf(model, config.order, tau_order)
+        return closed_orbit_bnf(model, config.order, config.get("compute.tau_order"))
     return equilibrium_bnf(model, config.order)
 
 
@@ -480,7 +405,7 @@ def computed_spectrum(config: ScenarioConfig, h: float):
     basis = config.basis_for(h)
     return direct_spectrum(
         sym, basis, config.window().inflated(MATCH_WINDOW_PAD),
-        stability_check=bool(config.compute.get("stability_check", True)),
+        stability_check=config.get("compute.stability_check"),
     )
 
 
@@ -502,9 +427,9 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
     """
     if stages is None:
         stages = ["bnf", "lattice"]
-        if config.compute.get("direct", True):
+        if config.get("compute.direct"):
             stages += ["direct", "match"]
-        if config.compute.get("sweep", False):
+        if config.get("compute.sweep"):
             stages.append("sweep")
     if "sweep" in stages and ("match" not in stages or len(config.h_values) < 3):
         raise ConfigError("the sweep fits the direct matches: it needs compute.direct "
@@ -532,28 +457,27 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
             tag = _h_tag(h)
             if "lattice" in stages:
                 lat = predicted_lattice(nf, h, config.window(),
-                                        k_cap=config.compute.get("k_cap"),
-                                        l_cap=config.compute.get("l_cap"))
+                                        k_cap=config.get("compute.k_cap"),
+                                        l_cap=config.get("compute.l_cap"))
                 write(f"lattice_h{tag}.csv", _write_lattice_csv, lat)
             if "direct" in stages:
                 accepted, flagged, _ = computed_spectrum(config, h)
                 write(f"spectrum_h{tag}.csv", _write_spectrum_csv, accepted)
-                if config.compute.get("dump_matrices", False):
+                if config.get("compute.dump_matrices"):
                     write(f"matrix_h{tag}.csv", dump_matrix, assembled_operator(config, h))
             if "match" in stages:
                 rep = match_lattices(lat, accepted, order=config.order,
-                                     radius=config.compute.get("match_radius"))
+                                     radius=config.get("compute.match_radius"))
                 md = _match_report_dict(rep)
                 md["flagged_unstable"] = [[z.real, z.imag] for z in flagged]
                 write(f"match_h{tag}.json", _dump_json, md)
                 write(f"match_h{tag}.csv", _write_match_csv, rep)
-                if config.output.get("plot_data", True):
+                if config.get("output.plot_data"):
                     write(f"plot_h{tag}.csv", emit_plot_data, lat, rep)
                 reports.append(rep)
 
         if "sweep" in stages:
-            cap = config.compute.get("label_cap")
-            res = fit_convergence(reports, 3 if cap is None else cap)
+            res = fit_convergence(reports, config.get("compute.label_cap"))
             write("convergence.json", _dump_json, {
                 "slope": res.slope,
                 "exact": res.exact,

@@ -162,9 +162,9 @@ def test_blockwise_match_dense(rng, monkeypatch):
     solved = []
     eig = scipy.linalg.eig
 
-    def recording_eig(A):
+    def recording_eig(A, **options):
         solved.append(A.shape[0])
-        return eig(A)
+        return eig(A, **options)
 
     monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
     blocks = eigenvalues(M, blockwise=True)
@@ -286,9 +286,9 @@ def test_blockwise_rounding_level_entries_do_not_join_blocks(rng, monkeypatch):
     solved = []
     eig = scipy.linalg.eig
 
-    def recording_eig(A):
+    def recording_eig(A, **options):
         solved.append(A.shape[0])
-        return eig(A)
+        return eig(A, **options)
 
     monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
     blocks = eigenvalues(M, blockwise=True)

@@ -427,6 +427,26 @@ def test_widened_operators_split_into_their_true_blocks():
                       "cylinder_cubic": 140, "nonorientable_halfmode": 39}
 
 
+@pytest.mark.parametrize("name", ["quadratic_saddle", "cylinder_unperturbed", "cylinder_cubic",
+                                  "nonorientable_halfmode", "perturbed_saddle"])
+def test_components_list_each_root_in_order(name):
+    # the grouped listing equals one flatnonzero scan per component root,
+    # ordered by root, on the base and widened operators
+    from qbnf.eigensolve import _components
+
+    sym, basis, _ = _bundled_operator(name)
+    assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
+    for op in (assemble(sym, basis), assemble(sym, basis.widened())):
+        blocks = _components(op)
+        labels = np.empty(op.dim, dtype=np.intp)
+        for idx in blocks:
+            labels[idx] = idx.min()
+        oracle = [np.flatnonzero(labels == root) for root in np.unique(labels)]
+        assert len(blocks) == len(oracle)
+        for got, want in zip(blocks, oracle):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "name, basis_fields",
     [
@@ -487,9 +507,9 @@ def test_base_operator_diagonal_only_under_the_pattern_is_solved_dense(monkeypat
     solved = []
     eig = scipy.linalg.eig
 
-    def recording_eig(A):
+    def recording_eig(A, **options):
         solved.append(A.shape[0])
-        return eig(A)
+        return eig(A, **options)
 
     monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
     eigenvalues(op)

@@ -582,3 +582,131 @@ def test_scenario_sweep_matches_convergence_sweep(tmp_path):
     assert res.slope is not None and not res.exact
     assert conv["slope"] == res.slope and conv["exact"] == res.exact
     assert conv["errors"] == {format(h, ".6g"): e for h, e in res.errors.items()}
+
+
+# --------------------------------------------------------------------------
+# the config schema
+# --------------------------------------------------------------------------
+
+def _bundled_raw(name, edit):
+    raw = json.loads(bundled_scenarios()[name].read_text())
+    edit(raw)
+    return raw
+
+
+def _set(block, key, value):
+    def edit(raw):
+        target = raw
+        for part in block.split("."):
+            target = target[int(part) if part.isdigit() else part]
+        target[key] = value
+    return edit
+
+
+def _rename(block, old, new):
+    def edit(raw):
+        target = raw[block] if block else raw
+        target[new] = target.pop(old)
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, match", [
+    # a string flag would read as true: the orientable model, not the half-shift one
+    ("cylinder_cubic", _set("model", "orientable", "false"), "orientable must be"),
+    ("quadratic_saddle", _set("compute", "stability_check", "false"), "stability_check"),
+    ("quadratic_saddle", _set("output", "plot_data", "no"), "plot_data"),
+    ("quadratic_saddle", _rename("compute", "stability_check", "stabilty_check"),
+     "did you mean 'stability_check'"),
+    ("quadratic_saddle", _rename("", "output", "outptu"), "did you mean 'output'"),
+    # integer fields given as floats or strings would be truncated or converted
+    ("cylinder_cubic", _set("model.perturbation.0", "a", 1.5), "a must be"),
+    ("cylinder_cubic", _set("model.perturbation.0", "j", 0.5), "j must be"),
+    ("cylinder_cubic", _set("model.perturbation.0", "coef", 0.1), "unknown key 'coef'"),
+    ("cylinder_cubic", _set("compute", "basis", {"k_min": -10.7, "k_max": 10, "levels": 12}),
+     "k_min"),
+    ("cylinder_cubic", _set("compute", "basis", {"k_min": -10, "k_max": 10, "levels": "12"}),
+     "levels"),
+    ("cylinder_cubic", _set("model", "energy_coeffs", ["0", "1"]), "energy_coeffs"),
+    # keys of the other model kind
+    ("perturbed_saddle", _set("model.higher_terms.0", "m", 1), "for cylinder models"),
+    ("quadratic_saddle", _set("model", "orientable", True), "for cylinder models"),
+    ("cylinder_cubic", _set("compute", "basis", {"levels1": 9, "levels2": 9}),
+     "basis block"),
+    # null stands for a key only where its default is null
+    ("quadratic_saddle", _set("model", "energy0", None), "energy0"),
+    ("quadratic_saddle", _set("compute", "direct", None), "direct"),
+])
+def test_config_schema_rejects_what_it_would_reinterpret(tmp_path, capsys, name, edit, match):
+    _assert_config_error(tmp_path, capsys, _bundled_raw(name, edit), match)
+
+
+def test_config_defaults_come_from_the_schema():
+    saddle = load_config("quadratic_saddle")
+    cylinder = load_config(_bundled_raw("cylinder_cubic", _set("model", "energy0", None)))
+    assert saddle.get("model.energy0") == 0.0
+    assert cylinder.get("model.energy0") is None
+    assert cylinder.window().center == 0.0  # the orbit energy f(0)
+    for config in (saddle, cylinder):
+        assert config.get("compute.label_cap") == 3
+        assert config.get("compute.direct") is True
+        assert config.get("compute.sweep") is False
+    no_output = load_config(_bundled_raw("quadratic_saddle", lambda raw: raw.pop("output")))
+    assert no_output.get("output.plot_data") is True
+    assert no_output.get("output.directory") == "qbnf_out"
+
+
+def test_config_reads_integral_numbers_as_floats(tmp_path):
+    # a JSON 0 and 0.0 are the same number: the run and its artifacts agree
+    floats = _bundled_raw("cylinder_cubic", _set("model", "energy0", 0.0))
+    ints = _bundled_raw("cylinder_cubic", _set("model", "energy0", 0))
+    ints["model"]["action"] = 0
+    run_scenario(load_config(floats), tmp_path / "floats", ["bnf", "lattice"])
+    run_scenario(load_config(ints), tmp_path / "ints", ["bnf", "lattice"])
+    for name in ("normal_form.json", "lattice_h0p05.csv"):
+        assert (tmp_path / "floats" / name).read_bytes() == (
+            tmp_path / "ints" / name).read_bytes(), name
+
+
+def test_every_shipped_config_loads_and_echoes_as_recorded(tmp_path):
+    # the bundled scenarios and every input variant of every benchmark
+    # workload pass the schema, and scenario_echo.json keeps the bytes
+    # recorded in perfbench/reference.json
+    import hashlib
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name in bundled_scenarios():
+        load_config(name)
+    reference = checks.load_reference()
+    seen = 0
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.NUM_VARIANTS):
+            digests = checks.recorded(reference, "digests", workload, variant)
+            for name, raw in workloads.scenarios(root, workload, variant):
+                out = tmp_path / f"{workload}-{variant}-{name}"
+                run_scenario(load_config(raw), out, [])
+                echo = (out / "scenario_echo.json").read_bytes()
+                assert hashlib.sha256(echo).hexdigest()[:16] == \
+                    digests[name]["scenario_echo.json"], (workload, variant, name)
+                seen += 1
+    assert seen == 10 * (2 + 2 + 4 + 1)
+
+
+def test_readme_lists_every_schema_key():
+    from pathlib import Path
+
+    from qbnf.schema import entries
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    for name, accepts, kinds, default in entries():
+        row = f"| `{name}` | {accepts} | {kinds} | {default} |"
+        assert any(line.startswith(row) for line in lines), row
