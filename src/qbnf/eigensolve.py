@@ -12,35 +12,37 @@ scipy.  Each returned eigenvalue carries the residual
 smallest singular value of (M - z I); the certificate requires every
 residual to stay below tol_rel * ||M||_2.  ||M||_2 comes from power
 iteration on M's non-zero entries, which approaches it from below, so
-the certificate is at least as strict as stated.  The default solve makes
-the matrix dense in Fortran order, lets LAPACK overwrite it, and solves
-it in one piece.
+the certificate is at least as strict as stated.
 
-A matrix whose stored entries all lie on the diagonal is not made dense:
-its eigenvalues are the diagonal entries in index order, with zero
-residuals.  That is exactly what LAPACK returns, because its balancing
-isolates every eigenvalue of a diagonal matrix without a permutation and
-leaves the QR step nothing to do.  The rule keys on the stored entries,
-not on the coupling pattern below: a matrix that is diagonal only once
-rounding-level entries are cut still takes the dense solve, which sets
-the last digits of its eigenvalues.  So does every other base operator:
-solving one block by block would move those digits.
+There is one solve: LAPACK on each diagonal block of a partition of the
+indices, every block built from the triplets in Fortran order and
+overwritten in place.  The partition is the only choice made:
 
-With ``blockwise=True`` the same solve runs on each diagonal block of a
-matrix whose couplings split it into independent blocks (the widened
-operator of the stability check does).  Only an entry with
-|m_ij| > PATTERN_EPS * max|M| couples i and j; smaller ones are rounding
-left over from assembly and do not merge blocks.  1x1 blocks are taken
-all at once: the eigenvalue is the diagonal entry.  Every block
-eigenvector, padded with zeros, has its residual measured against the
-whole matrix, the entries left out of the pattern included, and the
-joined spectrum is certified exactly like a dense one: against
-tol_rel * ||M||_2 of the whole matrix, with the whole matrix's
-fingerprint.  A pattern that cut a real coupling shows as a large
-residual, so it fails the certificate rather than passing unnoticed.
-Blocks and their columns are built from the triplets, over the rows
-where a block's columns hold entries, so a matrix that splits is never
-made dense.
+- by default, one block of all indices, so the matrix is solved in one
+  piece;
+- when every stored entry lies on the diagonal, one block per index.
+  The eigenvalues are then the diagonal entries in index order, with
+  zero residuals.  That is exactly what LAPACK returns, because its
+  balancing isolates every eigenvalue of a diagonal matrix without a
+  permutation and leaves the QR step nothing to do.  The rule keys on
+  the stored entries, not on the coupling pattern below: a matrix that
+  is diagonal only once rounding-level entries are cut is still one
+  block, whose solve sets the last digits of its eigenvalues;
+- with ``blockwise=True``, the independent blocks of the matrix's
+  couplings (the widened operator of the stability check splits into
+  many).  Only an entry with |m_ij| > PATTERN_EPS * max|M| couples i and
+  j; smaller ones are rounding left over from assembly and do not merge
+  blocks.  Solving a base operator this way would move the last digits
+  of its eigenvalues, which is why it is not the default.
+
+1x1 blocks are taken all at once: the eigenvalue is the diagonal entry.
+Every block eigenvector, padded with zeros, has its residual measured
+against the whole matrix, the entries left out of the pattern included,
+from the block's columns over the rows where they hold entries; the
+joined spectrum is certified against tol_rel * ||M||_2 of the whole
+matrix, with the whole matrix's fingerprint.  A pattern that cut a real
+coupling shows as a large residual, so it fails the certificate rather
+than passing unnoticed.  No matrix is made dense beyond its blocks.
 """
 
 from __future__ import annotations
@@ -176,37 +178,8 @@ def _residual_norms(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=0) / vn
 
 
-#: columns per step of the dense solve's residual norms
+#: columns per step of a block's residual norms
 _RESIDUAL_COLS = 64
-
-
-def _solve(M, T: _Triplets):
-    """Eigenvalues of M and the residual of each computed eigenvector.
-
-    LAPACK works in place on a Fortran-ordered copy of M: built from the
-    triplets for an OperatorMatrix, copied for an ndarray.  The one
-    product M @ V runs on the row-major matrix (``M.matrix``, rebuilt from
-    the triplets); V * w is taken off it and the column norms are read in
-    blocks of at least two columns, in place, so no further n x n array is
-    made.  Each norm sums its column in row order, as a whole-matrix
-    column norm does, so the residuals keep their bits.
-    """
-    if hasattr(M, "rows"):
-        A = np.zeros((T.dim, T.dim), dtype=complex, order="F")
-        A[T.rows, T.cols] = T.values
-    else:
-        A = np.array(M, dtype=complex, order="F")
-    w, V = _eig(A, overwrite=True)
-    del A  # overwritten by LAPACK
-    R = np.asarray(getattr(M, "matrix", M), dtype=complex) @ V
-    edges = np.linspace(0, T.dim, max(T.dim // _RESIDUAL_COLS, 1) + 1).astype(int)
-    residuals = np.empty(T.dim)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        R[:, lo:hi] -= V[:, lo:hi] * w[lo:hi]
-        residuals[lo:hi] = np.linalg.norm(R[:, lo:hi], axis=0)
-    vn = np.linalg.norm(V, axis=0)
-    vn[vn == 0.0] = 1.0
-    return w, residuals / vn
 
 
 def _components(M) -> list[np.ndarray]:
@@ -246,12 +219,20 @@ def _components(M) -> list[np.ndarray]:
 def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
     """Eigenvalues block by block, each residual taken on the whole matrix.
 
-    A larger block's columns of the whole matrix come from the triplets as
-    a dense slab C over its support rows only: the block's indices and the
-    rows of its columns' entries, in index order.  Its rows at ``idx`` are
-    the diagonal block, and C @ V holds every non-zero row of the whole
-    matrix times the zero-padded block eigenvectors, the entries the
-    pattern left out included.
+    ``blocks`` partitions the indices, each block ascending; a matrix
+    solved in one piece is the single block of all its indices.  A larger
+    block is built from the triplets whose row and column both lie in it,
+    in Fortran order, for LAPACK to overwrite.  Its columns of the whole
+    matrix then come from the triplets as a dense slab C over its support
+    rows only: the block's indices and the rows of its columns' entries,
+    in index order.  C @ V holds every non-zero row of the whole matrix
+    times the zero-padded block eigenvectors, the entries the pattern left
+    out included; V * w comes off its rows at the block's indices, and the
+    norms are read in chunks of at least two columns, each summing its
+    column in row order.  The block is freed before C is built and C
+    before the norms, so V, C and C @ V are the most alive at once, and
+    the one block of all indices gives the dense solve of the whole
+    matrix bit for bit.
     """
     n, rows, cols, vals = T
     order = np.concatenate(blocks)
@@ -281,46 +262,51 @@ def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
         idx = blocks[b]
         start, size = starts[b], sizes[b]
         k = by_block[bounds[b]:bounds[b + 1]]
+        inside = k[block_of[rows[k]] == b]
+        A = np.zeros((size, size), dtype=complex, order="F")
+        A[place[rows[inside]], place[cols[inside]]] = vals[inside]
+        wb, V = _eig(A, overwrite=True)
+        del A  # overwritten by LAPACK
         support = np.union1d(idx, rows[k])
         at = np.searchsorted(support, idx)
         C = np.zeros((len(support), size), dtype=complex)
         C[np.searchsorted(support, rows[k]), place[cols[k]]] = vals[k]
-        wb, V = _eig(C[at])
         R = C @ V
-        R[at] -= V * wb[np.newaxis, :]
+        del C
+        edges = np.linspace(0, size, max(size // _RESIDUAL_COLS, 1) + 1).astype(int)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            R[at, lo:hi] -= V[:, lo:hi] * wb[lo:hi]
+            residuals[start + lo:start + hi] = _residual_norms(R[:, lo:hi], V[:, lo:hi])
         w[start:start + size] = wb
-        residuals[start:start + size] = _residual_norms(R, V)
     return w, residuals
 
 
 def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectrum:
     """Certified spectrum of a complex matrix.
 
-    Accepts an OperatorMatrix or a plain ndarray.  Raises
-    EigensolveError (carrying whatever partial data exists) when the QR
-    iteration fails to converge or any residual exceeds
-    tol_rel * ||M||_2, with ||M||_2 from power iteration on the non-zero
-    entries (a lower bound; ``Spectrum.norm_converged`` says whether the
-    iteration met its tolerance).  The finiteness check, the fingerprint
-    and the norm read the matrix's triplets: those an OperatorMatrix holds,
-    or one scan of a dense array.  Without ``blockwise`` the matrix is
-    made dense and solved in one piece, unless every stored entry lies on
-    the diagonal: then the eigenvalues are the diagonal entries in index
-    order and the residuals are zero, LAPACK's own result bit for bit.
-    The one exception is a dense input with a zero diagonal entry that
-    has a -0.0 part: the triplets do not store it, so it reads as +0.0,
-    where LAPACK returns it as given.  Assembled operators hold no zeros.
+    Accepts an OperatorMatrix or a plain ndarray; both are read through
+    their triplets (those an OperatorMatrix holds, or one scan of a dense
+    array), so a dense input's -0.0 entries, on or off the diagonal, read
+    as +0.0: the triplets do not store a zero.  Assembled operators hold
+    no zeros.  Raises EigensolveError (carrying whatever partial data
+    exists) when the QR iteration fails to converge or any residual
+    exceeds tol_rel * ||M||_2, with ||M||_2 from power iteration on the
+    non-zero entries (a lower bound; ``Spectrum.norm_converged`` says
+    whether the iteration met its tolerance).
 
-    With ``blockwise`` the matrix is solved one independent diagonal
-    block at a time: the weakly connected components of the entries
-    with |m_ij| > PATTERN_EPS * max|M|, 1x1 blocks all in one step.  Each
-    block, and its columns of the whole matrix over their non-zero rows,
-    are built from the triplets, so an OperatorMatrix that splits is
-    never made dense.  The eigenvalues come block by block, in the order
-    of each block's smallest index, and each residual is that of the
-    zero-padded block eigenvector on the whole matrix.  The certificate,
-    fingerprint and norm are those of the whole matrix; a single-block
-    matrix is solved in place and gives the dense result bit for bit.
+    Every matrix takes the one block solve; only the partition differs.
+    By default the matrix is one block, solved in one piece, unless every
+    stored entry lies on the diagonal: then each index is its own block,
+    so the eigenvalues are the diagonal entries in index order and the
+    residuals are zero, LAPACK's own result bit for bit.  With
+    ``blockwise`` the blocks are the weakly connected components of the
+    entries with |m_ij| > PATTERN_EPS * max|M|.  Each block, and its
+    columns of the whole matrix over their non-zero rows, are built from
+    the triplets, so no matrix is made dense beyond its blocks.  The
+    eigenvalues come block by block, in the order of each block's
+    smallest index, and each residual is that of the zero-padded block
+    eigenvector on the whole matrix.  The certificate, fingerprint and
+    norm are those of the whole matrix.
     """
     T = _triplets(M)
     if T.dim == 0:
@@ -328,12 +314,11 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     if not np.all(np.isfinite(T.values)):
         raise ValueError("matrix has non-finite entries")
     fp = _fingerprint(T)
-    diagonal = np.array_equal(T.rows, T.cols)
-    blocks = _components(T) if blockwise or diagonal else []
-    if len(blocks) > 1:
-        w, residuals = _solve_blocks(T, blocks)
+    if blockwise or np.array_equal(T.rows, T.cols):
+        blocks = _components(T)
     else:
-        w, residuals = _solve(M, T)
+        blocks = [np.arange(T.dim)]
+    w, residuals = _solve_blocks(T, blocks)
     norm, converged = spectral_norm(T, return_converged=True)
     spec = Spectrum(w, residuals, fp, norm, converged)
     bound = tol_rel * max(norm, np.finfo(float).tiny)

@@ -372,21 +372,22 @@ def direct_spectrum(
 ):
     """Windowed eigenvalues of the assembled operator, spurious ones flagged.
 
-    Solves the dense problem on ``basis`` and, when ``stability_check``
-    is set, again on ``basis.widened()``; eigenvalues that move more than
+    Solves the operator on ``basis`` and, when ``stability_check`` is
+    set, again on ``basis.widened()``; eigenvalues that move more than
     1e-6 under the widening are flagged as truncation artifacts rather
-    than silently dropped.  The widened operator is solved block by block
-    (``eigenvalues(..., blockwise=True)``): its blocks are those of the
-    entries above eps * max|W|, so assembly rounding (about 1e-17 max|W|)
-    does not join them; every residual is measured on the whole widened
-    matrix and certified against its norm, taken by power iteration on
-    its non-zero entries.  Blocks, residuals and norm come from the
-    assembled triplets, so the dense widened matrix is never built.  Its
-    eigenvalues feed only the 1e-6 test.  The base operator, whose
-    eigenvalues and residuals are returned, is one dense solve of the
-    matrix as assembled, except when every assembled entry lies on the
-    diagonal: then its diagonal is its spectrum, with zero residuals,
-    which is what the dense solve would return bit for bit.
+    than silently dropped.  Without the widened spectrum every windowed
+    eigenvalue is accepted.  Both solves are ``eigenvalues``' one block
+    solve, built from the assembled triplets, so neither operator is
+    made dense; they differ only in the partition.  The base operator,
+    whose eigenvalues and residuals are returned, is one block: the
+    matrix as assembled solved in one piece, or read off its diagonal
+    when every assembled entry lies there.  The widened operator, whose
+    eigenvalues feed only the 1e-6 test, is solved block by block
+    (``blockwise=True``): its blocks are those of the entries above
+    eps * max|W|, so assembly rounding (about 1e-17 max|W|) does not
+    join them.  Every residual is measured on the whole matrix and
+    certified against its norm, taken by power iteration on its
+    non-zero entries.
 
     Returns
     -------
@@ -402,24 +403,13 @@ def direct_spectrum(
     wide_op = assemble(symbol, basis.widened()) if stability_check else None
 
     spec = eigenvalues(op)
-    if window is not None:
-        keep = [i for i, z in enumerate(spec.eigenvalues) if window.contains(z)]
-    else:
-        keep = list(range(len(spec.eigenvalues)))
-
-    if not stability_check:
-        return (
-            [(spec.eigenvalues[i], spec.residuals[i]) for i in keep],
-            [],
-            spec,
-        )
-
-    wide = eigenvalues(wide_op, blockwise=True)
+    wide = eigenvalues(wide_op, blockwise=True).eigenvalues if stability_check else None
     accepted, flagged = [], []
-    for i in keep:
-        z = spec.eigenvalues[i]
-        if np.min(np.abs(wide.eigenvalues - z)) <= _STABILITY_TOL:
-            accepted.append((z, spec.residuals[i]))
+    for z, residual in zip(spec.eigenvalues, spec.residuals):
+        if window is not None and not window.contains(z):
+            continue
+        if wide is None or np.min(np.abs(wide - z)) <= _STABILITY_TOL:
+            accepted.append((z, residual))
         else:
             flagged.append(z)
     return accepted, flagged, spec

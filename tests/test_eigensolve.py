@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbnf.eigensolve import PATTERN_EPS, EigensolveError, eigenvalues, spectral_norm
+from dense_solve import dense_solve
+from qbnf.eigensolve import PATTERN_EPS, EigensolveError, _triplets, eigenvalues, spectral_norm
+from qbnf.scenario import assembled_operator, bundled_scenarios, load_config
 
 
 def _match_sets(a, b, tol):
@@ -181,17 +183,38 @@ def test_blockwise_match_dense(rng, monkeypatch):
     assert blocks.matrix_fingerprint == dense.matrix_fingerprint
 
 
+def _assert_dense_solve_bits(M, s):
+    """``s`` holds the eigenvalue and residual bits of one dense solve of M."""
+    w, residuals = dense_solve(M, _triplets(M))
+    assert np.array_equal(s.eigenvalues.view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(s.residuals.view(np.uint64), residuals.view(np.uint64))
+
+
 def test_blockwise_single_component_is_dense_solve(rng):
     # two blocks joined by one entry: weakly, not strongly, connected
     M = _block_diagonal(rng, [12, 18])
     M[3, 20] = 0.5
     for A in (_permuted(rng, M), _permuted(rng, M.T)):
-        dense = eigenvalues(A)
-        blocks = eigenvalues(A, blockwise=True)
-        assert np.array_equal(blocks.eigenvalues, dense.eigenvalues)
-        assert np.array_equal(blocks.residuals, dense.residuals)
-        assert blocks.matrix_norm == dense.matrix_norm
-        assert blocks.matrix_fingerprint == dense.matrix_fingerprint
+        _assert_dense_solve_bits(A, eigenvalues(A, blockwise=True))
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [1.0, 0.1])
+def test_solve_gives_the_dense_oracle_bits(rng, n, density):
+    # both sides of the residual chunk edge (64 columns)
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    M[rng.random((n, n)) >= density] = 0.0
+    M[0, 1] = 1.0  # never diagonal, so never read off the diagonal
+    _assert_dense_solve_bits(M, eigenvalues(M))
+
+
+@pytest.mark.parametrize("name, h", [
+    pytest.param(name, h, id=f"{name}-h{h}")
+    for name in bundled_scenarios() for h in load_config(name).h_values
+])
+def test_bundled_base_operators_give_the_dense_oracle_bits(name, h):
+    op = assembled_operator(load_config(name), h)
+    _assert_dense_solve_bits(op, eigenvalues(op))
 
 
 def test_blockwise_diagonal():
@@ -256,12 +279,21 @@ def test_diagonal_matrix_negative_zero_entry_reads_as_positive_zero(monkeypatch)
     # Assembled operators never hold one: assembly drops exact zeros.
     d = np.array([1.0, complex(-0.0, 0.0), 2.0j, complex(0.0, -0.0)])
     lapack, _ = scipy.linalg.eig(np.diag(d))
-    monkeypatch.setattr(scipy.linalg, "eig", _no_lapack)
-    s = eigenvalues(np.diag(d))
+    with monkeypatch.context() as m:
+        m.setattr(scipy.linalg, "eig", _no_lapack)
+        s = eigenvalues(np.diag(d))
     assert np.array_equal(s.eigenvalues, lapack)
     sign = np.signbit(np.stack([s.eigenvalues.real, s.eigenvalues.imag]))
     assert not sign.any()
     assert np.signbit(lapack[1].real) and np.signbit(lapack[3].imag)
+    # off the diagonal too: a -0.0 entry gives the bits of a +0.0 one
+    M = np.array([[1.0, 2.0, 0.0], [0.5j, -1.0, 0.0], [0.0, 3.0, 2.0]], dtype=complex)
+    N = M.copy()
+    N[0, 2], N[2, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    a, b = eigenvalues(M), eigenvalues(N)
+    assert np.array_equal(a.eigenvalues.view(np.uint64), b.eigenvalues.view(np.uint64))
+    assert np.array_equal(a.residuals.view(np.uint64), b.residuals.view(np.uint64))
+    assert a.matrix_fingerprint == b.matrix_fingerprint
 
 
 def _chained(rng, sizes, above):

@@ -628,6 +628,6 @@ def test_widened_solve_never_builds_the_dense_widened_matrix(monkeypatch):
     sym, basis, window = _bundled_operator("cylinder_cubic")
     accepted, _, _ = direct_spectrum(sym, basis, window)
     assert accepted
-    # the base operator is made dense once, for its dense solve; the
-    # widened one never is
-    assert densified == [basis.dim]
+    # neither the base operator, solved as one block built from its
+    # triplets, nor the widened one is ever made dense
+    assert densified == []
