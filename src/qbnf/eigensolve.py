@@ -58,6 +58,10 @@ __all__ = ["Spectrum", "EigensolveError", "eigenvalues", "spectral_norm"]
 #: |m_ij| > PATTERN_EPS * max|M|
 PATTERN_EPS = np.finfo(float).eps
 
+#: steps and relative tolerance of the power iteration in spectral_norm
+_NORM_ITERS = 60
+_NORM_TOL = 1e-10
+
 
 class EigensolveError(ArithmeticError):
     """Eigenvalue iteration failed or the residual certificate does not hold."""
@@ -106,7 +110,7 @@ def _spmv(index, values, n):
     return np.bincount(index, values.real, n) + 1j * np.bincount(index, values.imag, n)
 
 
-def spectral_norm(M, iters: int = 60, tol: float = 1e-10, *, return_converged: bool = False):
+def spectral_norm(M) -> tuple[float, bool]:
     """Largest singular value by deterministic power iteration on M*M.
 
     ``M`` is a dense matrix or an OperatorMatrix; the products run over its
@@ -116,14 +120,13 @@ def spectral_norm(M, iters: int = 60, tol: float = 1e-10, *, return_converged: b
     a non-zero M does it restart from a fixed pseudo-random vector.  Power
     iteration approaches the largest singular value from below, so the
     result is a lower bound for ||M||_2 (up to rounding): a residual bound
-    tol_rel * sigma is then at most tol_rel * ||M||_2.  With
-    ``return_converged`` it returns ``(sigma, converged)``, where
-    ``converged`` says whether two successive estimates met ``tol``
-    within ``iters`` steps.
+    tol_rel * sigma is then at most tol_rel * ||M||_2.  Returns
+    ``(sigma, converged)``, where ``converged`` says whether two
+    successive estimates met ``_NORM_TOL`` within ``_NORM_ITERS`` steps.
     """
     n, rows, cols, vals = _triplets(M)
     if not len(vals):
-        return (0.0, True) if return_converged else 0.0
+        return 0.0, True
     vals_h = vals.conj()
 
     def gram(v):  # M* M v
@@ -131,7 +134,7 @@ def spectral_norm(M, iters: int = 60, tol: float = 1e-10, *, return_converged: b
 
     sigma, converged = 0.0, False
     v = np.ones(n, dtype=complex) / np.sqrt(n)
-    for i in range(iters):
+    for i in range(_NORM_ITERS):
         w = gram(v)
         nw = np.linalg.norm(w)
         if nw == 0.0 and i == 0:
@@ -144,10 +147,10 @@ def spectral_norm(M, iters: int = 60, tol: float = 1e-10, *, return_converged: b
             break
         v = w / nw
         prev, sigma = sigma, float(np.sqrt(nw))
-        converged = abs(sigma - prev) <= tol * max(sigma, 1.0)
+        converged = abs(sigma - prev) <= _NORM_TOL * max(sigma, 1.0)
         if converged:
             break
-    return (sigma, converged) if return_converged else sigma
+    return sigma, converged
 
 
 def _fingerprint(T: _Triplets) -> str:
@@ -319,7 +322,7 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     else:
         blocks = [np.arange(T.dim)]
     w, residuals = _solve_blocks(T, blocks)
-    norm, converged = spectral_norm(T, return_converged=True)
+    norm, converged = spectral_norm(T)
     spec = Spectrum(w, residuals, fp, norm, converged)
     bound = tol_rel * max(norm, np.finfo(float).tiny)
     worst = float(np.max(residuals)) if len(residuals) else 0.0

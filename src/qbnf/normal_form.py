@@ -1,21 +1,23 @@
 """Degree-by-degree Birkhoff normal forms, classical and quantum.
 
 Both pipelines run one elimination loop over the joint grade
-d = |alpha| + |beta| + 2j.  At each grade it divides the non-resonant
-part by the homological denominators and removes it by a Lie transform
-(classical part) or a star conjugation (h-part); each pipeline supplies
-only its starting symbol, first grade and division:
+d = |alpha| + |beta| + 2j, from grade 2 up to the order.  At each grade
+it divides the non-resonant part by the homological denominators and
+removes it by a Lie transform (classical part) or a star conjugation
+(h-part); each pipeline supplies only its starting symbol and division:
 
 * ``closed_orbit_bnf`` reduces a cylinder model f(tau) + mu(tau) x xi +
-  perturbation around a hyperbolic closed orbit; after the rate is
-  averaged over the angle, the loop divides through the transport
-  equation from grade 2.  What survives depends only on (tau, x xi, h).
+  perturbation around a hyperbolic closed orbit; the loop divides
+  through the transport equation.  Averaging the rate over the angle is
+  its grade-2 step, where |alpha| - |beta| = 0 leaves the denominator
+  i m f'(tau).  What survives depends only on (tau, x xi, h).
 
 * ``equilibrium_bnf`` reduces a saddle model after the pi/4 complex
   scaling of the unstable axis.  A per-axis linear canonical change puts
   the quadratic part into nu_1 x1 xi1 + nu_2 x2 xi2 with nu = (lam1,
-  i lam2); the loop divides by nu . (alpha - beta) from grade 3.  The
-  non-real ratio nu_1/nu_2 keeps these at least min |nu_i| in size.
+  i lam2), which is resonant, so the loop's work starts at grade 3; it
+  divides by nu . (alpha - beta).  The non-real ratio nu_1/nu_2 keeps
+  these at least min |nu_i| in size.
 
 The resulting resonant Weyl symbol is finally rewritten as a function of
 the harmonic actions (the form the quantization rules evaluate): powers
@@ -52,7 +54,6 @@ __all__ = [
     "SaddleModel",
     "NormalFormPoly",
     "GeneratorChain",
-    "average_rate",
     "closed_orbit_bnf",
     "birkhoff_coordinates",
     "equilibrium_bnf",
@@ -88,8 +89,8 @@ class CylinderModel:
     perturbation : FormalSymbol or None
         Higher terms: classical terms of grade >= 3 plus h-order >= 1
         lower-order symbols.  A classical grade-2 term proportional to
-        x xi with nonzero Fourier mode is also accepted and removed by the
-        angle-averaging step.
+        x xi with nonzero Fourier mode (an angle-dependent rate) is also
+        accepted; the elimination loop averages it away at grade 2.
     orientable : bool
         Sign of the Poincare eigenvalues; False switches on half-integer
         Fourier modes with the anti-periodicity parity constraint.
@@ -128,7 +129,7 @@ class CylinderModel:
                 deg = alpha[0] + beta[0]
                 if j == 0 and deg + 2 * j < 3:
                     if deg == 2 and alpha == beta and m2 != 0:
-                        continue  # angle-dependent rate term, handled by averaging
+                        continue  # angle-dependent rate term, removed at grade 2
                     raise ModelValidationError(
                         "classical perturbation terms must have grade >= 3 "
                         f"(offending key m={m2/2}, a={a}, alpha={alpha}, beta={beta})"
@@ -236,8 +237,9 @@ class GeneratorChain:
     """Record of the transformations that produced a normal form.
 
     ``steps`` is the ordered list of (method, grade, generator) with
-    method 'average', 'lie' or 'star'; the elimination loop adds at most
-    one 'lie' and one 'star' step per grade, whatever the division.
+    method 'lie' (a classical generator) or 'star' (an h-order >= 1
+    generator); the elimination loop adds at most one of each per grade
+    from grade 2, whatever the division.
     ``normalized_symbol`` is the resonant Weyl symbol the loop converged
     to; a replay starts on its spec.  ``remainder`` holds the terms of
     grade > order seen when the chain is replayed two grades higher; the
@@ -311,43 +313,6 @@ def saddle_symbol(model: SaddleModel, spec: PhaseSpec) -> FormalSymbol:
     if model.higher is not None:
         p = p + model.higher.reembedded(spec)
     return p
-
-
-# --------------------------------------------------------------------------
-# angle averaging of the grade-2 coefficient
-# --------------------------------------------------------------------------
-
-def average_rate(energy: TauSeries, rate_sym: FormalSymbol) -> tuple[FormalSymbol, TauSeries]:
-    """Remove the angle dependence of the transverse rate coefficient.
-
-    Given mu(t, tau) as a scalar symbol (no x, xi, h content), returns the
-    generator coefficient lam(t, tau) with f'(tau) d_t lam = mu - <mu> and
-    the angle average <mu> as a TauSeries.  Applying ``lie_transform``
-    with G = lam * x xi replaces mu(t, tau) by <mu>(tau) in the grade-2
-    part of the model symbol.
-    """
-    spec = rate_sym.spec
-    if not spec.has_angle:
-        raise ValueError("angle averaging requires the cylinder model")
-    K = spec.tau_max
-    fp = energy.resized(K).derivative()
-    avg = np.zeros(K + 1, dtype=complex)
-    groups: dict[int, np.ndarray] = {}
-    for (m2, a, alpha, beta, j), c in rate_sym.terms.items():
-        if alpha != (0,) * spec.num_pairs or beta != alpha or j != 0:
-            raise ValueError("rate coefficient must be a scalar classical symbol")
-        if m2 == 0:
-            avg[a] += c
-        else:
-            groups.setdefault(m2, np.zeros(K + 1, dtype=complex))[a] += c
-    lam_terms = {}
-    for m2, poly in groups.items():
-        inv = ((0.5j * m2) * fp).inverse()
-        lam_poly = np.convolve(poly, inv.coeffs)[: K + 1]
-        for a, c in enumerate(lam_poly):
-            if c != 0:
-                lam_terms[(m2, a, (0,) * spec.num_pairs, (0,) * spec.num_pairs, 0)] = c
-    return FormalSymbol(spec, lam_terms), TauSeries(avg)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +415,7 @@ def _prepared_symbol(model, spec: PhaseSpec) -> FormalSymbol:
     return birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
 
 
-def _eliminate(p: FormalSymbol, chain: GeneratorChain, first_grade: int, solve) -> FormalSymbol:
+def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve) -> FormalSymbol:
     """Remove the non-resonant part of ``p`` grade by grade up to the chain order.
 
     ``solve(v, start)`` divides a non-resonant part v by the homological
@@ -458,17 +423,13 @@ def _eliminate(p: FormalSymbol, chain: GeneratorChain, first_grade: int, solve) 
     classical quotient generates a Lie transform, the h-part quotient
     (negated) a star conjugation.  Returns the resonant symbol.
     """
-    for d in range(first_grade, chain.order + 1):
+    for d in range(2, chain.order + 1):
         start = p
         _, nonres = resonant_project(p.grade_part(d))
         if not nonres:
             continue
         cl, qu = nonres.h_split()
         if cl:
-            if d < 3:
-                raise ModelDegeneracyError(
-                    "unexpected non-resonant classical grade-2 content after averaging"
-                )
             G = solve(cl, start)
             p = lie_transform(p, G)
             chain.steps.append(("lie", d, G))
@@ -491,7 +452,7 @@ def _eliminate(p: FormalSymbol, chain: GeneratorChain, first_grade: int, solve) 
 # --------------------------------------------------------------------------
 
 def _effective_rate(p: FormalSymbol) -> TauSeries:
-    """tau series multiplying x xi in the angle-averaged grade-2 part."""
+    """tau series multiplying x xi in the grade-2 part, averaged over the angle (m = 0)."""
     K = p.spec.tau_max
     c = np.zeros(K + 1, dtype=complex)
     for (m2, a, alpha, beta, j), coef in p.terms.items():
@@ -505,36 +466,28 @@ def closed_orbit_bnf(
 ) -> tuple[NormalFormPoly, GeneratorChain]:
     """Quantum Birkhoff normal form around a hyperbolic closed orbit.
 
-    Averages the grade-2 rate over the angle, runs the elimination loop
-    from grade 2 with the transport equation as the division, and returns
-    the normal form in (tau, zeta, h) together with the generator chain.
-    Coefficients of grade <= N are stable when N increases.
+    Runs the elimination loop from grade 2 with the transport equation as
+    the division; its grade-2 step averages an angle-dependent rate over
+    the angle.  Returns the normal form in (tau, zeta, h) together with
+    the generator chain.  Coefficients of grade <= N are stable when N
+    increases.  ``tau_order`` defaults to max(order, content_tau_order);
+    one below content_tau_order raises ValueError.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
+    content = content_tau_order(model)
     if tau_order is None:
-        tau_order = max(order, content_tau_order(model))
+        tau_order = max(order, content)
+    elif tau_order < content:
+        raise ValueError(f"tau_order {tau_order} is below the model's tau order {content}")
     spec = PhaseSpec.cylinder(order, tau_order, model.orientable)
     p = _prepared_symbol(model, spec)
     chain = GeneratorChain("closed_orbit", order, model)
 
     f = model.energy.resized(tau_order)
 
-    # grade-2 classical: average away any angle dependence of the rate
-    g2_cl = p.grade_part(2).h_split()[0]
-    _, g2_nonres = resonant_project(g2_cl)
-    if g2_nonres:
-        rate_coeff = FormalSymbol(
-            spec,
-            {(m2, a, (0,), (0,), 0): c for (m2, a, al, be, j), c in g2_nonres.terms.items()},
-        )
-        lam, _ = average_rate(f, rate_coeff)
-        G2 = lam * FormalSymbol.monomial(spec, 1.0, alpha=1, beta=1)
-        p = lie_transform(p, G2)
-        chain.steps.append(("average", 2, G2))
-
     res = _eliminate(
-        p, chain, 2, lambda v, start: homological_solve(v, f, _effective_rate(start))[0]
+        p, chain, lambda v, start: homological_solve(v, f, _effective_rate(start))[0]
     )
     nf = _functional_closed_orbit(
         res, order, model.action, model.reference_energy, model.orientable
@@ -578,10 +531,11 @@ def _equilibrium_solve(v: FormalSymbol, nu) -> FormalSymbol:
 def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, GeneratorChain]:
     """Quantum Birkhoff normal form of the complex-scaled saddle.
 
-    Runs the elimination loop from grade 3 with the saddle denominators
-    as the division.  Returns the normal form in the harmonic actions
-    (iota1, iota2, h), with leading part E0 + (lam1/i) iota1 + lam2 iota2,
-    and the chain of generators.
+    Runs the elimination loop from grade 2 with the saddle denominators
+    as the division; the prepared grade-2 part, checked here, is
+    resonant.  Returns the normal form in the harmonic actions (iota1,
+    iota2, h), with leading part E0 + (lam1/i) iota1 + lam2 iota2, and the
+    chain of generators.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -598,7 +552,7 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
         raise ModelValidationError("quadratic part is not in the prepared saddle form")
 
     chain = GeneratorChain("equilibrium", order, model)
-    res = _eliminate(p, chain, 3, lambda v, start: _equilibrium_solve(v, nu))
+    res = _eliminate(p, chain, lambda v, start: _equilibrium_solve(v, nu))
     nf = _functional_equilibrium(res, order, model.energy0)
     return nf, chain
 
@@ -620,7 +574,7 @@ def replay_chain(chain: GeneratorChain, grade_max: int | None = None) -> FormalS
     p = _prepared_symbol(chain.model, spec)
     for method, _, gen in chain.steps:
         gen = gen.reembedded(spec)
-        if method in ("lie", "average"):
+        if method == "lie":
             p = lie_transform(p, gen)
         elif method == "star":
             p = star_conjugate(p, gen)

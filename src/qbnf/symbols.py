@@ -352,17 +352,6 @@ class FormalSymbol:
     def __bool__(self):
         return bool(self._terms)
 
-    def coefficient(self, m=0, a=0, alpha=None, beta=None, j=0) -> complex:
-        if alpha is None:
-            alpha = (0,) * self.spec.num_pairs
-        elif isinstance(alpha, int):
-            alpha = (alpha,) + (0,) * (self.spec.num_pairs - 1)
-        if beta is None:
-            beta = (0,) * self.spec.num_pairs
-        elif isinstance(beta, int):
-            beta = (beta,) + (0,) * (self.spec.num_pairs - 1)
-        return self._terms.get((int(round(2 * m)), a, tuple(alpha), tuple(beta), j), 0j)
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
@@ -392,7 +381,7 @@ class FormalSymbol:
         return FormalSymbol(self.spec, out, _raw=True)
 
     def is_real(self, tol=1e-12) -> bool:
-        """Pointwise reality: coefficient(-m, ...) == conj(coefficient(m, ...))."""
+        """Pointwise reality: the coefficient at -m is the conjugate of the one at m."""
         diff = self - self.conjugate()
         scale = max(self.max_abs(), 1e-300)
         return diff.max_abs() <= tol * scale

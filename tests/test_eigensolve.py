@@ -71,7 +71,7 @@ def test_residual_certificate(rng):
 def test_spectral_norm_close_to_svd(rng):
     M = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     exact = np.linalg.norm(M, 2)
-    est = spectral_norm(M)
+    est, _ = spectral_norm(M)
     assert est <= exact + 1e-9
     assert est >= 0.98 * exact
 
@@ -103,7 +103,7 @@ def test_spectral_norm_is_a_lower_bound(rng):
     for n, density in ((1, 1.0), (7, 1.0), (64, 0.05), (201, 0.01), (201, 1.0)):
         M = _sparse(rng, n, density)
         for A in (M, M.real):
-            assert spectral_norm(A) <= np.linalg.norm(A, 2) * (1 + 1e-13)
+            assert spectral_norm(A)[0] <= np.linalg.norm(A, 2) * (1 + 1e-13)
 
 
 def test_spectral_norm_matches_dense_iteration_at_convergence(rng):
@@ -115,8 +115,10 @@ def test_spectral_norm_matches_dense_iteration_at_convergence(rng):
     sparse = _permuted(rng, np.diag(s) + np.diag(0.01 * rng.normal(size=n - 1), 1))
     for M in (dense, sparse):
         exact = np.linalg.norm(M, 2)
-        assert spectral_norm(M) == pytest.approx(_dense_power_iteration(M), rel=1e-12)
-        assert spectral_norm(M) == pytest.approx(exact, rel=1e-12)
+        sigma, converged = spectral_norm(M)
+        assert converged
+        assert sigma == pytest.approx(_dense_power_iteration(M), rel=1e-12)
+        assert sigma == pytest.approx(exact, rel=1e-12)
 
 
 def test_spectral_norm_of_block_diagonal_is_largest_block_norm(rng):
@@ -128,7 +130,7 @@ def test_spectral_norm_of_block_diagonal_is_largest_block_norm(rng):
     M[3:11, 3:11] += 2.0 * np.outer(u, v.conj()) / np.linalg.norm(u) / np.linalg.norm(v)
     starts = np.cumsum(sizes) - sizes
     largest = max(np.linalg.norm(M[a:a + k, a:a + k], 2) for a, k in zip(starts, sizes))
-    assert spectral_norm(_permuted(rng, M)) == pytest.approx(largest, rel=1e-12)
+    assert spectral_norm(_permuted(rng, M))[0] == pytest.approx(largest, rel=1e-12)
 
 
 def test_rejects_bad_input():
@@ -269,7 +271,7 @@ def test_diagonal_matrix_gives_lapack_bits_without_lapack(rng, monkeypatch):
             s = eigenvalues(np.diag(d))
         assert np.array_equal(s.eigenvalues.view(np.uint64), lapack.view(np.uint64))
         assert np.all(s.residuals == 0.0)
-        assert s.matrix_norm == spectral_norm(np.diag(d))
+        assert s.matrix_norm == spectral_norm(np.diag(d))[0]
 
 
 def test_diagonal_matrix_negative_zero_entry_reads_as_positive_zero(monkeypatch):
@@ -371,19 +373,19 @@ def test_import_does_not_load_scipy_linalg():
 def test_spectral_norm_when_the_rows_sum_to_zero():
     # the all-ones start vector lies in the kernel of a graph Laplacian
     L = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-    assert spectral_norm(L) == pytest.approx(3.0, rel=1e-12)
+    assert spectral_norm(L)[0] == pytest.approx(3.0, rel=1e-12)
     s = eigenvalues(L)
     assert s.matrix_norm == pytest.approx(3.0, rel=1e-12) and s.norm_converged
     assert _match_sets(s.eigenvalues, [0.0, 3.0, 3.0], 1e-12)
-    assert spectral_norm(np.zeros((3, 3)), return_converged=True) == (0.0, True)
+    assert spectral_norm(np.zeros((3, 3))) == (0.0, True)
 
 
 def test_norm_convergence_is_reported():
     # top singular values 1 and 1 - 1e-4: 60 power steps do not settle to 1e-10
     M = np.diag([1.0, 1.0 - 1e-4, 0.5])
-    sigma, converged = spectral_norm(M, return_converged=True)
+    sigma, converged = spectral_norm(M)
     assert not converged
-    assert sigma == spectral_norm(M) <= 1.0
+    assert spectral_norm(M) == (sigma, converged) and sigma <= 1.0
     s = eigenvalues(M)
     assert not s.norm_converged and s.matrix_norm == sigma
     # a clear gap converges, and the certificate is unchanged either way

@@ -11,7 +11,6 @@ from qbnf.normal_form import (
     CylinderModel,
     ModelValidationError,
     SaddleModel,
-    average_rate,
     birkhoff_coordinates,
     closed_orbit_bnf,
     equilibrium_bnf,
@@ -29,68 +28,73 @@ from qbnf.scenario import load_config
 from qbnf.symbols import (
     FormalSymbol,
     PhaseSpec,
+    IterationCapError,
     TauSeries,
+    homological_solve,
     poisson_bracket,
 )
 
 from conftest import random_symbol, symbols_close
+from average_oracle import averaged_closed_orbit_bnf
 from loop_kernel import loop_bidifferential
 
 
 # --------------------------------------------------------------------------
-# angle averaging
+# angle averaging: the grade-2 case of the transport equation
 # --------------------------------------------------------------------------
 
-def _scalar(spec, coef, m=0, a=0):
-    return FormalSymbol.monomial(spec, coef, m=m, a=a)
+def _rate(spec, coef, m=0, a=0):
+    """coef e^{imt} tau^a x xi, a term of the rate mu(t, tau) x xi."""
+    return FormalSymbol.monomial(spec, coef, m=m, a=a, alpha=1, beta=1)
 
 
 def test_average_rate_cosine():
     spec = PhaseSpec.cylinder(6, 6)
     eps = 0.25
-    mu_t = _scalar(spec, 1.0) + _scalar(spec, 0.5 * eps, m=1) + _scalar(
+    mu_t = _rate(spec, 1.0) + _rate(spec, 0.5 * eps, m=1) + _rate(
         spec, 0.5 * eps, m=-1
-    )  # 1 + eps cos t
+    )  # (1 + eps cos t) x xi
     f = TauSeries([0.0, 1.0], 6)
-    lam, avg = average_rate(f, mu_t)
-    # lam = eps sin t = eps (e^{it} - e^{-it}) / 2i
-    expected = _scalar(spec, eps / 2j, m=1) - _scalar(spec, eps / 2j, m=-1)
-    assert symbols_close(lam, expected)
-    assert np.allclose(avg.coeffs, TauSeries([1.0], 6).coeffs)
+    u, avg = homological_solve(mu_t, f, TauSeries([1.0], 6))
+    # u = eps sin t x xi = eps (e^{it} - e^{-it}) / 2i x xi
+    expected = _rate(spec, eps / 2j, m=1) - _rate(spec, eps / 2j, m=-1)
+    assert symbols_close(u, expected)
+    assert symbols_close(avg, _rate(spec, 1.0))
 
 
 def test_average_rate_constant_passthrough():
     spec = PhaseSpec.cylinder(6, 6)
     f = TauSeries([0.0, 1.0], 6)
-    lam, avg = average_rate(f, _scalar(spec, 2.0) + _scalar(spec, 0.3, a=1))
-    assert not lam
-    assert np.allclose(avg.coeffs[:2], [2.0, 0.3])
+    v = _rate(spec, 2.0) + _rate(spec, 0.3, a=1)
+    u, avg = homological_solve(v, f, TauSeries([2.0, 0.3], 6))
+    assert not u
+    assert avg.terms == v.terms
 
 
 def test_average_rate_single_mode():
     spec = PhaseSpec.cylinder(6, 6)
     f = TauSeries([0.0, 2.0], 6)
-    lam, avg = average_rate(f, _scalar(spec, 1.0, m=1))
-    assert symbols_close(lam, _scalar(spec, 1.0 / 2j, m=1))
-    assert np.allclose(avg.coeffs, 0.0)
+    u, avg = homological_solve(_rate(spec, 1.0, m=1), f, TauSeries([1.0], 6))
+    assert symbols_close(u, _rate(spec, 1.0 / 2j, m=1))
+    assert not avg
 
 
 def test_average_rate_residual_identity(rng):
-    # defining identity: f' d_t lam = mu - <mu>
+    # defining identity at |alpha| = |beta|: f' d_t u = v - [v]
     spec = PhaseSpec.cylinder(8, 8)
     f = TauSeries([0.0, 1.0, -0.3, 0.1], 8)
     mu_t = FormalSymbol.zero(spec)
     for m in (-2, -1, 1, 2):
-        mu_t = mu_t + _scalar(spec, complex(rng.normal(), rng.normal()), m=m, a=int(rng.integers(0, 3)))
-    mu_t = mu_t + _scalar(spec, 1.5)
-    lam, avg = average_rate(f, mu_t)
+        c = complex(rng.normal(), rng.normal())
+        mu_t = mu_t + _rate(spec, c, m=m, a=int(rng.integers(0, 3)))
+    mu_t = mu_t + _rate(spec, 1.5)
+    u, avg = homological_solve(mu_t, f, TauSeries([1.5], 8))
     fp = FormalSymbol.from_tau_series(spec, f.resized(8).derivative())
-    dt_lam = FormalSymbol(
-        spec, {k: 0.5j * k[0] * c for k, c in lam.terms.items()}
+    dt_u = FormalSymbol(
+        spec, {k: 0.5j * k[0] * c for k, c in u.terms.items()}
     )
-    lhs = fp * dt_lam
-    rhs = mu_t - FormalSymbol.from_tau_series(spec, avg)
-    assert symbols_close(lhs, rhs, 1e-11)
+    assert symbols_close(fp * dt_u, mu_t - avg, 1e-11)
+    assert avg.terms == _rate(spec, 1.5).terms
 
 
 # --------------------------------------------------------------------------
@@ -115,15 +119,91 @@ def test_closed_orbit_unperturbed():
 
 
 def test_closed_orbit_angle_dependent_rate():
-    # grade-2 angle dependence is averaged away exactly
+    # grade-2 angle dependence is averaged away exactly, by the loop's
+    # grade-2 Lie step
     spec = PhaseSpec.cylinder(4, 4)
     wobble = FormalSymbol.monomial(spec, 0.2, m=1, alpha=1, beta=1) + (
         FormalSymbol.monomial(spec, 0.2, m=-1, alpha=1, beta=1)
     )
     model = CylinderModel(TauSeries([0.0, 1.0]), TauSeries([1.0]), wobble)
     nf, chain = closed_orbit_bnf(model, 4)
-    assert chain.steps[0][0] == "average"
+    assert [step[:2] for step in chain.steps] == [("lie", 2)]
     assert abs(nf.coeffs[(0, 1, 0)] - 1.0) < 1e-12
+
+
+def _wobble_models():
+    """Cylinder models whose rate depends on the angle, as (model, order).
+
+    Orientable and not, tau-dependent rate terms, grade-2 h-terms with
+    m != 0, cubic perturbations (half-integer modes when non-orientable),
+    at orders 4 and 6.  The last of each six has a rate wobble too large
+    for the Lie series to settle within its cap.
+    """
+    out = []
+    for orientable in (True, False):
+        for order in (4, 6):
+            spec = PhaseSpec.cylinder(order, order, orientable)
+
+            def mono(c, **k):
+                return FormalSymbol.monomial(spec, c, **k)
+
+            def wob(eps, m=1, a=0):
+                return _rate(spec, eps, m=m, a=a) + _rate(spec, np.conj(eps), m=-m, a=a)
+
+            hm = 1 if orientable else 0.5
+            cubic = mono(0.1, m=hm, alpha=3) + mono(0.1, m=-hm, beta=3)
+            f1, mu1 = TauSeries([0.0, 1.0]), TauSeries([1.0])
+            f2, mu2 = TauSeries([0.0, 1.0, -0.2]), TauSeries([1.0, 0.3])
+            h_wob = mono(0.05, m=1, j=1) + mono(0.05, m=-1, j=1) + mono(0.03, j=1)
+            h_tau = mono(0.02j, m=2, a=1, j=1) + mono(-0.02j, m=-2, a=1, j=1)
+            for f, mu, pert in (
+                (f1, mu1, wob(0.2)),
+                (f2, mu2, wob(0.15) + wob(0.1 - 0.05j, a=1)),
+                (f2, mu2, wob(0.02 + 0.01j) + wob(0.01, m=2, a=1) + cubic),
+                (f1, mu1, wob(0.2) + h_wob),
+                (f2, mu2, wob(0.1, a=1) + cubic + h_tau),
+                (f1, mu1, wob(2.5) + cubic),
+            ):
+                out.append((CylinderModel(f, mu, pert, orientable=orientable), order))
+    return out
+
+
+def _bits(terms):
+    # coefficient bits, whether a coefficient is a complex or an np.complex128
+    return {k: np.complex128(c).tobytes() for k, c in terms.items()}
+
+
+def test_grade2_step_matches_the_averaging_oracle():
+    # the loop's grade-2 step gives the bits of averaging first, then the loop
+    capped = 0
+    for model, order in _wobble_models():
+        try:
+            want_nf, want = averaged_closed_orbit_bnf(model, order)
+        except IterationCapError as err:
+            with pytest.raises(IterationCapError) as got:
+                closed_orbit_bnf(model, order)
+            assert str(got.value) == str(err)
+            capped += 1
+            continue
+        nf, chain = closed_orbit_bnf(model, order)
+        assert _bits(nf.coeffs) == _bits(want_nf.coeffs)
+        assert _bits(chain.normalized_symbol.terms) == _bits(want.normalized_symbol.terms)
+        assert want.steps[0][:2] == ("average", 2)
+        assert [s[:2] for s in chain.steps] == [("lie", 2)] + [s[:2] for s in want.steps[1:]]
+        for (_, _, G), (_, _, W) in zip(chain.steps, want.steps):
+            assert _bits(G.terms) == _bits(W.terms)
+    assert capped == 4
+
+
+def test_closed_orbit_rejects_tau_order_below_model_content():
+    # a tau_order below the model's own tau powers would drop the energy
+    # and rate terms and answer for a different model
+    model = CylinderModel(TauSeries([0.0, 1.0, -0.2]), TauSeries([1.0, 0.3]))
+    for tau_order in (0, 1):
+        with pytest.raises(ValueError, match="tau_order"):
+            closed_orbit_bnf(model, 4, tau_order=tau_order)
+    nf, _ = closed_orbit_bnf(model, 4, tau_order=2)
+    assert nf.coeffs[(2, 0, 0)] == -0.2 and nf.coeffs[(1, 1, 0)] == 0.3
 
 
 def test_closed_orbit_cubic_even_in_epsilon():
