@@ -9,10 +9,12 @@ and an equilibrium normal form F(iota1, iota2; h) yields
 
     z_{k,l} = F((k + 1/2) h, (l + 1/2) h; h).
 
+The rule itself, label to slot values, is ``NormalFormPoly.arguments``;
+the lattices and ``lattice_rescaling_check`` evaluate it and keep no copy.
 Lattices are enumerated inside a complex window (an energy interval times
 a decay-depth strip); candidate ranges come from the linear part of the
 normal form with a safety margin and are then filtered exactly.
-``predicted_lattice`` applies the rule of the normal form's kind.
+``predicted_lattice`` picks the lattice of the normal form's kind.
 """
 
 from __future__ import annotations
@@ -114,8 +116,6 @@ def closed_orbit_lattice(
         raise ValueError("normal form is not of closed-orbit kind")
     if h <= 0:
         raise ValueError("h must be positive")
-    offset = nf.action / (2.0 * math.pi)
-
     f = nf.leading_series(0)
     # tau range from the energy profile, with margin
     lo = _invert_monotone(f, window.center - _MARGIN * window.half_width)
@@ -134,19 +134,15 @@ def closed_orbit_lattice(
     if l_cap is not None:
         lmax = min(lmax, l_cap)
 
-    entries = []
-    for l in range(lmax + 1):
-        zeta = (l + 0.5) * h / 1j
-        shift = 0.0 if nf.orientable else 0.5 * l
-        k_lo = int(math.floor((tau_lo + offset) / h - shift)) - 1
-        k_hi = int(math.ceil((tau_hi + offset) / h - shift)) + 1
-        for k in range(k_lo, k_hi + 1):
-            tau = h * (k + shift) - offset
-            z = nf.evaluate(tau, zeta, h)
-            if window.contains(z):
-                entries.append(LatticeEntry(k, l, z))
-    entries.sort(key=lambda e: (e.k, e.l))
-    return ResonanceLattice(entries, window, h)
+    offset = nf.action / (2.0 * math.pi)
+    shift = 0.0 if nf.orientable else 0.5
+    labels = [
+        (k, l)
+        for l in range(lmax + 1)
+        for k in range(int(math.floor((tau_lo + offset) / h - shift * l)) - 1,
+                       int(math.ceil((tau_hi + offset) / h - shift * l)) + 2)
+    ]
+    return _windowed(nf, h, window, labels)
 
 
 def saddle_lattice(
@@ -167,12 +163,17 @@ def saddle_lattice(
         kmax = min(kmax, k_cap)
     if l_cap is not None:
         lmax = min(lmax, l_cap)
+    labels = [(k, l) for k in range(kmax + 1) for l in range(lmax + 1)]
+    return _windowed(nf, h, window, labels)
+
+
+def _windowed(nf: NormalFormPoly, h: float, window: Window, labels) -> ResonanceLattice:
+    """The points of ``labels`` under the rule of ``nf`` that lie in ``window``, by (k, l)."""
     entries = []
-    for k in range(kmax + 1):
-        for l in range(lmax + 1):
-            z = nf.evaluate((k + 0.5) * h, (l + 0.5) * h, h)
-            if window.contains(z):
-                entries.append(LatticeEntry(k, l, z))
+    for k, l in labels:
+        z = nf.evaluate(*nf.arguments(k, l, h), h)
+        if window.contains(z):
+            entries.append(LatticeEntry(k, l, z))
     entries.sort(key=lambda e: (e.k, e.l))
     return ResonanceLattice(entries, window, h)
 
@@ -231,17 +232,10 @@ def lattice_rescaling_check(
     (h/eps)^j must reproduce the plain evaluation with weights h^j; this
     is the lattice form of the homogeneity identity.
     """
-    offset = nf.action / (2.0 * math.pi)
     worst = 0.0
     scale = max(nf.scale(), 1e-300)
     for k, l in labels:
-        if nf.kind == "closed_orbit":
-            shift = 0.0 if nf.orientable else 0.5 * l
-            u = h * (k + shift) - offset
-            v = (l + 0.5) * h / 1j
-        else:
-            u = (k + 0.5) * h
-            v = (l + 0.5) * h
+        u, v = nf.arguments(k, l, h)
         plain = 0j
         rescaled = 0j
         for j in nf.h_orders():

@@ -180,10 +180,11 @@ class NormalFormPoly:
     """Normal form as the function the quantization rules evaluate.
 
     For ``kind == 'closed_orbit'`` coefficients map (a, b, j) to the
-    coefficient of tau^a zeta^b h^j, where zeta is the slot that receives
+    coefficient of tau^a zeta^b h^j; the label (k, l) fills tau with
+    h (k + l/2) - S/2pi (no l/2 on an orientable orbit) and zeta with
     (l + 1/2) h / i.  For ``kind == 'equilibrium'`` they map (b1, b2, j)
     to the coefficient of iota1^b1 iota2^b2 h^j with iota_i filled by
-    (k + 1/2) h and (l + 1/2) h.
+    (k + 1/2) h and (l + 1/2) h.  ``arguments`` is this rule.
     """
 
     kind: str  # 'closed_orbit' | 'equilibrium'
@@ -203,6 +204,13 @@ class NormalFormPoly:
         for (i1, i2, j), c in self.coeffs.items():
             total += c * arg1**i1 * arg2**i2 * h**j
         return complex(total)
+
+    def arguments(self, k: int, l: int, h: float) -> tuple:
+        """The slot values of the label (k, l): the quantization rule of the kind."""
+        if self.kind == "equilibrium":
+            return (k + 0.5) * h, (l + 0.5) * h
+        shift = 0.0 if self.orientable else 0.5 * l
+        return h * (k + shift) - self.action / (2.0 * math.pi), (l + 0.5) * h / 1j
 
     def h_layer(self, j) -> dict:
         """Coefficients of h^j as a polynomial in the two slot variables."""
@@ -284,8 +292,8 @@ def content_grade(model) -> int:
 
 
 def content_tau_order(model: CylinderModel) -> int:
-    """Largest tau power carried by the model's series and perturbation."""
-    deg = max(model.energy.order, model.rate.order)
+    """Largest tau power with a non-zero coefficient in the model's series and perturbation."""
+    deg = max(int(np.flatnonzero(s.coeffs).max(initial=0)) for s in (model.energy, model.rate))
     if model.perturbation is not None:
         deg = max(deg, max((k[1] for k in model.perturbation.terms), default=0))
     return deg

@@ -78,10 +78,6 @@ __all__ = [
 FLOAT_FMT = ".17e"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), FLOAT_FMT)
-
-
 if __doc__:  # None under python -OO
     __doc__ += "".join(f"    {name}: {accepts}; {kinds}; {default}\n"
                        for name, accepts, kinds, default in schema.entries())
@@ -268,30 +264,29 @@ def bundled_scenarios() -> dict:
 # artifact writers
 # --------------------------------------------------------------------------
 
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one line per row: a float cell in ``FLOAT_FMT``, any other through str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format(float(c), FLOAT_FMT) if isinstance(c, float) else str(c)
+                              for c in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _write_lattice_csv(path: Path, lat: ResonanceLattice) -> None:
-    lines = ["k,l,re_z,im_z"]
-    for e in lat.entries:
-        lines.append(f"{e.k},{e.l},{_fmt(e.z.real)},{_fmt(e.z.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "k,l,re_z,im_z", ((e.k, e.l, e.z.real, e.z.imag) for e in lat.entries))
 
 
 def _write_spectrum_csv(path: Path, accepted) -> None:
-    lines = ["re_z,im_z,residual"]
-    for z, res in accepted:
-        lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(res)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "re_z,im_z,residual", ((z.real, z.imag, res) for z, res in accepted))
 
 
 def _write_match_csv(path: Path, rep: MatchReport) -> None:
-    lines = ["k,l,re_pred,im_pred,re_comp,im_comp,abs_err"]
-    for p in rep.pairs:
-        lines.append(
-            ",".join(
-                [str(p.k), str(p.l), _fmt(p.predicted.real), _fmt(p.predicted.imag),
-                 _fmt(p.computed.real), _fmt(p.computed.imag), _fmt(p.error)]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "k,l,re_pred,im_pred,re_comp,im_comp,abs_err", (
+        (p.k, p.l, p.predicted.real, p.predicted.imag, p.computed.real, p.computed.imag,
+         p.error)
+        for p in rep.pairs
+    ))
 
 
 def _match_report_dict(rep: MatchReport) -> dict:
@@ -344,11 +339,8 @@ def dump_matrix(path: Path, op) -> None:
     entry in column-major order with the real and imaginary parts in the
     fixed CSV float format.
     """
-    M = np.asarray(getattr(op, "matrix", op))
-    lines = [str(M.shape[0])]
-    for c in M.flatten(order="F"):
-        lines.append(f"{_fmt(c.real)},{_fmt(c.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    M = np.asarray(getattr(op, "matrix", op), dtype=complex)
+    _write_csv(path, str(M.shape[0]), ((c.real, c.imag) for c in M.flatten(order="F")))
 
 
 def emit_plot_data(path: Path, lattice: ResonanceLattice | None, rep: MatchReport | None) -> None:
@@ -357,23 +349,16 @@ def emit_plot_data(path: Path, lattice: ResonanceLattice | None, rep: MatchRepor
     Predicted and computed points carry the source tag; matched pairs
     share a pair id so any plotting tool can draw connecting segments.
     """
-    lines = ["re,im,k,l,source,pair"]
-    pair_of_pred = {}
-    if rep is not None:
-        for i, p in enumerate(rep.pairs):
-            pair_of_pred[(p.k, p.l)] = i
+    pair_of_pred = {(p.k, p.l): i for i, p in enumerate(rep.pairs)} if rep is not None else {}
+    rows = []
     if lattice is not None:
-        for e in lattice.entries:
-            pid = pair_of_pred.get((e.k, e.l), "")
-            lines.append(f"{_fmt(e.z.real)},{_fmt(e.z.imag)},{e.k},{e.l},predicted,{pid}")
+        rows += [(e.z.real, e.z.imag, e.k, e.l, "predicted", pair_of_pred.get((e.k, e.l), ""))
+                 for e in lattice.entries]
     if rep is not None:
-        for i, p in enumerate(rep.pairs):
-            lines.append(
-                f"{_fmt(p.computed.real)},{_fmt(p.computed.imag)},{p.k},{p.l},computed,{i}"
-            )
-        for z in rep.unmatched_computed:
-            lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},,,computed,")
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows += [(p.computed.real, p.computed.imag, p.k, p.l, "computed", i)
+                 for i, p in enumerate(rep.pairs)]
+        rows += [(z.real, z.imag, "", "", "computed", "") for z in rep.unmatched_computed]
+    _write_csv(path, "re,im,k,l,source,pair", rows)
 
 
 # --------------------------------------------------------------------------

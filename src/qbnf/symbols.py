@@ -725,12 +725,9 @@ def homological_solve(
     if mu.coeffs[0].real <= 0 or abs(mu.coeffs[0].imag) > 1e-12 * abs(mu.coeffs[0]):
         raise ModelDegeneracyError("mu(0) must be real and positive")
 
+    residual, nonres = resonant_project(v)
     groups: dict[tuple, np.ndarray] = {}
-    residual: dict = {}
-    for (m2, a, alpha, beta, j), c in v._terms.items():
-        if m2 == 0 and alpha == beta:
-            residual[(m2, a, alpha, beta, j)] = c
-            continue
+    for (m2, a, alpha, beta, j), c in nonres._terms.items():
         g = groups.setdefault((m2, alpha, beta, j), np.zeros(K + 1, dtype=complex))
         g[a] += c
 
@@ -753,28 +750,33 @@ def homological_solve(
             if c != 0:
                 key = (m2, a, alpha, beta, j)
                 u_terms[key] = u_terms.get(key, 0.0) + c
-    return (
-        FormalSymbol(spec, _prune(u_terms), _raw=True),
-        FormalSymbol(spec, residual, _raw=True),
-    )
+    return FormalSymbol(spec, _prune(u_terms), _raw=True), residual
+
+
+#: the most terms any Lie or conjugation series may take before it raises
+_SERIES_CEILING = 64
 
 
 def _exp_series(P: FormalSymbol, step, what: str) -> FormalSymbol:
-    """sum_k step^k P / k! until a term truncates to zero, capped with a tail check."""
+    """sum_k step^k P / k! until a term truncates to zero, or is negligible from the cap on.
+
+    A grade-2 generator keeps the grade of what it acts on, so its series
+    may run past the cap, up to ``_SERIES_CEILING`` terms.
+    """
     cap = 2 * P.spec.grade_max + 2
+    ceiling = max(cap, _SERIES_CEILING)
     acc = P
     w = P
-    for k in range(1, cap + 1):
+    for k in range(1, ceiling + 1):
         w = step(w) * (1.0 / k)
         if not w:
             return acc
         acc = acc + w
-    tail = w.max_abs()
-    if tail > PRUNE_REL * max(acc.max_abs(), 1.0) * 10.0:
-        raise IterationCapError(
-            f"{what} series did not settle after {cap} iterations (tail {tail:.3e})"
-        )
-    return acc
+        if k >= cap and w.max_abs() <= PRUNE_REL * max(acc.max_abs(), 1.0) * 10.0:
+            return acc
+    raise IterationCapError(
+        f"{what} series did not settle after {ceiling} iterations (tail {w.max_abs():.3e})"
+    )
 
 
 def lie_transform(p: FormalSymbol, G: FormalSymbol) -> FormalSymbol:
@@ -782,8 +784,8 @@ def lie_transform(p: FormalSymbol, G: FormalSymbol) -> FormalSymbol:
 
     The Hamilton field acts as H_G q = {G, q}.  Generators of grade >= 3
     terminate within the grade truncation; grade-2 generators are allowed
-    but guarded by the series cap with a tail check, since they act
-    tangentially to the grade filtration.
+    and run past the series cap until the tail is negligible, up to a
+    fixed ceiling, since they act tangentially to the grade filtration.
     """
     p._check(G)
     if not G:

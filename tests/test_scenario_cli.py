@@ -667,11 +667,8 @@ def test_config_reads_integral_numbers_as_floats(tmp_path):
             tmp_path / "ints" / name).read_bytes(), name
 
 
-def test_every_shipped_config_loads_and_echoes_as_recorded(tmp_path):
-    # the bundled scenarios and every input variant of every benchmark
-    # workload pass the schema, and scenario_echo.json keeps the bytes
-    # recorded in perfbench/reference.json
-    import hashlib
+def _perfbench():
+    """perfbench's ``checks`` and ``workloads`` modules, imported read-only, and the repo root."""
     import sys
     from pathlib import Path
 
@@ -682,6 +679,16 @@ def test_every_shipped_config_loads_and_echoes_as_recorded(tmp_path):
         import workloads
     finally:
         sys.path.pop(0)
+    return checks, workloads, root
+
+
+def test_every_shipped_config_loads_and_echoes_as_recorded(tmp_path):
+    # the bundled scenarios and every input variant of every benchmark
+    # workload pass the schema, and scenario_echo.json keeps the bytes
+    # recorded in perfbench/reference.json
+    import hashlib
+
+    checks, workloads, root = _perfbench()
     for name in bundled_scenarios():
         load_config(name)
     reference = checks.load_reference()
@@ -710,3 +717,20 @@ def test_readme_lists_every_schema_key():
     for name, accepts, kinds, default in entries():
         row = f"| `{name}` | {accepts} | {kinds} | {default} |"
         assert any(line.startswith(row) for line in lines), row
+
+
+def test_workload_artifacts_keep_their_recorded_bytes(tmp_path):
+    # every artifact of the normal-form and bundled workloads, at input
+    # variants 0 and 1, hashes to its digest in perfbench/reference.json
+    checks, workloads, root = _perfbench()
+    reference = checks.load_reference()
+    seen = 0
+    for workload in ("bnf_classical", "bnf_quantum", "bundled_run"):
+        for variant in (0, 1):
+            digests = checks.recorded(reference, "digests", workload, variant)
+            for name, raw in workloads.scenarios(root, workload, variant):
+                out = tmp_path / f"{workload}-{variant}-{name}"
+                run_scenario(load_config(raw), out)
+                assert checks.observe(out)["digests"] == digests[name], (workload, variant, name)
+                seen += len(digests[name])
+    assert seen == 2 * (4 * 3 + 4 * 7)  # two variants of 4 normal forms and 4 runs
