@@ -92,42 +92,34 @@ def match_lattices(
     ``computed`` may be a Spectrum, an array of eigenvalues, or the
     accepted list of ``direct_spectrum``.  The default radius is 0.45
     times the minimum separation of the predicted lattice, which keeps
-    the pairing injective for simple lattices.
+    the pairing injective for simple lattices.  An entry pairs with its
+    nearest eigenvalue (the first, on a tie) when that lies within the
+    radius and has the entry as its own nearest lattice point; each
+    eigenvalue has one nearest lattice point, so it pairs at most once.
     """
     zs = _computed_values(computed)
     if radius is None:
         sep = pred.min_separation()
         radius = 0.45 * sep if math.isfinite(sep) else math.inf
+    if len(zs) == 0 or not pred.entries:
+        un_comp = [complex(z) for z in zs]
+        return MatchReport([], list(pred.entries), un_comp, 0.0, 0.0, pred.h, order, radius)
+    # d[i, j] = |z_i - zs_j|, the distance of entry i to eigenvalue j
+    d = np.abs(zs - pred.values()[:, None])
+    nearest, back = d.argmin(axis=1), d.argmin(axis=0)
     pairs, un_pred = [], []
-    taken: dict[int, tuple[float, int]] = {}
-    if len(zs) == 0:
-        return MatchReport(
-            [], list(pred.entries), [], 0.0, 0.0, pred.h, order, radius
-        )
-    for idx, entry in enumerate(pred.entries):
-        d = np.abs(zs - entry.z)
-        jbest = int(np.argmin(d))
-        best = float(d[jbest])
-        if best > radius:
+    free = np.ones(len(zs), dtype=bool)
+    for i, (entry, j) in enumerate(zip(pred.entries, nearest)):
+        if d[i, j] > radius or back[j] != i:
             un_pred.append(entry)
             continue
-        # mutual check: is this entry the closest lattice point to zs[jbest]?
-        dl = [abs(e.z - zs[jbest]) for e in pred.entries]
-        if int(np.argmin(dl)) != idx:
-            un_pred.append(entry)
-            continue
-        if jbest in taken and taken[jbest][0] <= best:
-            un_pred.append(entry)
-            continue
-        taken[jbest] = (best, len(pairs))
-        pairs.append(MatchedPair(entry.k, entry.l, entry.z, complex(zs[jbest]), best))
-    matched_js = set(taken.keys())
-    un_comp = [complex(z) for j, z in enumerate(zs) if j not in matched_js]
+        free[j] = False
+        pairs.append(MatchedPair(entry.k, entry.l, entry.z, complex(zs[j]), float(d[i, j])))
     errs = [p.error for p in pairs]
     return MatchReport(
         pairs,
         un_pred,
-        un_comp,
+        [complex(z) for z in zs[free]],
         max(errs, default=0.0),
         float(np.mean(errs)) if errs else 0.0,
         pred.h,

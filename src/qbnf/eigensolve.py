@@ -10,7 +10,7 @@ The solver is LAPACK's balancing + Hessenberg + shifted-QR route through
 scipy.  Each returned eigenvalue carries the residual
 ||M v - z v|| / ||v|| of its computed eigenvector, an upper bound for the
 smallest singular value of (M - z I); the certificate requires every
-residual to stay below tol_rel * ||M||_2.  ||M||_2 comes from power
+residual to stay below TOL_REL * ||M||_2.  ||M||_2 comes from power
 iteration on M's non-zero entries, which approaches it from below, so
 the certificate is at least as strict as stated.
 
@@ -39,7 +39,7 @@ overwritten in place.  The partition is the only choice made:
 Every block eigenvector, padded with zeros, has its residual measured
 against the whole matrix, the entries left out of the pattern included,
 from the block's columns over the rows where they hold entries; the
-joined spectrum is certified against tol_rel * ||M||_2 of the whole
+joined spectrum is certified against TOL_REL * ||M||_2 of the whole
 matrix, with the whole matrix's fingerprint.  A pattern that cut a real
 coupling shows as a large residual, so it fails the certificate rather
 than passing unnoticed.  No matrix is made dense beyond its blocks.
@@ -53,6 +53,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["Spectrum", "EigensolveError", "eigenvalues", "spectral_norm"]
+
+#: the certificate: every residual at most TOL_REL * ||M||_2
+TOL_REL = 1e-8
 
 #: an entry couples two indices of a blockwise solve only when
 #: |m_ij| > PATTERN_EPS * max|M|
@@ -120,7 +123,7 @@ def spectral_norm(M) -> tuple[float, bool]:
     a non-zero M does it restart from a fixed pseudo-random vector.  Power
     iteration approaches the largest singular value from below, so the
     result is a lower bound for ||M||_2 (up to rounding): a residual bound
-    tol_rel * sigma is then at most tol_rel * ||M||_2.  Returns
+    TOL_REL * sigma is then at most TOL_REL * ||M||_2.  Returns
     ``(sigma, converged)``, where ``converged`` says whether two
     successive estimates met ``_NORM_TOL`` within ``_NORM_ITERS`` steps.
     """
@@ -284,7 +287,7 @@ def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
     return w, residuals
 
 
-def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectrum:
+def eigenvalues(M, *, blockwise: bool = False) -> Spectrum:
     """Certified spectrum of a complex matrix.
 
     Accepts an OperatorMatrix or a plain ndarray; both are read through
@@ -293,7 +296,7 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     as +0.0: the triplets do not store a zero.  Assembled operators hold
     no zeros.  Raises EigensolveError (carrying whatever partial data
     exists) when the QR iteration fails to converge or any residual
-    exceeds tol_rel * ||M||_2, with ||M||_2 from power iteration on the
+    exceeds TOL_REL * ||M||_2, with ||M||_2 from power iteration on the
     non-zero entries (a lower bound; ``Spectrum.norm_converged`` says
     whether the iteration met its tolerance).
 
@@ -324,7 +327,7 @@ def eigenvalues(M, *, tol_rel: float = 1e-8, blockwise: bool = False) -> Spectru
     w, residuals = _solve_blocks(T, blocks)
     norm, converged = spectral_norm(T)
     spec = Spectrum(w, residuals, fp, norm, converged)
-    bound = tol_rel * max(norm, np.finfo(float).tiny)
+    bound = TOL_REL * max(norm, np.finfo(float).tiny)
     worst = float(np.max(residuals)) if len(residuals) else 0.0
     if worst > bound:
         raise EigensolveError(

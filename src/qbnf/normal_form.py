@@ -4,13 +4,15 @@ Both pipelines run one elimination loop over the joint grade
 d = |alpha| + |beta| + 2j, from grade 2 up to the order.  At each grade
 it divides the non-resonant part by the homological denominators and
 removes it by a Lie transform (classical part) or a star conjugation
-(h-part); each pipeline supplies only its starting symbol and division:
+(h-part); each pipeline supplies only its starting symbol and division,
+the model's own denominators, fixed before the loop starts:
 
 * ``closed_orbit_bnf`` reduces a cylinder model f(tau) + mu(tau) x xi +
-  perturbation around a hyperbolic closed orbit; the loop divides
-  through the transport equation.  Averaging the rate over the angle is
-  its grade-2 step, where |alpha| - |beta| = 0 leaves the denominator
-  i m f'(tau).  What survives depends only on (tau, x xi, h).
+  perturbation around a hyperbolic closed orbit; the loop divides by the
+  transport denominators i m f'(tau) + mu(tau) (|alpha| - |beta|) of the
+  model's f and mu.  Averaging the rate over the angle is its grade-2
+  step, where |alpha| - |beta| = 0 leaves the denominator i m f'(tau).
+  What survives depends only on (tau, x xi, h).
 
 * ``equilibrium_bnf`` reduces a saddle model after the pi/4 complex
   scaling of the unstable axis.  A per-axis linear canonical change puts
@@ -18,6 +20,9 @@ removes it by a Lie transform (classical part) or a star conjugation
   i lam2), which is resonant, so the loop's work starts at grade 3; it
   divides by nu . (alpha - beta).  The non-real ratio nu_1/nu_2 keeps
   these at least min |nu_i| in size.
+
+A symbol that outgrows its resonant grade-2 part, the source of these
+denominators, until pruning drops it is refused with ArithmeticError.
 
 The resulting resonant Weyl symbol is finally rewritten as a function of
 the harmonic actions (the form the quantization rules evaluate): powers
@@ -255,7 +260,6 @@ class GeneratorChain:
     access and is cached.
     """
 
-    kind: str
     order: int
     model: CylinderModel | SaddleModel = field(repr=False)
     steps: list = field(default_factory=list)
@@ -423,29 +427,36 @@ def _prepared_symbol(model, spec: PhaseSpec) -> FormalSymbol:
     return birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
 
 
-def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve) -> FormalSymbol:
+def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve, divisor) -> FormalSymbol:
     """Remove the non-resonant part of ``p`` grade by grade up to the chain order.
 
-    ``solve(v, start)`` divides a non-resonant part v by the homological
-    denominators of ``start``, the symbol as the grade started; the
-    classical quotient generates a Lie transform, the h-part quotient
-    (negated) a star conjugation.  Returns the resonant symbol.
+    ``solve(v)`` divides a non-resonant part v by the model's homological
+    denominators; the classical quotient generates a Lie transform, the
+    h-part quotient (negated) a star conjugation.  ``divisor`` is the
+    resonant classical grade-2 part of ``p`` those denominators come from.
+    Returns the resonant symbol.  Raises ArithmeticError when pruning has
+    dropped a term of ``divisor`` from the symbol or a non-resonant
+    residue is left.
     """
     for d in range(2, chain.order + 1):
-        start = p
         _, nonres = resonant_project(p.grade_part(d))
         if not nonres:
             continue
         cl, qu = nonres.h_split()
         if cl:
-            G = solve(cl, start)
+            G = solve(cl)
             p = lie_transform(p, G)
             chain.steps.append(("lie", d, G))
         if qu:
-            A = -solve(qu, start)
+            A = -solve(qu)
             p = star_conjugate(p, A)
             chain.steps.append(("star", d, A))
 
+    if not p.terms.keys() >= divisor.terms.keys():
+        raise ArithmeticError(
+            f"the symbol grew to {p.max_abs():.3e} and pruning dropped the "
+            "grade-2 part the normalization divides by"
+        )
     res, dust = resonant_project(p)
     if dust.max_abs() > 1e-10 * max(p.max_abs(), 1.0):
         raise ArithmeticError(
@@ -459,26 +470,16 @@ def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve) -> FormalSymbol:
 # closed-orbit pipeline
 # --------------------------------------------------------------------------
 
-def _effective_rate(p: FormalSymbol) -> TauSeries:
-    """tau series multiplying x xi in the grade-2 part, averaged over the angle (m = 0)."""
-    K = p.spec.tau_max
-    c = np.zeros(K + 1, dtype=complex)
-    for (m2, a, alpha, beta, j), coef in p.terms.items():
-        if m2 == 0 and j == 0 and alpha == (1,) and beta == (1,):
-            c[a] += coef
-    return TauSeries(c)
-
-
 def closed_orbit_bnf(
     model: CylinderModel, order: int, tau_order: int | None = None
 ) -> tuple[NormalFormPoly, GeneratorChain]:
     """Quantum Birkhoff normal form around a hyperbolic closed orbit.
 
-    Runs the elimination loop from grade 2 with the transport equation as
-    the division; its grade-2 step averages an angle-dependent rate over
-    the angle.  Returns the normal form in (tau, zeta, h) together with
-    the generator chain.  Coefficients of grade <= N are stable when N
-    increases.  ``tau_order`` defaults to max(order, content_tau_order);
+    Runs the elimination loop from grade 2, dividing by the transport
+    denominators of the model's f and mu; its grade-2 step averages an
+    angle-dependent rate over the angle.  Returns the normal form in
+    (tau, zeta, h) together with the generator chain.  Coefficients of
+    grade <= N are stable when N increases.  ``tau_order`` defaults to max(order, content_tau_order);
     one below content_tau_order raises ValueError.
     """
     if order < 2:
@@ -490,13 +491,11 @@ def closed_orbit_bnf(
         raise ValueError(f"tau_order {tau_order} is below the model's tau order {content}")
     spec = PhaseSpec.cylinder(order, tau_order, model.orientable)
     p = _prepared_symbol(model, spec)
-    chain = GeneratorChain("closed_orbit", order, model)
+    chain = GeneratorChain(order, model)
 
-    f = model.energy.resized(tau_order)
-
-    res = _eliminate(
-        p, chain, lambda v, start: homological_solve(v, f, _effective_rate(start))[0]
-    )
+    f, mu = model.energy.resized(tau_order), model.rate.resized(tau_order)
+    rate = FormalSymbol.from_tau_series(spec, mu, alpha=1, beta=1)
+    res = _eliminate(p, chain, lambda v: homological_solve(v, f, mu)[0], rate)
     nf = _functional_closed_orbit(
         res, order, model.action, model.reference_energy, model.orientable
     )
@@ -559,8 +558,8 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
     if (q2 - expect).max_abs() > 1e-10 * max(abs(nu[0]), abs(nu[1])):
         raise ModelValidationError("quadratic part is not in the prepared saddle form")
 
-    chain = GeneratorChain("equilibrium", order, model)
-    res = _eliminate(p, chain, lambda v, start: _equilibrium_solve(v, nu))
+    chain = GeneratorChain(order, model)
+    res = _eliminate(p, chain, lambda v: _equilibrium_solve(v, nu), expect)
     nf = _functional_equilibrium(res, order, model.energy0)
     return nf, chain
 

@@ -366,7 +366,7 @@ def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
 def direct_spectrum(
     symbol: FormalSymbol,
     basis: CylinderBasis | SaddleBasis,
-    window=None,
+    window,
     *,
     stability_check=True,
 ):
@@ -406,7 +406,7 @@ def direct_spectrum(
     wide = eigenvalues(wide_op, blockwise=True).eigenvalues if stability_check else None
     accepted, flagged = [], []
     for z, residual in zip(spec.eigenvalues, spec.residuals):
-        if window is not None and not window.contains(z):
+        if not window.contains(z):
             continue
         if wide is None or np.min(np.abs(wide - z)) <= _STABILITY_TOL:
             accepted.append((z, residual))

@@ -234,18 +234,18 @@ class TauSeries:
             acc = acc * tau + c
         return acc if np.ndim(tau) else complex(acc)
 
-    def is_real(self, tol=1e-12) -> bool:
+    def is_real(self) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        return bool(np.max(np.abs(self.coeffs.imag)) <= tol * scale)
+        return bool(np.max(np.abs(self.coeffs.imag)) <= 1e-12 * scale)
 
-    def solve(self, target, x0=0.0, tol=1e-13, max_iter=50):
-        """Solve g(tau) = target by Newton iteration on the truncated series."""
+    def solve(self, target):
+        """Solve g(tau) = target by Newton iteration from tau = 0 on the truncated series."""
         d = self.derivative()
-        tau = complex(x0)
+        tau = 0j
         scale = max(1.0, abs(target))
-        for _ in range(max_iter):
+        for _ in range(50):
             val = self(tau) - target
-            if abs(val) <= tol * scale:
+            if abs(val) <= 1e-13 * scale:
                 return tau.real if abs(tau.imag) < 1e-12 else tau
             dv = d(tau)
             if dv == 0:

@@ -13,7 +13,6 @@ import numpy as np
 
 from qbnf.normal_form import (
     GeneratorChain,
-    _effective_rate,
     _eliminate,
     _functional_closed_orbit,
     _prepared_symbol,
@@ -74,8 +73,8 @@ def averaged_closed_orbit_bnf(model, order, tau_order=None):
         tau_order = max(order, content_tau_order(model))
     spec = PhaseSpec.cylinder(order, tau_order, model.orientable)
     p = _prepared_symbol(model, spec)
-    chain = GeneratorChain("closed_orbit", order, model)
-    f = model.energy.resized(tau_order)
+    chain = GeneratorChain(order, model)
+    f, mu = model.energy.resized(tau_order), model.rate.resized(tau_order)
 
     g2_cl = p.grade_part(2).h_split()[0]
     _, g2_nonres = resonant_project(g2_cl)
@@ -93,9 +92,8 @@ def averaged_closed_orbit_bnf(model, order, tau_order=None):
             "unexpected non-resonant classical grade-2 content after averaging"
         )
 
-    res = _eliminate(
-        p, chain, lambda v, start: homological_solve(v, f, _effective_rate(start))[0]
-    )
+    rate = FormalSymbol.from_tau_series(spec, mu, alpha=1, beta=1)
+    res = _eliminate(p, chain, lambda v: homological_solve(v, f, mu)[0], rate)
     nf = _functional_closed_orbit(
         res, order, model.action, model.reference_energy, model.orientable
     )

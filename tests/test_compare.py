@@ -15,6 +15,8 @@ from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
 from qbnf.normal_form import SaddleModel
 from qbnf.symbols import FormalSymbol, PhaseSpec
 
+from loop_match import loop_match_lattices
+
 
 def lattice_of(points, h=0.1):
     entries = [LatticeEntry(k, l, z) for (k, l), z in points.items()]
@@ -84,6 +86,30 @@ def test_match_deterministic():
     assert [(p.k, p.l, p.computed) for p in r1.pairs] == [
         (p.k, p.l, p.computed) for p in r2.pairs
     ]
+
+
+def test_match_gives_what_the_per_entry_scan_gives(rng):
+    # points on a half-integer grid, so that distances tie exactly, with
+    # empty lattices and eigenvalue lists, every input form and radius;
+    # every report field is compared through its repr, which keeps the
+    # bits and the types of the numbers
+    def grid(n, noise):
+        z = 0.5 * (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 1, n))
+        return z + noise * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    for case in range(2000):
+        entries = grid(int(rng.integers(0, 10)), 0.0 if case % 2 else 0.1)
+        lat = ResonanceLattice(
+            [LatticeEntry(int(rng.integers(-3, 4)), i, complex(z)) for i, z in enumerate(entries)],
+            Window(0.0, 10.0, 10.0), 0.1,
+        )
+        zs = grid(int(rng.integers(0, 10)), (0.0, 1e-3, 0.2)[case % 3])
+        computed = (list(zs), zs, [(z, 1e-12) for z in zs])[case % 4 % 3]
+        radius = (None, None, 0.3, 0.75, math.inf)[case % 5]
+        got = match_lattices(lat, computed, radius=radius, order=case % 7)
+        want = loop_match_lattices(lat, computed, radius=radius, order=case % 7)
+        for name in vars(want):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), (case, name)
 
 
 def test_sweep_exact_for_quadratic_saddle():

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from dense_solve import dense_solve
+from qbnf import eigensolve
 from qbnf.eigensolve import PATTERN_EPS, EigensolveError, _triplets, eigenvalues, spectral_norm
 from qbnf.scenario import assembled_operator, bundled_scenarios, load_config
 
@@ -99,7 +100,7 @@ def _dense_power_iteration(M, iters=60, tol=1e-10):
 
 def test_spectral_norm_is_a_lower_bound(rng):
     # power iteration approaches ||M||_2 from below: the certificate bound
-    # tol_rel * sigma is never looser than stated
+    # TOL_REL * sigma is never looser than stated
     for n, density in ((1, 1.0), (7, 1.0), (64, 0.05), (201, 0.01), (201, 1.0)):
         M = _sparse(rng, n, density)
         for A in (M, M.real):
@@ -227,10 +228,11 @@ def test_blockwise_diagonal():
     assert s.matrix_norm == eigenvalues(np.diag(d)).matrix_norm
 
 
-def test_blockwise_certificate_failure(rng):
+def test_blockwise_certificate_failure(rng, monkeypatch):
     M = _permuted(rng, _block_diagonal(rng, [3, 5, 2]))
-    with pytest.raises(EigensolveError) as info:
-        eigenvalues(M, tol_rel=1e-30, blockwise=True)
+    with monkeypatch.context() as patch, pytest.raises(EigensolveError) as info:
+        patch.setattr(eigensolve, "TOL_REL", 1e-30)
+        eigenvalues(M, blockwise=True)
     partial = info.value.partial
     assert partial is not None and len(partial) == M.shape[0]
     assert partial.matrix_fingerprint == eigenvalues(M).matrix_fingerprint

@@ -138,7 +138,7 @@ def _wobble_models():
     at orders 4 and 6.  The last of each six has a rate wobble of 2.5:
     its grade-2 Lie series settles only past the cap at order 4, and at
     order 6 the symbol grows to 8.5e16 by grade 4, where the rate term has
-    been pruned and the division raises.
+    been pruned and the loop raises.
     """
     out = []
     for orientable in (True, False):
@@ -194,6 +194,20 @@ def test_grade2_step_matches_the_averaging_oracle():
         for (_, _, G), (_, _, W) in zip(chain.steps, want.steps):
             assert _bits(G.terms) == _bits(W.terms)
     assert failed == 2
+
+
+def test_blown_up_symbol_is_a_numeric_failure_not_a_model_error():
+    # the rate wobble of 2.5 at order 6 blows the symbol up until pruning
+    # drops the rate term 1 x xi; the model's mu(0) is 1, so this is not a
+    # model error, and the loop must not go on dividing by a rate the
+    # symbol no longer holds
+    blown = [(m, o) for m, o in _wobble_models() if o == 6][5::6]
+    assert len(blown) == 2 and {m.orientable for m, _ in blown} == {True, False}
+    for model, order in blown:
+        with pytest.raises(ArithmeticError, match="pruning dropped") as info:
+            closed_orbit_bnf(model, order)
+        assert not isinstance(info.value, symbols.ModelDegeneracyError)
+        assert "e+16" in str(info.value)
 
 
 def test_grade2_lie_series_runs_past_its_cap():
