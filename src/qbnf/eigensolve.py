@@ -43,6 +43,16 @@ joined spectrum is certified against TOL_REL * ||M||_2 of the whole
 matrix, with the whole matrix's fingerprint.  A pattern that cut a real
 coupling shows as a large residual, so it fails the certificate rather
 than passing unnoticed.  No matrix is made dense beyond its blocks.
+
+Memory: a block's product with its eigenvectors V is formed 64 columns
+at a time, so besides LAPACK's own block, eigenvectors and workspace a
+solve holds V, the block's columns C and one slab of C @ V; a matrix
+solved in one piece peaks at about two dense n x n arrays, not three.
+The slabs start at multiples of 64 columns, the last taking the
+remainder.  With those edges the BLAS product gives the columns of the
+whole C @ V bit for bit (checked at 1 to 4 BLAS threads); slabs at other
+edges (65 or 71 columns, say) move the last bits of the residuals, which
+the spectrum artifacts record.
 """
 
 from __future__ import annotations
@@ -184,7 +194,8 @@ def _residual_norms(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=0) / vn
 
 
-#: columns per step of a block's residual norms
+#: columns per slab of a block's residuals; slab edges at its multiples
+#: keep the BLAS product's bits (see the module docstring)
 _RESIDUAL_COLS = 64
 
 
@@ -233,10 +244,13 @@ def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
     rows only: the block's indices and the rows of its columns' entries,
     in index order.  C @ V holds every non-zero row of the whole matrix
     times the zero-padded block eigenvectors, the entries the pattern left
-    out included; V * w comes off its rows at the block's indices, and the
-    norms are read in chunks of at least two columns, each summing its
-    column in row order.  The block is freed before C is built and C
-    before the norms, so V, C and C @ V are the most alive at once, and
+    out included.  It is formed one slab of columns at a time, starting
+    at multiples of ``_RESIDUAL_COLS`` with the remainder in the last (so
+    at least two columns each, and one slab under 128 columns); V * w
+    comes off the slab's rows at the block's indices, and its norms sum
+    each column in row order.  The block is freed before C is built, so
+    V, C and one slab of C @ V are the most alive at once.  At these
+    edges each slab is bit for bit the columns of the whole product, and
     the one block of all indices gives the dense solve of the whole
     matrix bit for bit.
     """
@@ -277,12 +291,12 @@ def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
         at = np.searchsorted(support, idx)
         C = np.zeros((len(support), size), dtype=complex)
         C[np.searchsorted(support, rows[k]), place[cols[k]]] = vals[k]
-        R = C @ V
-        del C
-        edges = np.linspace(0, size, max(size // _RESIDUAL_COLS, 1) + 1).astype(int)
+        step = _RESIDUAL_COLS
+        edges = [*range(0, max(size // step, 1) * step, step), size]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            R[at, lo:hi] -= V[:, lo:hi] * wb[lo:hi]
-            residuals[start + lo:start + hi] = _residual_norms(R[:, lo:hi], V[:, lo:hi])
+            R = C @ V[:, lo:hi]
+            R[at] -= V[:, lo:hi] * wb[lo:hi]
+            residuals[start + lo:start + hi] = _residual_norms(R, V[:, lo:hi])
         w[start:start + size] = wb
     return w, residuals
 

@@ -158,12 +158,16 @@ def saddle_lattice(
     if c10 == 0 or c01 == 0:
         raise ValueError("normal form lacks its linear action coefficients")
     kmax = int(math.ceil(_MARGIN * window.depth / (abs(c10) * h))) + 1
-    lmax = int(math.ceil(_MARGIN * window.half_width / (abs(c01) * h))) + 1
+    # the real part runs from energy0 with the stable action (l + 1/2) h, so
+    # both edges of the window's real range bound l
+    offset, reach, step = window.center - nf.energy0, _MARGIN * window.half_width, abs(c01) * h
+    lmin = max(int(math.floor((offset - reach) / step)) - 1, 0)
+    lmax = int(math.ceil((offset + reach) / step)) + 1
     if k_cap is not None:
         kmax = min(kmax, k_cap)
     if l_cap is not None:
         lmax = min(lmax, l_cap)
-    labels = [(k, l) for k in range(kmax + 1) for l in range(lmax + 1)]
+    labels = [(k, l) for k in range(kmax + 1) for l in range(lmin, lmax + 1)]
     return _windowed(nf, h, window, labels)
 
 

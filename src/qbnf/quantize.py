@@ -389,6 +389,11 @@ def direct_spectrum(
     certified against its norm, taken by power iteration on its
     non-zero entries.
 
+    The widened basis is built first, so one over DIM_CAP fails before
+    any solve.  The base operator is then assembled and solved, and only
+    after that the widened one: the heap its larger assembly grows is not
+    resident through the base solve, the largest dense eigensolve.
+
     Returns
     -------
     accepted : list of (eigenvalue, residual)
@@ -399,11 +404,11 @@ def direct_spectrum(
     from .eigensolve import eigenvalues
 
     assemble = assemble_cylinder if isinstance(basis, CylinderBasis) else assemble_saddle
-    op = assemble(symbol, basis)
-    wide_op = assemble(symbol, basis.widened()) if stability_check else None
-
-    spec = eigenvalues(op)
-    wide = eigenvalues(wide_op, blockwise=True).eigenvalues if stability_check else None
+    wide_basis = basis.widened() if stability_check else None
+    spec = eigenvalues(assemble(symbol, basis))
+    wide = None
+    if stability_check:
+        wide = eigenvalues(assemble(symbol, wide_basis), blockwise=True).eigenvalues
     accepted, flagged = [], []
     for z, residual in zip(spec.eigenvalues, spec.residuals):
         if not window.contains(z):

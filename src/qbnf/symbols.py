@@ -522,7 +522,8 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     ``orders`` is "all", "odd" or "first" (k = 1 only).  B_k sums, over
     every multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
-    the truncation are never formed.
+    the truncation are never formed, nor are derivation counts whose
+    output grade lies above it or, for "odd" and "first", whose k is even.
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
@@ -555,12 +556,24 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     li, ri = np.nonzero(g <= gmax - 2 * h_shift)
     if not len(li):
         return FormalSymbol(spec)
-    # expand every pair into its derivation counts, channel by channel
+    # expand every pair into the derivation counts it keeps, channel by
+    # channel.  A derivation in pair i lowers alpha_i and beta_i and adds an
+    # h, so it keeps the grade; one in (t, tau) lowers no grade column and
+    # raises the grade by 2, so the (t, tau) counts share the pair's budget
+    budget = (gmax - 2 * h_shift - g[li, ri]) // 2
     pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
-    for cl, cr, _ in chs:
-        cnt = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k) + 1
+    for c, (cl, cr, _) in enumerate(chs):
+        top = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k)
+        if cl < 2:
+            spent = sum(x for x, ch in zip(ks, chs) if ch[0] < 2)
+            top = np.minimum(top, budget[pair] - spent)
+        # with odd orders the last channel takes only the counts that make k odd
+        odd = orders != "all" and c == len(chs) - 1
+        cnt = (top - (k + 1) % 2) // 2 + 1 if odd else top + 1
         parent = np.repeat(np.arange(len(cnt)), cnt)
         kc = np.arange(len(parent)) - (np.cumsum(cnt) - cnt)[parent]
+        if odd:
+            kc = (k[parent] + 1) % 2 + 2 * kc
         pair, ks, k = pair[parent], [x[parent] for x in ks] + [kc], k[parent] + kc
     # channels 0, 1 and 2, 3 each act on one conjugate pair: a derivation in
     # pair i lowers alpha_i and beta_i together, one in (t, tau) lowers tau
@@ -569,10 +582,7 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     for c in (0, 2):
         i = (chs[c][0] - 2) % P
         key[:, [1] if chs[c][0] < 2 else [2 + i, 2 + P + i]] -= (ks[c] + ks[c + 1])[:, None]
-    keep = (key[:, 1] <= tmax) & (grade(key) <= gmax)
-    if orders != "all":
-        keep &= k % 2 == 1
-    rows = np.nonzero(keep)[0]
+    rows = np.nonzero(key[:, 1] <= tmax)[0]
     pl, pr, k, ks = li[pair[rows]], ri[pair[rows]], k[rows], [x[rows] for x in ks]
 
     # [cap, kappa] -> cap (cap - 1) ... (cap - kappa + 1), multiplied up in

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -201,10 +202,11 @@ def test_blockwise_single_component_is_dense_solve(rng):
         _assert_dense_solve_bits(A, eigenvalues(A, blockwise=True))
 
 
-@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
 @pytest.mark.parametrize("density", [1.0, 0.1])
 def test_solve_gives_the_dense_oracle_bits(rng, n, density):
-    # both sides of the residual chunk edge (64 columns)
+    # both sides of the residual slab edge (64 columns), and three slabs
+    # whose last takes the remainder
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     M[rng.random((n, n)) >= density] = 0.0
     M[0, 1] = 1.0  # never diagonal, so never read off the diagonal
@@ -218,6 +220,24 @@ def test_solve_gives_the_dense_oracle_bits(rng, n, density):
 def test_bundled_base_operators_give_the_dense_oracle_bits(name, h):
     op = assembled_operator(load_config(name), h)
     _assert_dense_solve_bits(op, eigenvalues(op))
+
+
+def test_solve_holds_under_three_dense_arrays_at_its_peak():
+    # LAPACK needs the block and its eigenvectors; the residuals add the
+    # support-row slab C and one 64-column slab of C @ V, not all of C @ V
+    cfg = load_config("cylinder_cubic")
+    op = assembled_operator(cfg, cfg.h_values[0])
+    eigenvalues(op)  # scipy.linalg is imported outside the measured call
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        eigenvalues(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = 16 * op.dim ** 2
+    assert op.dim == 464
+    assert peak < 2.8 * dense, f"peak {peak / dense:.2f} n x n complex arrays"
 
 
 def test_blockwise_diagonal():

@@ -80,6 +80,22 @@ def test_saddle_lattice_values_and_window():
     assert not narrow.entries
 
 
+def test_saddle_lattice_reads_an_off_centre_window():
+    # the window's real range (0.1, 0.9) lies above energy0 = 0, so the
+    # stable label runs from 1 to 12, not from 0 to half_width / (lam2 h)
+    nf, _ = equilibrium_bnf(SaddleModel(0.0, 1.0, math.sqrt(2.0)), 4)
+    h, window = 0.05, Window(0.5, 0.4, 0.5)
+    brute = []
+    for k in range(60):
+        for l in range(60):
+            z = nf.evaluate(*nf.arguments(k, l, h), h)
+            if window.contains(z):
+                brute.append((k, l, z))
+    lat = saddle_lattice(nf, h, window)
+    assert len(brute) == 120
+    assert [tuple(e) for e in lat.entries] == brute
+
+
 def test_lattice_window_monotone():
     big = closed_orbit_lattice(NF_LIN, 0.05, Window(0.0, 0.3, 0.3))
     small = closed_orbit_lattice(NF_LIN, 0.05, Window(0.0, 0.15, 0.15))

@@ -631,3 +631,31 @@ def test_widened_solve_never_builds_the_dense_widened_matrix(monkeypatch):
     # neither the base operator, solved as one block built from its
     # triplets, nor the widened one is ever made dense
     assert densified == []
+
+
+def test_base_operator_is_solved_before_the_widened_one_is_assembled(monkeypatch):
+    from qbnf import eigensolve, quantize
+
+    calls = []
+    assemble, solve = quantize.assemble_saddle, eigensolve.eigenvalues
+
+    def recording_assemble(symbol, basis):
+        calls.append(("assemble", basis.dim))
+        return assemble(symbol, basis)
+
+    def recording_solve(op, **options):
+        calls.append(("solve", op.dim))
+        return solve(op, **options)
+
+    monkeypatch.setattr(quantize, "assemble_saddle", recording_assemble)
+    monkeypatch.setattr(eigensolve, "eigenvalues", recording_solve)
+    sym, basis, window = _bundled_operator("quadratic_saddle")
+    direct_spectrum(sym, basis, window)
+    base, wide = basis.dim, basis.widened().dim
+    assert calls == [("assemble", base), ("solve", base), ("assemble", wide), ("solve", wide)]
+    # a widened basis over the cap fails before anything is assembled or solved
+    calls.clear()
+    big = SaddleBasis(60, 60, basis.h)
+    with pytest.raises(DimensionCapError):
+        direct_spectrum(sym, big, window)
+    assert calls == []
