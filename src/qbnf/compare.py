@@ -154,7 +154,9 @@ def auto_basis(model, window: Window, h) -> CylinderBasis | SaddleBasis:
         levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS
         return CylinderBasis(k_lo, k_hi, levels, h, model.action, model.orientable)
     l1 = int(math.ceil(1.4 * window.depth / (model.unstable_rate * h))) + _PAD_LEVELS
-    l2 = int(math.ceil(1.4 * window.half_width / (model.stable_freq * h))) + _PAD_LEVELS
+    # the stable levels run up from energy0, so they must reach the window's far edge
+    reach = abs(window.center - model.energy0) + window.half_width
+    l2 = int(math.ceil(1.4 * reach / (model.stable_freq * h))) + _PAD_LEVELS
     return SaddleBasis(l1, l2, h)
 
 

@@ -13,7 +13,8 @@ The rule itself, label to slot values, is ``NormalFormPoly.arguments``;
 the lattices and ``lattice_rescaling_check`` evaluate it and keep no copy.
 Lattices are enumerated inside a complex window (an energy interval times
 a decay-depth strip); candidate ranges come from the linear part of the
-normal form with a safety margin and are then filtered exactly.
+normal form with a safety margin and are then filtered exactly, all
+labels in one array pass that gives ``NormalFormPoly.evaluate``'s bits.
 ``predicted_lattice`` picks the lattice of the normal form's kind.
 """
 
@@ -26,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .normal_form import NormalFormPoly
+from .symbols import _cmul
 
 __all__ = [
     "Window",
@@ -53,10 +55,12 @@ class Window:
             raise ValueError("window half_width and depth must be positive")
 
     def contains(self, z: complex) -> bool:
-        return (
-            self.center - self.half_width < z.real < self.center + self.half_width
-            and -self.depth < z.imag <= self.im_slack
-        )
+        return bool(self._holds(z.real, z.imag))
+
+    def _holds(self, re, im):
+        """The window test on real and imaginary parts, elementwise on arrays."""
+        return ((self.center - self.half_width < re) & (re < self.center + self.half_width)
+                & (-self.depth < im) & (im <= self.im_slack))
 
     def inflated(self, delta: float) -> "Window":
         return replace(
@@ -172,13 +176,40 @@ def saddle_lattice(
 
 
 def _windowed(nf: NormalFormPoly, h: float, window: Window, labels) -> ResonanceLattice:
-    """The points of ``labels`` under the rule of ``nf`` that lie in ``window``, by (k, l)."""
-    entries = []
-    for k, l in labels:
-        z = nf.evaluate(*nf.arguments(k, l, h), h)
-        if window.contains(z):
-            entries.append(LatticeEntry(k, l, z))
-    entries.sort(key=lambda e: (e.k, e.l))
+    """The points of ``labels`` under the rule of ``nf`` that lie in ``window``, by (k, l).
+
+    One array pass over the labels gives what ``nf.evaluate`` gives per
+    label, bit for bit.  The powers of each distinct slot value are Python
+    powers; each coefficient forms ((c u^i1) v^i2) h^j as CPython forms
+    complex products, and the terms are added from +0.0 in coefficient
+    order.
+    """
+    labels = sorted(labels)
+    if not labels:
+        return ResonanceLattice([], window, h)
+    args = [nf.arguments(k, l, h) for k, l in labels]
+    # one row per coefficient, one column per label
+    powers = np.array(list(nf.coeffs), dtype=np.int64).reshape(-1, 3).T[:, :, None]
+    slots = []
+    for s in (0, 1):
+        distinct: dict = {}
+        at = np.array([distinct.setdefault(a[s], len(distinct)) for a in args])
+        tab = np.array([[complex(v ** i) for i in range(powers[s].max(initial=0) + 1)]
+                        for v in distinct])
+        slots.append((tab.real[at, powers[s]], tab.imag[at, powers[s]]))
+    (u_re, u_im), (v_re, v_im) = slots
+    c = np.array(list(nf.coeffs.values()), dtype=complex)[:, None]
+    hj = np.array([h ** j for j in range(powers[2].max(initial=0) + 1)])[powers[2]]
+    re, im = np.zeros(len(labels)), np.zeros(len(labels))
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
+        t_re, t_im = _cmul(c.real, c.imag, u_re, u_im)
+        t_re, t_im = _cmul(t_re, t_im, v_re, v_im)
+        t_re, t_im = _cmul(t_re, t_im, hj, 0.0)
+        for row_re, row_im in zip(t_re, t_im):
+            re += row_re
+            im += row_im
+    entries = [LatticeEntry(*labels[i], complex(re[i], im[i]))
+               for i in np.nonzero(window._holds(re, im))[0].tolist()]
     return ResonanceLattice(entries, window, h)
 
 

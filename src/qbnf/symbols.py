@@ -36,13 +36,19 @@ suite:
 The bracket, the star product, the star commutator and the conjugation
 step are one bidifferential kernel: one numpy pass per call, each of whose
 coefficients is the floating-point sum that a nested loop over term pairs
-and derivation counts forms, added in that loop's order.
+and derivation counts forms, added in that loop's order.  The kernel reads
+each operand as key columns and coefficient arrays.  Its output carries
+the ones it already holds, and a scalar multiple passes the key columns on
+and re-reads its coefficients, so a series step starts from arrays, not
+from the dict.  Its falling-factorial and d_t power tables are built on
+first use, once per shape, and cached read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -445,9 +451,12 @@ class FormalSymbol:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return FormalSymbol(
+            out = FormalSymbol(
                 self.spec, {k: c * other for k, c in self._terms.items()}, _raw=True
             )
+            if self._cols is not None:  # same keys in the same order
+                out._cols = (self._cols[0], *_coef_columns(out._terms.values()))
+            return out
         self._check(other)
         spec = self.spec
         out = {}
@@ -497,22 +506,48 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _frozen(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _coef_columns(coefs):
+    """Real parts, imaginary parts and numpy-scalar flags of coefficient values, read-only."""
+    coefs = list(coefs)
+    c = np.array(coefs, dtype=complex)
+    return _frozen(c.real, c.imag, np.array([isinstance(v, np.generic) for v in coefs], dtype=bool))
+
+
 def _columns(sym: FormalSymbol):
     """Key columns (2m, a, alpha..., beta..., j), coefficient parts, numpy-scalar flags.
 
-    Built on the first call and kept, read-only, on the immutable symbol:
-    a series passes the same generator to every one of its kernel calls.
+    Kept, read-only, on the immutable symbol: a series passes the same
+    generator to every one of its kernel calls.  A kernel output carries
+    them from its birth, and a scalar multiple carries its operand's key
+    columns; any other symbol builds them on the first call.
     """
     if sym._cols is None:
-        coefs = list(sym._terms.values())
         cols = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in sym._terms],
-                        dtype=np.int64).reshape(len(coefs), 3 + 2 * sym.spec.num_pairs)
-        c = np.array(coefs, dtype=complex)
-        flags = np.array([isinstance(v, np.generic) for v in coefs], dtype=bool)
-        for x in (cols, c, flags):
-            x.flags.writeable = False
-        sym._cols = cols, c.real, c.imag, flags
+                        dtype=np.int64).reshape(len(sym._terms), 3 + 2 * sym.spec.num_pairs)
+        sym._cols = (*_frozen(cols), *_coef_columns(sym._terms.values()))
     return sym._cols
+
+
+@lru_cache(maxsize=None)
+def _falling(top: int) -> np.ndarray:
+    """[cap, kappa] -> cap (cap - 1) ... (cap - kappa + 1) for cap, kappa <= top,
+    multiplied up in sequence; read-only."""
+    c = np.arange(top + 1.0)[:, None]
+    return _frozen(np.cumprod(np.hstack([np.ones_like(c), c - np.arange(top)]), axis=1))[0]
+
+
+@lru_cache(maxsize=None)
+def _dt_powers(reach: int, tmax: int):
+    """Real and imaginary parts of (i m / 2)^kappa, the Python power, for
+    2m in [-reach, reach] (row 2m + reach) and kappa <= tmax; read-only."""
+    tab = np.array([[(0.5j * m) ** n for n in range(tmax + 1)] for m in range(-reach, reach + 1)])
+    return _frozen(tab.real, tab.imag)
 
 
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
@@ -523,7 +558,9 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     every multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
     the truncation are never formed, nor are derivation counts whose
-    output grade lies above it or, for "odd" and "first", whose k is even.
+    output grade or tau power lies above it or, for "odd" and "first",
+    whose k is even; "first" reads its rows, one per channel that can act,
+    off one mask.  The output carries its key columns (see ``_columns``).
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
@@ -543,7 +580,6 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
         # them in the order of its formula, and floating-point sums depend
         # on that order
         chs = chs[::-1]
-    kmax = 1 if orders == "first" else 4 * (gmax + tmax)
     (lc, lre, lim, lnp), (rc, rre, rim, rnp) = _columns(a), _columns(b)
 
     def grade(cols):
@@ -559,45 +595,60 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     # expand every pair into the derivation counts it keeps, channel by
     # channel.  A derivation in pair i lowers alpha_i and beta_i and adds an
     # h, so it keeps the grade; one in (t, tau) lowers no grade column and
-    # raises the grade by 2, so the (t, tau) counts share the pair's budget
+    # raises the grade by 2, so the (t, tau) counts share the pair's budget.
+    # It also lowers tau, so the last (t, tau) channel starts its count at
+    # the excess of the pair's tau power over the truncation, less the
+    # (t, tau) counts already taken
     budget = (gmax - 2 * h_shift - g[li, ri]) // 2
-    pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
-    for c, (cl, cr, _) in enumerate(chs):
-        top = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k)
-        if cl < 2:
-            spent = sum(x for x, ch in zip(ks, chs) if ch[0] < 2)
-            top = np.minimum(top, budget[pair] - spent)
-        # with odd orders the last channel takes only the counts that make k odd
-        odd = orders != "all" and c == len(chs) - 1
-        cnt = (top - (k + 1) % 2) // 2 + 1 if odd else top + 1
-        parent = np.repeat(np.arange(len(cnt)), cnt)
-        kc = np.arange(len(parent)) - (np.cumsum(cnt) - cnt)[parent]
-        if odd:
-            kc = (k[parent] + 1) % 2 + 2 * kc
-        pair, ks, k = pair[parent], [x[parent] for x in ks] + [kc], k[parent] + kc
+    excess = lc[li, 1] + rc[ri, 1] - tmax
+    if orders == "first":
+        # k = 1: one derivation in one channel.  A (t, tau) one needs a
+        # budget of 1 and lowers tau by 1.  A pair's rows are its channels
+        # that can act, in the loop's order: last channel first
+        can = [(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri]) > 0)
+               & (budget >= (cl < 2)) & (excess <= (cl < 2)) for cl, cr, _ in chs]
+        pair, last = np.nonzero(np.column_stack(can[::-1]))
+        ks = [(last == len(chs) - 1 - c).astype(np.int64) for c in range(len(chs))]
+        k = np.ones(len(pair), dtype=np.int64)
+    else:
+        kmax = 4 * (gmax + tmax)
+        last_tau = max((c for c, ch in enumerate(chs) if ch[0] < 2), default=None)
+        pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
+        for c, (cl, cr, _) in enumerate(chs):
+            top = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k)
+            low = np.zeros_like(top)
+            if cl < 2:
+                spent = sum(x for x, ch in zip(ks, chs) if ch[0] < 2)
+                top = np.minimum(top, budget[pair] - spent)
+                if c == last_tau:
+                    low = np.maximum(excess[pair] - spent, 0)
+            # with odd orders the last channel takes only the counts that make k odd
+            step = 2 if orders == "odd" and c == len(chs) - 1 else 1
+            if step == 2:
+                low += (low + k + 1) % 2
+            cnt = np.maximum((top - low) // step + 1, 0)
+            parent = np.repeat(np.arange(len(cnt)), cnt)
+            kc = low[parent] + step * (np.arange(len(parent)) - (np.cumsum(cnt) - cnt)[parent])
+            pair, ks, k = pair[parent], [x[parent] for x in ks] + [kc], k[parent] + kc
     # channels 0, 1 and 2, 3 each act on one conjugate pair: a derivation in
     # pair i lowers alpha_i and beta_i together, one in (t, tau) lowers tau
-    key = lc[li[pair]] + rc[ri[pair]]
+    pl, pr = li[pair], ri[pair]
+    key = lc[pl] + rc[pr]
     key[:, -1] += h_shift + k
     for c in (0, 2):
         i = (chs[c][0] - 2) % P
         key[:, [1] if chs[c][0] < 2 else [2 + i, 2 + P + i]] -= (ks[c] + ks[c + 1])[:, None]
-    rows = np.nonzero(key[:, 1] <= tmax)[0]
-    pl, pr, k, ks = li[pair[rows]], ri[pair[rows]], k[rows], [x[rows] for x in ks]
 
-    # [cap, kappa] -> cap (cap - 1) ... (cap - kappa + 1), multiplied up in
-    # sequence; d_t pulls down (i m / 2)^kappa, the Python power
-    c = np.arange(max(gmax, tmax) + 1.0)[:, None]
-    falling = np.cumprod(np.hstack([np.ones_like(c), c - np.arange(len(c) - 1)]), axis=1)
+    # a derivative pulls down a falling factorial, d_t pulls down (i m / 2)^kappa
+    falling = _falling(max(gmax, tmax))
 
     def factor(cols, terms, col, x):
         if col:
             return falling[cols[terms, col], x], 0.0
         m2 = cols[terms, 0]
-        lo = int(m2.min(initial=0))
-        tab = np.array([[(0.5j * m) ** n for n in range(tmax + 1)]
-                        for m in range(lo, int(m2.max(initial=0)) + 1)])
-        return tab.real[m2 - lo, x], tab.imag[m2 - lo, x]
+        reach = int(np.abs(m2).max(initial=0))
+        tab_re, tab_im = _dt_powers(reach, tmax)
+        return tab_re[m2 + reach, x], tab_im[m2 + reach, x]
 
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
         fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
@@ -615,7 +666,7 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
         nz = np.nonzero((k == 0) | (fre != 0) | (fim != 0))[0]
         w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
         fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
-    key, from_np = key[rows[nz]], (lnp[pl] | rnp[pr])[nz]
+    key, from_np = key[nz], (lnp[pl] | rnp[pr])[nz]
     lo = key.min(axis=0, initial=0)
     code = np.ravel_multi_index(tuple((key - lo).T), tuple(key.max(axis=0, initial=0) - lo + 1))
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
@@ -625,12 +676,18 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     vals.real = np.bincount(lab, weights=fre, minlength=n)
     vals.imag = np.bincount(lab, weights=fim, minlength=n)
     as_np = np.bincount(lab, weights=from_np, minlength=n) > 0
+    key = key[first[order]]
     out = {
         (r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]):
             (v if f else complex(v))
-        for r, v, f in zip(key[first[order]].tolist(), vals, as_np)
+        for r, v, f in zip(key.tolist(), vals, as_np)
     }
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    sym = FormalSymbol(spec, _prune(out), _raw=True)
+    if len(sym) < len(out):
+        kept = np.fromiter((t in sym._terms for t in out), dtype=bool, count=len(out))
+        key, vals, as_np = key[kept], vals[kept], as_np[kept]
+    sym._cols = _frozen(key, vals.real, vals.imag, as_np)
+    return sym
 
 
 def poisson_bracket(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:

@@ -5,14 +5,18 @@ import math
 import pytest
 
 from qbnf.compare import (
+    MATCH_WINDOW_PAD,
     MatchedPair,
     MatchReport,
+    auto_basis,
     convergence_sweep,
     fit_convergence,
     match_lattices,
+    model_operator_symbol,
 )
-from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
-from qbnf.normal_form import SaddleModel
+from qbnf.lattice import LatticeEntry, ResonanceLattice, Window, predicted_lattice
+from qbnf.normal_form import SaddleModel, equilibrium_bnf
+from qbnf.quantize import SaddleBasis, direct_spectrum
 from qbnf.symbols import FormalSymbol, PhaseSpec
 
 from loop_match import loop_match_lattices
@@ -169,6 +173,31 @@ def test_sweep_cylinder_cubic_slope():
         assert abs(err / (4.7e-3 * h * h) - 1.0) < 0.15, (h, err)
     hs = sorted(res.errors)
     assert res.errors[hs[0]] < res.errors[hs[-1]]
+
+
+@pytest.mark.parametrize("center", [1.0, 1.5])
+def test_auto_basis_reaches_an_off_centre_saddle_window(center):
+    # the stable levels run up from energy0: a window centred above it
+    # needs levels up to its far edge, or its points go unmatched
+    model, h, window = SaddleModel(0.0, 1.0, math.sqrt(2.0)), 0.05, Window(center, 0.3, 0.5)
+    nf, _ = equilibrium_bnf(model, 2)
+    accepted, flagged, _ = direct_spectrum(
+        model_operator_symbol(model), auto_basis(model, window, h),
+        window.inflated(MATCH_WINDOW_PAD))
+    report = match_lattices(predicted_lattice(nf, h, window), accepted)
+    assert len(report.pairs) == 80
+    assert not report.unmatched_predicted and not flagged
+
+
+def test_auto_basis_of_a_saddle_window_centred_at_energy0_is_unchanged():
+    # levels2 = ceil(1.4 half_width / (lam2 h)) + 8, as sized before the
+    # window's offset from energy0 entered
+    for energy0, h, half_width, depth, levels in ((0.0, 0.05, 0.5, 0.5, (22, 18)),
+                                                  (0.0, 0.025, 0.7, 0.5, (36, 36)),
+                                                  (0.7, 0.1, 0.7, 0.5, (15, 15))):
+        model = SaddleModel(energy0, 1.0, math.sqrt(2.0))
+        assert auto_basis(model, Window(energy0, half_width, depth), h) == \
+            SaddleBasis(*levels, h)
 
 
 def _report(h, errors):

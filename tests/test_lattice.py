@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from dataclasses import replace
 
 from qbnf.lattice import (
+    LatticeEntry,
     Window,
+    _windowed,
     closed_orbit_lattice,
     homogeneity_check,
     lattice_rescaling_check,
@@ -94,6 +97,80 @@ def test_saddle_lattice_reads_an_off_centre_window():
     lat = saddle_lattice(nf, h, window)
     assert len(brute) == 120
     assert [tuple(e) for e in lat.entries] == brute
+
+
+def _per_label(nf, h, window, labels):
+    """The lattice as ``nf.evaluate`` and ``Window.contains`` give it, one label at a time."""
+    entries = []
+    for k, l in labels:
+        z = nf.evaluate(*nf.arguments(k, l, h), h)
+        if window.contains(z):
+            entries.append(LatticeEntry(k, l, z))
+    return sorted(entries, key=lambda e: (e.k, e.l))
+
+
+def _assert_same_lattice(nf, h, window, labels):
+    got = _windowed(nf, h, window, labels).entries
+    want = _per_label(nf, h, window, labels)
+    assert [(e.k, e.l) for e in got] == [(e.k, e.l) for e in want]
+    assert all(type(e.z) is complex for e in got)
+    bits = [np.array([e.z for e in x], dtype=complex).view(np.uint64) for x in (got, want)]
+    assert np.array_equal(*bits)
+    return got
+
+
+def _computed_forms():
+    cyl_spec = PhaseSpec.cylinder(6, 6)
+    pert = (FormalSymbol.monomial(cyl_spec, 0.1, m=1, alpha=3)
+            + FormalSymbol.monomial(cyl_spec, 0.1, m=-1, beta=3)
+            + FormalSymbol.monomial(cyl_spec, 0.05, m=2, a=1, alpha=2, beta=2))
+    cyl = CylinderModel(TauSeries([0.0, 1.0, -0.2]), TauSeries([1.0, 0.3]), pert, action=0.7)
+    half_spec = PhaseSpec.cylinder(6, 6, orientable=False)
+    half = CylinderModel(
+        TauSeries([0.0, 1.0]), TauSeries([1.0]),
+        FormalSymbol.monomial(half_spec, 0.1, m=0.5, alpha=2, beta=1)
+        + FormalSymbol.monomial(half_spec, 0.1, m=-0.5, alpha=1, beta=2)
+        + FormalSymbol.monomial(half_spec, 0.05, m=1, alpha=2, beta=2),
+        orientable=False,
+    )
+    sad = SaddleModel(0.3, 1.0, math.sqrt(2.0), FormalSymbol.monomial(
+        PhaseSpec.saddle(6), 0.2, alpha=(2, 2)) + FormalSymbol.monomial(
+        PhaseSpec.saddle(6), 0.05, alpha=(1, 1), beta=(1, 1), j=1))
+    return [closed_orbit_bnf(cyl, 6)[0], closed_orbit_bnf(half, 6)[0], equilibrium_bnf(sad, 6)[0]]
+
+
+def test_array_lattice_gives_the_per_label_bits():
+    nfs = _computed_forms()
+    assert [nf.orientable for nf in nfs[:2]] == [True, False]
+    # a numpy-scalar coefficient, a float one and a signed zero part
+    mixed = NormalFormPoly("closed_orbit", {
+        (1, 0, 0): np.complex128(1.0 - 1e-3j), (0, 1, 0): 1.0, (2, 1, 0): complex(0.3, -0.0),
+        (0, 2, 1): np.complex128(-2.5 + 5j), (3, 1, 2): 7.3j, (1, 3, 1): 0.9 - 1.1j}, 4,
+        action=0.4)
+    nfs += [mixed, replace(mixed, orientable=False),
+            replace(mixed, kind="equilibrium", energy0=0.1)]
+    labels, inside = [(k, l) for k in range(-20, 21) for l in range(12)], 0
+    for nf in nfs:
+        for h in (0.1, 0.05, 0.37):
+            window = Window(nf.energy0 + 0.05, 0.4, 0.3)
+            inside += len(_assert_same_lattice(nf, h, window, labels))
+            # a window that holds every label compares every label's bits
+            everything = Window(0.0, 1e300, 1e300, 1e300)
+            assert len(_assert_same_lattice(nf, h, everything, labels)) == len(labels)
+            lattice = predicted_lattice(nf, h, window)
+            assert lattice.entries == _per_label(
+                nf, h, window, [(e.k, e.l) for e in lattice.entries])
+    assert inside > 300
+
+
+def test_array_lattice_of_no_label_or_no_point():
+    nf = _computed_forms()[0]
+    assert _windowed(nf, 0.1, Window(0.0, 0.3, 0.3), []).entries == []
+    # every label lies far below the window's depth
+    labels = [(k, l) for k in range(5) for l in range(40, 44)]
+    assert _assert_same_lattice(nf, 0.1, Window(0.0, 0.3, 0.3), labels) == []
+    empty = NormalFormPoly("equilibrium", {}, 2)
+    assert [e.z for e in _assert_same_lattice(empty, 0.1, Window(0.0, 0.3, 0.3), [(0, 0)])] == [0j]
 
 
 def test_lattice_window_monotone():

@@ -614,3 +614,43 @@ def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, qu
     assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
                           np.array(list(want.values()), dtype=complex).view(np.uint64))
     assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def _assert_carries_its_columns(sym):
+    carried = sym._cols
+    rebuilt = symbols._columns(FormalSymbol(sym.spec, sym._terms, _raw=True))
+    assert carried is not None
+    keys, re, im, flags = carried
+    assert keys.dtype == rebuilt[0].dtype and np.array_equal(keys, rebuilt[0])
+    for got, want in ((re, rebuilt[1]), (im, rebuilt[2])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert flags.dtype == bool and np.array_equal(flags, rebuilt[3])
+    assert not any(x.flags.writeable for x in carried)
+
+
+@pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
+@pytest.mark.parametrize("kind", ["saddle", "cylinder"])
+def test_kernel_outputs_and_their_multiples_carry_the_columns_they_would_build(
+        monkeypatch, kind, quantum):
+    model = _bnf_model(kind, quantum)
+    bnf = closed_orbit_bnf if kind == "cylinder" else equilibrium_bnf
+    kernel, scalar_mul, seen = symbols._bidifferential, FormalSymbol.__mul__, []
+
+    def checked_kernel(*args):
+        out = kernel(*args)
+        if out:
+            _assert_carries_its_columns(out)
+            seen.append("kernel")
+        return out
+
+    def checked_mul(self, other):
+        out = scalar_mul(self, other)
+        if isinstance(other, (int, float, complex)) and self._cols is not None:
+            _assert_carries_its_columns(out)
+            seen.append("scalar")
+        return out
+
+    monkeypatch.setattr(symbols, "_bidifferential", checked_kernel)
+    monkeypatch.setattr(FormalSymbol, "__mul__", checked_mul)
+    bnf(model, 8)
+    assert seen.count("kernel") >= 10 and seen.count("scalar") >= 10

@@ -587,6 +587,59 @@ def test_series_builds_the_generators_key_columns_once(monkeypatch, conjugate):
         seen[0][0][0, 0] = 1
 
 
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_series_takes_kernel_outputs_that_carry_no_columns(monkeypatch, conjugate):
+    # every other step comes from the loop kernel, whose symbols carry no
+    # key columns: their scalar multiples build them on the next call
+    from qbnf import symbols
+
+    spec = PhaseSpec.cylinder(8, 4)
+    rng = np.random.default_rng(5)
+    p = random_symbol(spec, rng, n_terms=12, max_tau=3, classical=not conjugate)
+    G = random_symbol(spec, rng, n_terms=6, max_tau=2, classical=True)
+    G = FormalSymbol(spec, {k: c for k, c in G.terms.items() if spec.grade(k) >= 3})
+    if conjugate:
+        G = G * FormalSymbol.monomial(spec, 1.0, j=1)
+    series = star_conjugate if conjugate else lie_transform
+    want = series(p, G)._terms
+    kernel, calls = symbols._bidifferential, []
+
+    def alternating(*args):
+        calls.append(len(calls) % 2)
+        return (loop_bidifferential if calls[-1] else kernel)(*args)
+
+    monkeypatch.setattr(symbols, "_bidifferential", alternating)
+    got = series(p, G)._terms
+    assert len(calls) >= 3  # an array step after a loop step
+    assert list(got) == list(want)
+    assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
+                          np.array(list(want.values()), dtype=complex).view(np.uint64))
+
+
+def test_kernel_tables_are_cached_and_read_only():
+    from qbnf import symbols
+
+    spec = PhaseSpec.cylinder(6, 4)
+    a = FormalSymbol.monomial(spec, 0.5, m=1, a=2, alpha=2) + FormalSymbol.monomial(spec, 0.3, beta=2)
+    b = FormalSymbol.monomial(spec, 0.7, m=-2, a=1, beta=1) + FormalSymbol.monomial(spec, 0.2, alpha=1)
+    symbols._falling.cache_clear()
+    symbols._dt_powers.cache_clear()
+    moyal_star(a, b)
+    built = symbols._falling.cache_info().currsize, symbols._dt_powers.cache_info().currsize
+    assert built == (1, 2)  # one falling table; d_t powers for |2m| <= 2 and <= 4
+    moyal_star(b, a)
+    moyal_star(a, b)
+    assert (symbols._falling.cache_info().currsize, symbols._dt_powers.cache_info().currsize) == built
+    tables = [symbols._falling(6), *symbols._dt_powers(4, 4)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert tables[0][5].tolist() == [1.0, 5.0, 20.0, 60.0, 120.0, 120.0, 0.0]
+    # row 0 is 2m = -4: (i m)^kappa = (-2i)^kappa
+    assert tables[2][0].tolist() == [0.0, -2.0, 0.0, 8.0, 0.0]
+
+
 # --------------------------------------------------------------------------
 # TauSeries basics
 # --------------------------------------------------------------------------
