@@ -41,7 +41,7 @@ each operand as key columns and coefficient arrays.  Its output carries
 the ones it already holds, and a scalar multiple passes the key columns on
 and re-reads its coefficients, so a series step starts from arrays, not
 from the dict.  Its falling-factorial and d_t power tables are built on
-first use, once per shape, and cached read-only.
+first use, once per size, and cached read-only.
 """
 
 from __future__ import annotations
@@ -575,11 +575,6 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     spec = a.spec
     P, gmax, tmax = spec.num_pairs, spec.grade_max, spec.tau_max
     chs = _channels(spec)
-    if orders == "first":
-        # single derivations are met last channel first; the bracket sums
-        # them in the order of its formula, and floating-point sums depend
-        # on that order
-        chs = chs[::-1]
     (lc, lre, lim, lnp), (rc, rre, rim, rnp) = _columns(a), _columns(b)
 
     def grade(cols):
@@ -604,11 +599,12 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     if orders == "first":
         # k = 1: one derivation in one channel.  A (t, tau) one needs a
         # budget of 1 and lowers tau by 1.  A pair's rows are its channels
-        # that can act, in the loop's order: last channel first
+        # that can act, in the order of the bracket's formula, since
+        # floating-point sums depend on that order
         can = [(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri]) > 0)
                & (budget >= (cl < 2)) & (excess <= (cl < 2)) for cl, cr, _ in chs]
-        pair, last = np.nonzero(np.column_stack(can[::-1]))
-        ks = [(last == len(chs) - 1 - c).astype(np.int64) for c in range(len(chs))]
+        pair, chan = np.nonzero(np.column_stack(can))
+        ks = [(chan == c).astype(np.int64) for c in range(len(chs))]
         k = np.ones(len(pair), dtype=np.int64)
     else:
         kmax = 4 * (gmax + tmax)
