@@ -19,13 +19,11 @@ from qbnf import (
     Window,
     closed_orbit_bnf,
     closed_orbit_lattice,
-    cylinder_symbol,
     direct_spectrum,
     match_lattices,
-    metaplectic_substitute,
     orbit_diagnostics,
 )
-from qbnf.normal_form import content_grade
+from qbnf.compare import model_operator_symbol
 from qbnf.symbols import FormalSymbol, PhaseSpec
 
 spec = PhaseSpec.cylinder(8, 8)
@@ -48,10 +46,8 @@ print()
 window = Window(0.0, 0.4, 0.3)
 lattice = closed_orbit_lattice(nf, h, window)
 
-g = content_grade(model)
-sym = metaplectic_substitute(cylinder_symbol(model, PhaseSpec.cylinder(g, g)))
 accepted, flagged, _ = direct_spectrum(
-    sym, CylinderBasis(-12, 12, 24, h), window.inflated(0.02)
+    model_operator_symbol(model), CylinderBasis(-12, 12, 24, h), window.inflated(0.02)
 )
 report = match_lattices(lattice, accepted, order=order)
 

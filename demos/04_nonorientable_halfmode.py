@@ -20,12 +20,10 @@ from qbnf import (
     Window,
     closed_orbit_bnf,
     closed_orbit_lattice,
-    cylinder_symbol,
     direct_spectrum,
     match_lattices,
-    metaplectic_substitute,
 )
-from qbnf.normal_form import content_grade
+from qbnf.compare import model_operator_symbol
 from qbnf.symbols import FormalSymbol, PhaseSpec
 
 spec = PhaseSpec.cylinder(8, 8, orientable=False)
@@ -38,10 +36,9 @@ h = 0.05
 window = Window(0.0, 0.3, 0.25)
 nf, _ = closed_orbit_bnf(model, 4)
 
-g = content_grade(model)
-sym = metaplectic_substitute(cylinder_symbol(model, PhaseSpec.cylinder(g, g, orientable=False)))
 accepted, _, _ = direct_spectrum(
-    sym, CylinderBasis(-15, 15, 30, h, orientable=False), window.inflated(0.02)
+    model_operator_symbol(model), CylinderBasis(-15, 15, 30, h, orientable=False),
+    window.inflated(0.02),
 )
 
 lat_half = closed_orbit_lattice(nf, h, window)

@@ -148,7 +148,7 @@ def auto_basis(model, window: Window, h) -> CylinderBasis | SaddleBasis:
         mu0 = model.rate.coeffs[0].real
         offset = model.action / (2.0 * math.pi)
         tau_hw = 1.3 * window.half_width / fp0
-        tau0 = model.energy.solve(window.center).real if window.center else 0.0
+        tau0 = model.energy.solve(window.center).real
         k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - _PAD_K
         k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + _PAD_K
         levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS

@@ -1,10 +1,11 @@
 """Non-Hermitian eigenvalue computation with residual certificates.
 
-Matrices come in as an OperatorMatrix (canonical triplets: the non-zero
-entries in row-major order) or as a plain ndarray, whose triplets one
-``np.nonzero`` scan yields.  The finiteness check, the fingerprint (a
-hash of the dimension and the triplets), the norm and the block pattern
-are read off the triplets.
+Matrices come in as an OperatorMatrix, the one triplet type, defined
+here and re-exported by ``quantize``: a NamedTuple (dim, rows, cols,
+values) of the non-zero entries in row-major order.  A plain ndarray is
+read into one by a single ``np.nonzero`` scan.  The finiteness check,
+the fingerprint (a hash of the dimension and the triplets), the norm and
+the block pattern are read off the triplets.
 
 The solver is LAPACK's balancing + Hessenberg + shifted-QR route through
 scipy.  Each returned eigenvalue carries the residual
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Spectrum", "EigensolveError", "eigenvalues", "spectral_norm"]
+__all__ = ["OperatorMatrix", "Spectrum", "EigensolveError", "eigenvalues", "spectral_norm"]
 
 #: the certificate: every residual at most TOL_REL * ||M||_2
 TOL_REL = 1e-8
@@ -98,24 +99,37 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-class _Triplets(NamedTuple):
-    """A square matrix's non-zero entries in row-major order (as OperatorMatrix holds them)."""
+class OperatorMatrix(NamedTuple):
+    """A square complex matrix as canonical triplets.
+
+    ``rows``, ``cols`` and ``values`` list the non-zero entries in
+    row-major order.  An assembled operator sums each value from +0.0, in
+    assembly order, over the contributions to its entry, and drops the
+    entries that sum to exactly zero.  ``matrix`` builds the dense array
+    on each access.
+    """
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
 
+    @property
+    def matrix(self) -> np.ndarray:
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M[self.rows, self.cols] = self.values
+        return M
 
-def _triplets(M) -> _Triplets:
-    """The non-zeros of an OperatorMatrix as it holds them, of a dense matrix by one scan."""
-    if hasattr(M, "rows"):
-        return _Triplets(M.dim, M.rows, M.cols, np.asarray(M.values, dtype=complex))
+
+def _triplets(M) -> OperatorMatrix:
+    """An OperatorMatrix as it is, a dense matrix's non-zeros by one scan."""
+    if isinstance(M, OperatorMatrix):
+        return M
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
     rows, cols = np.nonzero(A)
-    return _Triplets(A.shape[0], rows, cols, A[rows, cols])
+    return OperatorMatrix(A.shape[0], rows, cols, A[rows, cols])
 
 
 def _spmv(index, values, n):
@@ -166,7 +180,7 @@ def spectral_norm(M) -> tuple[float, bool]:
     return sigma, converged
 
 
-def _fingerprint(T: _Triplets) -> str:
+def _fingerprint(T: OperatorMatrix) -> str:
     """Hash of the dimension and the triplets, so it reads nnz entries, not n^2."""
     import hashlib
 
@@ -202,7 +216,7 @@ _RESIDUAL_COLS = 64
 def _components(M) -> list[np.ndarray]:
     """Index sets of the weakly connected components of M's couplings.
 
-    ``M`` is an OperatorMatrix, triplets or a dense matrix.  The edges are
+    ``M`` is an OperatorMatrix or a dense matrix.  The edges are
     the entries with |m_ij| > PATTERN_EPS * max|M|.  Min-label propagation
     over them, with pointer jumping after each sweep; components come out
     ordered by their smallest index.  Plain numpy, because importing
@@ -233,7 +247,7 @@ def _components(M) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _solve_blocks(T: _Triplets, blocks: list[np.ndarray]):
+def _solve_blocks(T: OperatorMatrix, blocks: list[np.ndarray]):
     """Eigenvalues block by block, each residual taken on the whole matrix.
 
     ``blocks`` partitions the indices, each block ascending; a matrix

@@ -19,9 +19,10 @@ Matrix elements are exact:
   enlarged level range and cropped, so every retained entry equals the
   infinite-basis matrix element.
 
-An assembled operator is an OperatorMatrix of canonical triplets: the
-non-zero entries in row-major order, each summed from +0.0 over its
-contributions in the order the terms list them, exact zeros dropped.
+An assembled operator is an ``eigensolve.OperatorMatrix`` (re-exported
+here) of canonical triplets: the non-zero entries in row-major order,
+each summed from +0.0 over its contributions in the order the terms list
+them, exact zeros dropped.
 Each term adds its contributions in one vectorised step over the non-zeros
 of its Weyl monomial(s); the dense array is built only when asked for.
 """
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import OperatorMatrix
 from .symbols import FormalSymbol, substitute_pair
 
 __all__ = [
@@ -153,38 +155,11 @@ class SaddleBasis:
         return SaddleBasis(self.levels1 + _WIDEN_LEVELS, self.levels2 + _WIDEN_LEVELS, self.h)
 
 
-@dataclass
-class OperatorMatrix:
-    """Assembled operator as canonical triplets, with its basis.
-
-    ``rows``, ``cols`` and ``values`` list the non-zero entries in row-major
-    order.  Each value is the sum, from +0.0 and in assembly order, of the
-    contributions to its entry, and entries that sum to exactly zero are
-    dropped.  ``matrix`` builds the dense array on each access.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    basis: CylinderBasis | SaddleBasis
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        M[self.rows, self.cols] = self.values
-        return M
-
-
 _NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))
 
 
-def _summed(parts, basis) -> OperatorMatrix:
-    """OperatorMatrix of the (rows, cols, values) contributions ``parts``, in assembly order."""
-    n = basis.dim
+def _summed(parts, n: int) -> OperatorMatrix:
+    """n x n OperatorMatrix of the (rows, cols, values) ``parts``, summed in assembly order."""
     rows, cols, values = (np.concatenate(arrays) for arrays in zip(*parts, _NO_ENTRIES))
     keys, slot = np.unique(rows * n + cols, return_inverse=True)
     summed = np.empty(len(keys), dtype=complex)
@@ -193,7 +168,7 @@ def _summed(parts, basis) -> OperatorMatrix:
     summed.imag = np.bincount(slot, values.imag, len(keys))
     keep = summed != 0
     keys = keys[keep]
-    return OperatorMatrix(keys // n, keys % n, summed[keep], basis)
+    return OperatorMatrix(n, keys // n, keys % n, summed[keep])
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +301,7 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
         rows = (kp - basis.k_min) * (L + 1) + lp[:, np.newaxis]
         cols = (ks - basis.k_min) * (L + 1) + l[:, np.newaxis]
         parts.append((rows[sel], cols[sel], (weight[l] * w[:, np.newaxis])[sel]))
-    return _summed(parts, basis)
+    return _summed(parts, basis.dim)
 
 
 def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
@@ -356,7 +331,7 @@ def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
             (c1[:, np.newaxis] * n2 + c2).ravel(),
             ((c * basis.h**j) * (v1[:, np.newaxis] * v2)).ravel(),
         ))
-    return _summed(parts, basis)
+    return _summed(parts, basis.dim)
 
 
 # --------------------------------------------------------------------------

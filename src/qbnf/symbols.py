@@ -36,12 +36,13 @@ suite:
 The bracket, the star product, the star commutator and the conjugation
 step are one bidifferential kernel: one numpy pass per call, each of whose
 coefficients is the floating-point sum that a nested loop over term pairs
-and derivation counts forms, added in that loop's order.  The kernel reads
-each operand as key columns and coefficient arrays.  Its output carries
-the ones it already holds, and a scalar multiple passes the key columns on
-and re-reads its coefficients, so a series step starts from arrays, not
-from the dict.  Its falling-factorial and d_t power tables are built on
-first use, once per size, and cached read-only.
+and derivation counts forms, added in that loop's order, as an
+``np.complex128``.  The kernel reads each operand as key columns and
+coefficient arrays.  Its output carries the ones it already holds, and a
+scalar multiple passes the key columns on and re-reads its coefficients,
+so a series step starts from arrays, not from the dict.  Its
+falling-factorial and d_t power tables are built on first use, once per
+size, and cached read-only.
 """
 
 from __future__ import annotations
@@ -513,14 +514,13 @@ def _frozen(*arrays):
 
 
 def _coef_columns(coefs):
-    """Real parts, imaginary parts and numpy-scalar flags of coefficient values, read-only."""
-    coefs = list(coefs)
-    c = np.array(coefs, dtype=complex)
-    return _frozen(c.real, c.imag, np.array([isinstance(v, np.generic) for v in coefs], dtype=bool))
+    """Real and imaginary parts of coefficient values, read-only."""
+    c = np.array(list(coefs), dtype=complex)
+    return _frozen(c.real, c.imag)
 
 
 def _columns(sym: FormalSymbol):
-    """Key columns (2m, a, alpha..., beta..., j), coefficient parts, numpy-scalar flags.
+    """Key columns (2m, a, alpha..., beta..., j) and coefficient parts.
 
     Kept, read-only, on the immutable symbol: a series passes the same
     generator to every one of its kernel calls.  A kernel output carries
@@ -567,15 +567,15 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     lexicographic order, each contribution the CPython complex products
     ((f kf) fa) fb per active channel times the weight, dropped when its
     chain is exactly zero, and added to its key from +0.0, keys listed by
-    first occurrence.  A coefficient fed by a numpy-scalar operand
-    coefficient is a numpy scalar, as in Python arithmetic: numpy and
-    Python divide complex numbers differently in the last bit.
+    first occurrence.  Every output coefficient is an ``np.complex128``,
+    whatever the operands' scalar types: the type is a subclass of
+    ``complex`` and the bits are those of the loop's Python sums.
     """
     a._check(b)
     spec = a.spec
     P, gmax, tmax = spec.num_pairs, spec.grade_max, spec.tau_max
     chs = _channels(spec)
-    (lc, lre, lim, lnp), (rc, rre, rim, rnp) = _columns(a), _columns(b)
+    (lc, lre, lim), (rc, rre, rim) = _columns(a), _columns(b)
 
     def grade(cols):
         return cols[:, 2:2 + 2 * P].sum(axis=1) + 2 * cols[:, -1]
@@ -662,7 +662,7 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
         nz = np.nonzero((k == 0) | (fre != 0) | (fim != 0))[0]
         w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
         fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
-    key, from_np = key[nz], (lnp[pl] | rnp[pr])[nz]
+    key = key[nz]
     lo = key.min(axis=0, initial=0)
     code = np.ravel_multi_index(tuple((key - lo).T), tuple(key.max(axis=0, initial=0) - lo + 1))
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
@@ -671,18 +671,14 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     vals = np.empty(n, dtype=complex)
     vals.real = np.bincount(lab, weights=fre, minlength=n)
     vals.imag = np.bincount(lab, weights=fim, minlength=n)
-    as_np = np.bincount(lab, weights=from_np, minlength=n) > 0
     key = key[first[order]]
-    out = {
-        (r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]):
-            (v if f else complex(v))
-        for r, v, f in zip(key.tolist(), vals, as_np)
-    }
+    out = {(r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]): v
+           for r, v in zip(key.tolist(), vals)}
     sym = FormalSymbol(spec, _prune(out), _raw=True)
     if len(sym) < len(out):
         kept = np.fromiter((t in sym._terms for t in out), dtype=bool, count=len(out))
-        key, vals, as_np = key[kept], vals[kept], as_np[kept]
-    sym._cols = _frozen(key, vals.real, vals.imag, as_np)
+        key, vals = key[kept], vals[kept]
+    sym._cols = _frozen(key, vals.real, vals.imag)
     return sym
 
 

@@ -2,11 +2,12 @@
 
 ``qbnf.symbols._bidifferential`` computes the same sums in one array pass
 and must give exactly what this loop gives: the same keys in the same
-insertion order and the same coefficient bits and scalar types.  The loop
-visits term pairs (left term outer, right term inner) and, per pair, the
-derivation counts (k0, k1, k2, k3) in lexicographic order, multiplying in
-the factors one channel at a time and adding each contribution to its key
-as it goes.
+insertion order and the same coefficient bits.  Only the scalar types
+differ: the loop's follow Python arithmetic on its operands, the kernel's
+are all ``np.complex128``.  The loop visits term pairs (left term outer,
+right term inner) and, per pair, the derivation counts (k0, k1, k2, k3)
+in lexicographic order, multiplying in the factors one channel at a time
+and adding each contribution to its key as it goes.
 """
 
 from qbnf.symbols import FormalSymbol, _prune

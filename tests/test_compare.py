@@ -15,9 +15,9 @@ from qbnf.compare import (
     model_operator_symbol,
 )
 from qbnf.lattice import LatticeEntry, ResonanceLattice, Window, predicted_lattice
-from qbnf.normal_form import SaddleModel, equilibrium_bnf
-from qbnf.quantize import SaddleBasis, direct_spectrum
-from qbnf.symbols import FormalSymbol, PhaseSpec
+from qbnf.normal_form import CylinderModel, SaddleModel, closed_orbit_bnf, equilibrium_bnf
+from qbnf.quantize import CylinderBasis, SaddleBasis, direct_spectrum
+from qbnf.symbols import FormalSymbol, PhaseSpec, TauSeries
 
 from loop_match import loop_match_lattices
 
@@ -198,6 +198,26 @@ def test_auto_basis_of_a_saddle_window_centred_at_energy0_is_unchanged():
         model = SaddleModel(energy0, 1.0, math.sqrt(2.0))
         assert auto_basis(model, Window(energy0, half_width, depth), h) == \
             SaddleBasis(*levels, h)
+
+
+def test_auto_basis_centres_a_cylinder_window_at_zero_on_the_energys_preimage():
+    # f = 0.5 + tau reaches energy 0 at tau = -0.5, so a window centred
+    # exactly at 0 needs Fourier labels around k = -0.5 / h = -10; centred
+    # at tau = 0 instead (k -14..14), 12 of its 60 points went unmatched
+    # and 2 eigenvalues were flagged
+    spec = PhaseSpec.cylinder(8, 8)
+    pert = (FormalSymbol.monomial(spec, 0.1, m=1, alpha=3)
+            + FormalSymbol.monomial(spec, 0.1, m=-1, beta=3))
+    model = CylinderModel(TauSeries([0.5, 1.0]), TauSeries([1.0]), pert)
+    h, window = 0.05, Window(0.0, 0.3, 0.25)
+    basis = auto_basis(model, window, h)
+    assert basis == CylinderBasis(-24, 4, 15, h)
+    nf, _ = closed_orbit_bnf(model, 4)
+    accepted, flagged, _ = direct_spectrum(
+        model_operator_symbol(model), basis, window.inflated(MATCH_WINDOW_PAD))
+    report = match_lattices(predicted_lattice(nf, h, window), accepted)
+    assert len(report.pairs) == 60
+    assert not report.unmatched_predicted and not flagged
 
 
 def _report(h, errors):

@@ -620,11 +620,10 @@ def _assert_carries_its_columns(sym):
     carried = sym._cols
     rebuilt = symbols._columns(FormalSymbol(sym.spec, sym._terms, _raw=True))
     assert carried is not None
-    keys, re, im, flags = carried
+    keys, re, im = carried
     assert keys.dtype == rebuilt[0].dtype and np.array_equal(keys, rebuilt[0])
     for got, want in ((re, rebuilt[1]), (im, rebuilt[2])):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert flags.dtype == bool and np.array_equal(flags, rebuilt[3])
     assert not any(x.flags.writeable for x in carried)
 
 

@@ -240,6 +240,33 @@ def test_matrix_dump_roundtrip(tmp_path):
     assert np.array_equal(vals.reshape((n, n), order="F"), op.matrix)
 
 
+@pytest.mark.parametrize("dump", [True, False])
+def test_run_writes_the_assembled_operator_only_when_asked(tmp_path, dump):
+    import numpy as np
+    from qbnf.scenario import assembled_operator
+
+    raw = json.loads(json.dumps(GOOD))
+    raw["compute"]["dump_matrices"] = dump
+    # an odd power of xi2 makes the operator non-symmetric, so a dump in
+    # the wrong order would not read back as the same matrix
+    raw["model"]["higher_terms"] = [{"alpha": [0, 2], "beta": [0, 1], "re": 0.05}]
+    cfg = load_config(raw)
+    run_scenario(cfg, tmp_path)
+    listed = json.loads((tmp_path / "run_report.json").read_text())["artifacts"]
+    path = tmp_path / "matrix_h0p1.csv"
+    assert ("matrix_h0p1.csv" in listed) is dump and path.exists() is dump
+    if not dump:
+        return
+    lines = path.read_text().splitlines()
+    n = int(lines[0])
+    vals = np.array([complex(float(r), float(i))
+                     for r, i in (ln.split(",") for ln in lines[1:])])
+    want = assembled_operator(cfg, 0.1).matrix
+    assert vals.size == n * n and n == want.shape[0]
+    dense = np.ascontiguousarray(vals.reshape((n, n), order="F"))
+    assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
+
+
 def test_emit_plot_data_empty(tmp_path):
     p = tmp_path / "plot.csv"
     emit_plot_data(p, None, None)
