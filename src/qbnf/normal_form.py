@@ -27,8 +27,9 @@ denominators, until pruning drops it is refused with ArithmeticError.
 The resulting resonant Weyl symbol is finally rewritten as a function of
 the harmonic actions (the form the quantization rules evaluate): powers
 of an action acquire even-h corrections when passed from Weyl-symbol
-multiplication to the functional calculus, computed here from star powers
-of the action itself, independently of any matrix code.
+multiplication to the functional calculus, computed here from the star
+powers of the action itself in exact integer arithmetic, independently of
+any symbol or matrix code.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .symbols import (
     TauSeries,
     homological_solve,
     lie_transform,
-    moyal_star,
     resonant_project,
     star_conjugate,
     substitute_pair,
@@ -317,11 +317,15 @@ def cylinder_symbol(model: CylinderModel, spec: PhaseSpec) -> FormalSymbol:
 def saddle_symbol(model: SaddleModel, spec: PhaseSpec) -> FormalSymbol:
     """Full Weyl symbol of a saddle model (unscaled coordinates)."""
     l1, l2 = model.unstable_rate, model.stable_freq
-    p = FormalSymbol.constant(spec, model.energy0)
-    p = p + FormalSymbol.monomial(spec, 0.5 * l1, beta=(2, 0))
-    p = p + FormalSymbol.monomial(spec, -0.5 * l1, alpha=(2, 0))
-    p = p + FormalSymbol.monomial(spec, 0.5 * l2, beta=(0, 2))
-    p = p + FormalSymbol.monomial(spec, 0.5 * l2, alpha=(0, 2))
+    o, x1, x2 = (0, 0), (2, 0), (0, 2)
+    # distinct keys: the sum of their monomials, built in one pass
+    p = FormalSymbol(spec, {
+        (0, 0, o, o, 0): model.energy0,
+        (0, 0, o, x1, 0): 0.5 * l1,
+        (0, 0, x1, o, 0): -0.5 * l1,
+        (0, 0, o, x2, 0): 0.5 * l2,
+        (0, 0, x2, o, 0): 0.5 * l2,
+    })
     if model.higher is not None:
         p = p + model.higher.reembedded(spec)
     return p
@@ -338,38 +342,29 @@ def _action_power_corrections(bmax: int) -> tuple[tuple[float, ...], ...]:
     Here iota = (x^2 + xi^2)/2 on a single pair and * denotes the star
     product, so the Weyl quantization of the symbol iota^b acts as
     sum_r v[b][r] h^{2r} I^(b-2r) in the functional calculus of the
-    harmonic action operator I.  Computed by expanding star powers of
-    iota and inverting the triangular relation; no matrix code involved.
+    harmonic action operator I.  The star powers are radial, S_b =
+    sum_r w[b][r] h^{2r} iota^(b-2r): on a radial symbol g(iota) the star
+    product with iota is iota g - (h^2/4)(iota g'' + g') (the bracket
+    vanishes and the second-order term is -(h^2/8) times the Laplacian),
+    so w[b+1][r] = w[b][r] - (b - 2r + 2)^2/4 w[b][r-1].  Inverting the
+    triangular relation gives v.  Both run on the integers W = 4^r w and
+    V = 4^r v, exactly, and each v is rounded to a float once; no symbol
+    or matrix code is involved.  Up to bmax 17 (orders up to 35) these are
+    bit for bit the floats of the star-product derivation in float
+    arithmetic; from bmax 18 on that derivation loses digits to rounding
+    and these correctly rounded values differ from it.
     """
-    spec = PhaseSpec(False, 1, max(2 * bmax, 2), 0)
-    iota = FormalSymbol.monomial(spec, 0.5, alpha=2) + FormalSymbol.monomial(
-        spec, 0.5, beta=2
-    )
-    powers = [FormalSymbol.constant(spec, 1.0)]
-    for _ in range(bmax):
-        powers.append(moyal_star(powers[-1], iota))
-    # star powers are radial: S_b = sum_r w[b][r] iota^(b-2r) h^(2r);
-    # read w off the pure-x coefficients, iota^p having x^(2p) weight 2^-p
-    w = []
-    for b in range(bmax + 1):
-        wb = np.zeros(b // 2 + 1)
-        for (m2, a, alpha, beta, j), c in powers[b].terms.items():
-            if beta == (0,) and j % 2 == 0:
-                p = alpha[0] // 2
-                r = j // 2
-                if p == b - 2 * r:
-                    wb[r] = (c * 2**p).real
-        w.append(wb)
+    W = [[1]]
+    for b in range(bmax):
+        prev = W[-1] + [0]
+        W.append([prev[r] - ((b - 2 * r + 2) ** 2 * prev[r - 1] if r else 0)
+                  for r in range((b + 1) // 2 + 1)])
     v = []
     for b in range(bmax + 1):
-        vb = np.zeros(b // 2 + 1)
-        vb[0] = 1.0
+        V = [1]
         for u in range(1, b // 2 + 1):
-            acc = 0.0
-            for r in range(u):
-                acc += vb[r] * w[b - 2 * r][u - r]
-            vb[u] = -acc
-        v.append(tuple(vb))
+            V.append(-sum(V[r] * W[b - 2 * r][u - r] for r in range(u)))
+        v.append(tuple(x / 4**u for u, x in enumerate(V)))
     return tuple(v)
 
 
@@ -427,6 +422,15 @@ def _prepared_symbol(model, spec: PhaseSpec) -> FormalSymbol:
     return birkhoff_coordinates(complex_scale(saddle_symbol(model, spec)))
 
 
+def _check_divisor(p: FormalSymbol, divisor: FormalSymbol) -> None:
+    """Raise ArithmeticError when pruning has dropped a term of ``divisor`` from ``p``."""
+    if not p.holds_keys_of(divisor):
+        raise ArithmeticError(
+            f"the symbol grew to {p.max_abs():.3e} and pruning dropped the "
+            "grade-2 part the normalization divides by"
+        )
+
+
 def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve, divisor) -> FormalSymbol:
     """Remove the non-resonant part of ``p`` grade by grade up to the chain order.
 
@@ -452,11 +456,7 @@ def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve, divisor) -> Formal
             p = star_conjugate(p, A)
             chain.steps.append(("star", d, A))
 
-    if not p.terms.keys() >= divisor.terms.keys():
-        raise ArithmeticError(
-            f"the symbol grew to {p.max_abs():.3e} and pruning dropped the "
-            "grade-2 part the normalization divides by"
-        )
+    _check_divisor(p, divisor)
     res, dust = resonant_project(p)
     if dust.max_abs() > 1e-10 * max(p.max_abs(), 1.0):
         raise ArithmeticError(
@@ -540,9 +540,10 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
 
     Runs the elimination loop from grade 2 with the saddle denominators
     as the division; the prepared grade-2 part, checked here, is
-    resonant.  Returns the normal form in the harmonic actions (iota1,
-    iota2, h), with leading part E0 + (lam1/i) iota1 + lam2 iota2, and the
-    chain of generators.
+    resonant.  A prepared symbol whose pruning dropped that part raises
+    ArithmeticError, as the loop does.  Returns the normal form in the
+    harmonic actions (iota1, iota2, h), with leading part E0 + (lam1/i)
+    iota1 + lam2 iota2, and the chain of generators.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -550,11 +551,13 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
     p = _prepared_symbol(model, spec)
     nu = (complex(model.unstable_rate), 1j * model.stable_freq)
 
-    # trust but verify the prepared quadratic part
+    # trust but verify the prepared quadratic part; higher terms so large
+    # that pruning dropped it are a numeric failure, not a malformed model
     q2 = p.grade_part(2).h_split()[0]
     expect = FormalSymbol.monomial(spec, nu[0], alpha=(1, 0), beta=(1, 0)) + (
         FormalSymbol.monomial(spec, nu[1], alpha=(0, 1), beta=(0, 1))
     )
+    _check_divisor(p, expect)
     if (q2 - expect).max_abs() > 1e-10 * max(abs(nu[0]), abs(nu[1])):
         raise ModelValidationError("quadratic part is not in the prepared saddle form")
 

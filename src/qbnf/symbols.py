@@ -37,12 +37,20 @@ The bracket, the star product, the star commutator and the conjugation
 step are one bidifferential kernel: one numpy pass per call, each of whose
 coefficients is the floating-point sum that a nested loop over term pairs
 and derivation counts forms, added in that loop's order, as an
-``np.complex128``.  The kernel reads each operand as key columns and
-coefficient arrays.  Its output carries the ones it already holds, and a
-scalar multiple passes the key columns on and re-reads its coefficients,
-so a series step starts from arrays, not from the dict.  Its
-falling-factorial and d_t power tables are built on first use, once per
-size, and cached read-only.
+``np.complex128``.
+
+A symbol holds arrays first: key columns, one integer code per key and
+coefficient parts.  Kernel outputs, scalar multiples, negations, sums and
+the grade, h and resonance splits are formed on them, with the dict's
+semantics (Python's abs for pruning, c + c_other on a shared key and
+0.0 + c_other on a new one, keys in insertion order), so a Lie or
+conjugation series never builds a dict; the ``terms`` dict is built when
+something reads it.  Only a symbol built from a dict holds a dict, and a
+sum reads its arrays.  A symbol also keeps the kernel's tables for it as
+an operand: grades, the channels each term can act in and the factors a
+derivation pulls down, so a series builds its generator's once.  The
+falling-factorial and d_t power tables behind those factors are built on
+first use, once per size, and cached read-only.
 """
 
 from __future__ import annotations
@@ -268,14 +276,94 @@ class TauSeries:
 # the symbol container
 # --------------------------------------------------------------------------
 
+def _nonfinite(key, coef):
+    return ArithmeticError(f"non-finite coefficient {coef} at key {key}")
+
+
 def _prune(terms: dict) -> dict:
     if not terms:
         return {}
-    top = max(abs(c) for c in terms.values())
+    mags = [abs(c) for c in terms.values()]
+    for key, m in zip(terms, mags):
+        if not math.isfinite(m):
+            raise _nonfinite(key, terms[key])
+    top = max(mags)
     if top == 0.0:
         return {}
     floor = PRUNE_REL * top
-    return {k: c for k, c in terms.items() if abs(c) > floor}
+    return {k: c for (k, c), m in zip(terms.items(), mags) if m > floor}
+
+
+def _frozen(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _coef_columns(coefs):
+    """Real and imaginary parts of coefficient values, read-only."""
+    c = np.array(list(coefs), dtype=complex)
+    return _frozen(c.real, c.imag)
+
+
+def _key_tuples(keys: np.ndarray, P: int) -> list:
+    return [(r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1])
+            for r in keys.T.tolist()]
+
+
+@lru_cache(maxsize=None)
+def _radices(spec: PhaseSpec) -> tuple:
+    """Digit of each key column in a key's code, least significant first.
+
+    The code reads (2m, j + 1, a, alpha..., beta...) as a mixed-radix
+    number: every key lies inside the truncation, so every digit but 2m
+    lies in [0, radix) and equal codes are equal keys, and 2m, the leading
+    digit, may take any sign.  All orders shifted by h^-1 give h^-1 to
+    the plain product, so j may be -1 and then an exponent may reach
+    grade_max + 2; the j digit is offset by one and the exponent digits
+    have room for that.  The code is the key's dot product with the
+    strides plus the stride of j, so a sum or derivative of keys is the
+    matching sum of codes.  Returns ((column, radix), ...) and the
+    strides, per key column, read-only.
+    """
+    P, g = spec.num_pairs, spec.grade_max
+    digits = [(2 + P + i, g + 3) for i in reversed(range(P))]
+    digits += [(2 + i, g + 3) for i in reversed(range(P))]
+    digits += [(1, spec.tau_max + 1), (2 + 2 * P, g // 2 + 2)]
+    strides = np.zeros(3 + 2 * P, dtype=np.int64)
+    step = 1
+    for col, radix in digits:
+        strides[col] = step
+        step *= radix
+    strides[0] = step
+    return tuple(digits), _frozen(strides)[0]
+
+
+def _decode(code: np.ndarray, spec: PhaseSpec) -> np.ndarray:
+    """Key columns of codes (see ``_radices``)."""
+    digits, _ = _radices(spec)
+    keys = np.empty((len(digits) + 1, len(code)), dtype=np.int64)
+    for col, radix in digits:
+        code, keys[col] = np.divmod(code, radix)
+    keys[0] = code
+    keys[-1] -= 1
+    return keys
+
+
+def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
+    """Key of e^{imt} tau^a x^alpha xi^beta h^j; see ``FormalSymbol.monomial``."""
+    m2 = 2 * m
+    if abs(m2 - round(m2)) > 1e-12:
+        raise ValueError("Fourier mode must be integer or half-integer")
+    if alpha is None:
+        alpha = (0,) * spec.num_pairs
+    elif isinstance(alpha, int):
+        alpha = (alpha,) + (0,) * (spec.num_pairs - 1)
+    if beta is None:
+        beta = (0,) * spec.num_pairs
+    elif isinstance(beta, int):
+        beta = (beta,) + (0,) * (spec.num_pairs - 1)
+    return (int(round(m2)), a, tuple(alpha), tuple(beta), j)
 
 
 class FormalSymbol:
@@ -285,18 +373,29 @@ class FormalSymbol:
     where m is the Fourier mode, a the tau power, alpha/beta the per-pair
     monomial exponents and j the h power.  Instances are immutable; all
     operations return fresh symbols, pruned at ``PRUNE_REL`` relative to
-    the largest coefficient.
+    the largest coefficient, and a non-finite coefficient raises
+    ArithmeticError naming its key.
+
+    A symbol holds either a dict (built from user terms) or key columns
+    and coefficient arrays (see ``_columns``), and builds the other form
+    when something reads it.  Kernel outputs, scalar multiples, negations,
+    sums and the grade, h and resonance splits are formed on the arrays,
+    so a Lie or conjugation series never builds a dict; ``terms`` builds
+    it on demand, with ``np.complex128`` values.  The kernel's per-operand
+    tables (grades, channel caps and derivative factors) are kept on the
+    symbol too, so a series builds its generator's once.
     """
 
-    __slots__ = ("spec", "_terms", "_cols")
+    __slots__ = ("spec", "_map", "_cols", "_tabs")
 
     def __init__(self, spec: PhaseSpec, terms: Mapping | None = None, *, _raw=False):
         self.spec = spec
-        self._cols = None  # the kernel's key columns, built on first use
+        self._cols = None  # the key columns and coefficient parts, built on first use
+        self._tabs = {}
         if terms is None:
-            self._terms = {}
+            self._map = {}
         elif _raw:
-            self._terms = dict(terms)
+            self._map = dict(terms)
         else:
             cleaned = {}
             for key, coef in terms.items():
@@ -305,7 +404,39 @@ class FormalSymbol:
                 if not spec.key_ok(key) or coef == 0:
                     continue
                 cleaned[key] = cleaned.get(key, 0.0) + complex(coef)
-            self._terms = _prune(cleaned)
+            self._map = _prune(cleaned)
+
+    @classmethod
+    def _of_columns(cls, spec, keys, re, im, code, *, prune=False, tabs=None) -> "FormalSymbol":
+        """Symbol of distinct keys (columns ``keys``, codes ``code``) and
+        coefficient parts, pruned when ``prune``.  ``tabs`` are the cached
+        tables of a symbol with the same keys."""
+        if prune and len(re):
+            mag = np.hypot(re, im)  # Python's abs of a complex, bit for bit
+            top = mag.max()
+            if not math.isfinite(top):
+                bad = int(np.flatnonzero(~np.isfinite(mag))[0])
+                raise _nonfinite(_key_tuples(keys[:, bad:bad + 1], spec.num_pairs)[0],
+                                 complex(re[bad], im[bad]))
+            keep = mag > PRUNE_REL * top
+            if np.count_nonzero(keep) < len(keep):
+                at = np.flatnonzero(keep)
+                keys, re, im, code = keys.take(at, axis=1), re[at], im[at], code[at]
+                tabs = None
+        sym = cls.__new__(cls)
+        sym.spec, sym._map = spec, None
+        sym._cols = _frozen(keys, re, im)
+        sym._tabs = {"code": _frozen(code)[0]} if tabs is None else tabs
+        return sym
+
+    def _select(self, keep: np.ndarray) -> "FormalSymbol":
+        """The terms where ``keep`` holds, in order, unpruned."""
+        keys, re, im = _columns(self)
+        if np.count_nonzero(keep) == len(re):
+            return FormalSymbol._of_columns(self.spec, keys, re, im, _code(self), tabs=self._tabs)
+        at = np.flatnonzero(keep)
+        return FormalSymbol._of_columns(self.spec, keys.take(at, axis=1), re[at], im[at],
+                                        _code(self)[at])
 
     # -- constructors ------------------------------------------------------
 
@@ -325,61 +456,65 @@ class FormalSymbol:
         ``m`` may be integer or half-integer; scalar alpha/beta are
         promoted to the single-pair exponent tuple.
         """
-        m2 = 2 * m
-        if abs(m2 - round(m2)) > 1e-12:
-            raise ValueError("Fourier mode must be integer or half-integer")
-        if alpha is None:
-            alpha = (0,) * spec.num_pairs
-        elif isinstance(alpha, int):
-            alpha = (alpha,) + (0,) * (spec.num_pairs - 1)
-        if beta is None:
-            beta = (0,) * spec.num_pairs
-        elif isinstance(beta, int):
-            beta = (beta,) + (0,) * (spec.num_pairs - 1)
-        return cls(spec, {(int(round(m2)), a, tuple(alpha), tuple(beta), j): coef})
+        return cls(spec, {_monomial_key(spec, m, a, alpha, beta, j): coef})
 
     @classmethod
     def from_tau_series(cls, spec, series: TauSeries, *, m=0, alpha=None, beta=None, j=0):
-        """Symbol e^{imt} g(tau) x^alpha xi^beta h^j from a TauSeries g."""
-        out = cls.zero(spec)
-        for a, c in enumerate(series.coeffs):
-            if c != 0:
-                out = out + cls.monomial(spec, c, m=m, a=a, alpha=alpha, beta=beta, j=j)
-        return out
+        """Symbol e^{imt} g(tau) x^alpha xi^beta h^j from a TauSeries g.
+
+        The terms have distinct keys, so this is the sum of their
+        monomials, built in one pass."""
+        return cls(spec, {_monomial_key(spec, m, a, alpha, beta, j): c
+                          for a, c in enumerate(series.coeffs) if c != 0})
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def _terms(self) -> dict:
+        if self._map is None:
+            keys, re, im = self._cols
+            vals = np.empty(len(re), dtype=complex)
+            vals.real, vals.imag = re, im
+            self._map = dict(zip(_key_tuples(keys, self.spec.num_pairs), vals))
+        return self._map
 
     @property
     def terms(self) -> dict:
         return dict(self._terms)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._map) if self._cols is None else len(self._cols[1])
 
     def __bool__(self):
-        return bool(self._terms)
+        return len(self) > 0
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        _, re, im = _columns(self)
+        return float(np.hypot(re, im).max(initial=0.0))
 
     def min_grade(self) -> int:
-        return min((self.spec.grade(k) for k in self._terms), default=self.spec.grade_max + 1)
+        g = _grades(self)
+        return int(g.min()) if len(g) else self.spec.grade_max + 1
 
     def max_fourier(self) -> float:
-        return max((abs(k[0]) for k in self._terms), default=0) / 2.0
+        return int(np.abs(_columns(self)[0][0]).max(initial=0)) / 2.0
+
+    def holds_keys_of(self, other: "FormalSymbol") -> bool:
+        """True when every key of ``other`` is a key of this symbol."""
+        self._check(other)
+        return set(_code(other).tolist()).issubset(_code(self).tolist())
 
     def grade_part(self, d) -> "FormalSymbol":
-        keep = {k: c for k, c in self._terms.items() if self.spec.grade(k) == d}
-        return FormalSymbol(self.spec, keep, _raw=True)
+        return self._select(_grades(self) == d)
 
     def h_split(self) -> tuple["FormalSymbol", "FormalSymbol"]:
         """Split into the classical (j = 0) and quantum (j >= 1) parts."""
-        cl = {k: c for k, c in self._terms.items() if k[4] == 0}
-        qu = {k: c for k, c in self._terms.items() if k[4] >= 1}
-        return FormalSymbol(self.spec, cl, _raw=True), FormalSymbol(self.spec, qu, _raw=True)
+        quantum = _columns(self)[0][-1] >= 1
+        return self._select(~quantum), self._select(quantum)
 
     def min_h_order(self) -> int:
-        return min((k[4] for k in self._terms), default=0)
+        j = _columns(self)[0][-1]
+        return int(j.min()) if len(j) else 0
 
     def conjugate(self) -> "FormalSymbol":
         out = {}
@@ -419,28 +554,43 @@ class FormalSymbol:
         return complex(total)
 
     def __repr__(self):
-        n = len(self._terms)
-        return f"FormalSymbol({n} terms, grade<={self.spec.grade_max})"
+        return f"FormalSymbol({len(self)} terms, grade<={self.spec.grade_max})"
 
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError("operands live on different PhaseSpecs")
 
     def __add__(self, other):
+        """c_self + c_other on a shared key, 0.0 + c_other on a new one,
+        listed after this symbol's keys in ``other``'s order; pruned.  Runs
+        on the arrays, whatever either operand holds."""
         if isinstance(other, (int, float, complex)):
             other = FormalSymbol.constant(self.spec, other)
         self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return FormalSymbol(self.spec, _prune(out), _raw=True)
+        (ka, ra, ia), (kb, rb, ib) = _columns(self), _columns(other)
+        mine, theirs = _code(self), _code(other)
+        n = len(ra)
+        if not n or not len(rb):
+            cols = (ka, ra, ia, mine) if n else (kb, 0.0 + rb, 0.0 + ib, theirs)
+            return FormalSymbol._of_columns(self.spec, *cols, prune=True)
+        order = np.argsort(mine)
+        lab = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), n - 1)]
+        new = np.flatnonzero(mine[lab] != theirs)
+        code = np.concatenate([mine, theirs[new]])
+        lab[new] = np.arange(n, len(code))
+        re, im = np.zeros(len(code)), np.zeros(len(code))
+        re[:n], im[:n] = ra, ia
+        re[lab], im[lab] = re[lab] + rb, im[lab] + ib
+        keys = np.concatenate([ka, kb.take(new, axis=1)], axis=1)
+        return FormalSymbol._of_columns(self.spec, keys, re, im, code, prune=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSymbol(self.spec, {k: -c for k, c in self._terms.items()}, _raw=True)
+        keys, re, im = _columns(self)
+        return FormalSymbol._of_columns(self.spec, keys, -re, -im, _code(self), tabs=self._tabs)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -452,12 +602,10 @@ class FormalSymbol:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            out = FormalSymbol(
-                self.spec, {k: c * other for k, c in self._terms.items()}, _raw=True
-            )
-            if self._cols is not None:  # same keys in the same order
-                out._cols = (self._cols[0], *_coef_columns(out._terms.values()))
-            return out
+            keys, re, im = _columns(self)
+            x = complex(other)  # a real factor enters as x + 0j, as in Python
+            return FormalSymbol._of_columns(self.spec, keys, *_cmul(re, im, x.real, x.imag),
+                                            _code(self), tabs=self._tabs)
         self._check(other)
         spec = self.spec
         out = {}
@@ -476,6 +624,40 @@ class FormalSymbol:
         return FormalSymbol(spec, _prune(out), _raw=True)
 
     __rmul__ = __mul__
+
+
+def _columns(sym: FormalSymbol):
+    """Key columns and coefficient parts: ``keys[c]`` is column c, (2m, a,
+    alpha..., beta..., j), of every key, and ``re``/``im`` the coefficients.
+
+    Read-only and kept on the immutable symbol; a symbol born from arrays
+    has them from its birth, one built from a dict builds them here once.
+    """
+    if sym._cols is None:
+        terms = sym._map
+        keys = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in terms],
+                        dtype=np.int64).reshape(len(terms), 3 + 2 * sym.spec.num_pairs)
+        sym._cols = (*_frozen(np.ascontiguousarray(keys.T)), *_coef_columns(terms.values()))
+    return sym._cols
+
+
+def _code(sym: FormalSymbol) -> np.ndarray:
+    """The code of every key (see ``_radices``), kept on the symbol."""
+    code = sym._tabs.get("code")
+    if code is None:
+        strides = _radices(sym.spec)[1]
+        code = (_columns(sym)[0] * strides[:, None]).sum(axis=0) + strides[-1]
+        sym._tabs["code"] = _frozen(code)[0]
+    return code
+
+
+def _grades(sym: FormalSymbol) -> np.ndarray:
+    """Joint grade of every key, kept on the symbol."""
+    g = sym._tabs.get("grade")
+    if g is None:
+        keys, P = _columns(sym)[0], sym.spec.num_pairs
+        g = sym._tabs["grade"] = keys[2:2 + 2 * P].sum(axis=0) + 2 * keys[-1]
+    return g
 
 
 # --------------------------------------------------------------------------
@@ -498,6 +680,23 @@ def _channels(spec: PhaseSpec):
     return ch
 
 
+@lru_cache(maxsize=None)
+def _channel_table(spec: PhaseSpec):
+    """Per channel: its sign, the key code one derivation in it takes off
+    and, per side, the key column its derivative lowers.
+
+    A derivation in pair i lowers alpha_i and beta_i, one in (t, tau)
+    lowers tau; either adds one h.  Read-only.
+    """
+    P, chs = spec.num_pairs, _channels(spec)
+    dec = np.zeros((len(chs), 3 + 2 * P), dtype=np.int64)
+    for c, (cl, _, _) in enumerate(chs):
+        dec[c, [1] if cl < 2 else [2 + (cl - 2) % P, 2 + P + (cl - 2) % P]] = 1
+    dec[:, -1] = -1
+    sides = np.array([[ch[0] for ch in chs], [ch[1] for ch in chs]])
+    return _frozen(np.array([ch[2] for ch in chs]), dec @ _radices(spec)[1], sides)
+
+
 def _cmul(ar, ai, br, bi):
     """Complex products on real and imaginary parts, as CPython forms them.
 
@@ -505,33 +704,6 @@ def _cmul(ar, ai, br, bi):
     array operation, so no two of them are fused into one rounding.
     """
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _frozen(*arrays):
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
-
-
-def _coef_columns(coefs):
-    """Real and imaginary parts of coefficient values, read-only."""
-    c = np.array(list(coefs), dtype=complex)
-    return _frozen(c.real, c.imag)
-
-
-def _columns(sym: FormalSymbol):
-    """Key columns (2m, a, alpha..., beta..., j) and coefficient parts.
-
-    Kept, read-only, on the immutable symbol: a series passes the same
-    generator to every one of its kernel calls.  A kernel output carries
-    them from its birth, and a scalar multiple carries its operand's key
-    columns; any other symbol builds them on the first call.
-    """
-    if sym._cols is None:
-        cols = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in sym._terms],
-                        dtype=np.int64).reshape(len(sym._terms), 3 + 2 * sym.spec.num_pairs)
-        sym._cols = (*_frozen(cols), *_coef_columns(sym._terms.values()))
-    return sym._cols
 
 
 @lru_cache(maxsize=None)
@@ -550,6 +722,104 @@ def _dt_powers(reach: int, tmax: int):
     return _frozen(tab.real, tab.imag)
 
 
+def _side(sym: FormalSymbol, side: int, full: bool):
+    """Channel tables of ``sym`` as the left (side 0) or right (side 1)
+    kernel operand, built once per symbol and side.
+
+    Without ``full``: the channels in which the term's derivative can act,
+    one bit each (bit c for channel c), and the real and imaginary parts of
+    the factor one derivation pulls down, flat [c, n].  With ``full``: how
+    often it can act, [c, n], and the factors of kappa derivations,
+    [c, n, kappa].  A factor is a falling factorial, or (i m / 2)^kappa
+    for d_t, read from ``_falling`` and ``_dt_powers``.
+    """
+    tabs = sym._tabs
+    got = tabs.get((side, full))
+    if got is not None:
+        return got
+    spec, keys = sym.spec, _columns(sym)[0]
+    gmax, tmax = spec.grade_max, spec.tau_max
+    t = 1 - side if spec.num_pairs == 1 else None  # the d_t channel
+    caps = keys.take(_channel_table(spec)[2][side], axis=0)
+    fim = np.zeros(caps.shape + ((max(gmax, tmax) + 1,) if full else ()))
+    if t is not None:  # d_t acts with a Fourier mode, up to the tau truncation
+        m2 = keys[0]
+        caps[t] = (m2 != 0) * tmax
+        reach = int(np.abs(m2).max(initial=0))
+    fre = _falling(max(gmax, tmax))[caps, slice(None) if full else 1]
+    if t is not None:
+        fre[t] = 0.0
+        if reach and tmax:
+            row = m2 + reach
+            for tab, out in zip(_dt_powers(reach, tmax), (fre, fim)):
+                if full:
+                    out[t, :, :tmax + 1] = tab[row]
+                else:
+                    out[t] = tab[row, 1]
+    if not full:
+        caps = np.packbits(caps > 0, axis=0, bitorder="little")[0]
+        fre, fim = fre.ravel(), fim.ravel()
+    got = tabs[(side, full)] = _frozen(caps, fre, fim)
+    return got
+
+
+def _room(sym: FormalSymbol) -> np.ndarray:
+    """grade (2 tau_max + 2) + a of every key: the sum of two of these
+    holds a term pair's grade and tau power as separate digits.  Kept on
+    the symbol."""
+    u = sym._tabs.get("room")
+    if u is None:
+        tmax = sym.spec.tau_max
+        u = sym._tabs["room"] = _grades(sym) * (2 * tmax + 2) + _columns(sym)[0][1]
+    return u
+
+
+@lru_cache(maxsize=None)
+def _bracket_channels(spec: PhaseSpec, h_shift: int) -> np.ndarray:
+    """[u] -> the channels, as bits, in which a term pair with room code
+    u (see ``_room``) keeps one derivation inside the truncation; u past
+    the last entry keeps none.  Read-only.
+
+    A derivation in pair i keeps the grade and the tau power; one in
+    (t, tau) raises the grade by 2 and lowers tau by 1.
+    """
+    tmax, room = spec.tau_max, spec.grade_max - 2 * h_shift
+    g, tau = np.divmod(np.arange((room + 1) * (2 * tmax + 2) + 1), 2 * tmax + 2)
+    keep = (g <= room) & (tau <= tmax)
+    bits = np.zeros(len(g), dtype=np.uint8)
+    for c, (cl, _, _) in enumerate(_channels(spec)):
+        bits[(g <= room - 2) & (tau <= tmax + 1) if cl < 2 else keep] |= 1 << c
+    return _frozen(bits)[0]
+
+
+@lru_cache(maxsize=None)
+def _channel_bools() -> np.ndarray:
+    """[bits] -> four bytes, byte c 1 when bit c is set, read as one uint32."""
+    return _frozen(((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(np.uint8)
+                   .view(np.uint32).ravel())[0]
+
+
+def _first_occurrence(code: np.ndarray):
+    """(rows listing each distinct code once, by first occurrence; each row's label).
+
+    A scatter of row numbers into the span of the codes finds every
+    code's first row (only the slots the codes touch are set); a second
+    scatter numbers those rows in order.  A span past 2^20 slots is first
+    narrowed to the codes' ranks, so the scatter table stays small.
+    """
+    n = len(code)
+    code = code - code.min()
+    if code.max() >= 1 << 20:
+        code = np.unique(code, return_inverse=True)[1]
+    first = np.empty(int(code.max()) + 1, dtype=np.int32)  # half the pages of intp
+    first[code] = n
+    rows = np.arange(n, dtype=np.int32)
+    np.minimum.at(first, code, rows)
+    heads = np.flatnonzero(first[code] == rows)
+    first[code[heads]] = rows[:len(heads)]
+    return heads, first[code]
+
+
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
                     scale: complex) -> FormalSymbol:
     """sum_k scale (h/2i)^k h^h_shift B_k(a, b) over the selected orders k.
@@ -558,128 +828,120 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     every multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
     the truncation are never formed, nor are derivation counts whose
-    output grade or tau power lies above it or, for "odd" and "first",
-    whose k is even; "first" reads its rows, one per channel that can act,
-    off one mask.  The output carries its key columns (see ``_columns``).
+    output grade or tau power lies above it.  Each operand's grades,
+    channel tables and key codes are kept on it (see ``_side`` and
+    ``_code``), so a series builds its generator's once.  "first" reads
+    its rows, one per channel that can act, off one (pair, channel) mask:
+    the channel bits both terms can act in, and the ones the pair's grade
+    and tau room allow (``_bracket_channels``).  "odd" and "all" enumerate
+    each pair's count tuples in closed form, as mixed-radix digits, and
+    keep those of the right parity within the pair's grade and tau room.
+    An output key's code is its pair's codes less what the derivations
+    take off; the output holds arrays only.
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
     lexicographic order, each contribution the CPython complex products
     ((f kf) fa) fb per active channel times the weight, dropped when its
     chain is exactly zero, and added to its key from +0.0, keys listed by
-    first occurrence.  Every output coefficient is an ``np.complex128``,
-    whatever the operands' scalar types: the type is a subclass of
-    ``complex`` and the bits are those of the loop's Python sums.
+    first occurrence (one scatter, then ``np.bincount``).  Every output
+    coefficient is an ``np.complex128``, whatever the operands' scalar
+    types: the type is a subclass of ``complex`` and the bits are those
+    of the loop's Python sums.
     """
     a._check(b)
     spec = a.spec
-    P, gmax, tmax = spec.num_pairs, spec.grade_max, spec.tau_max
-    chs = _channels(spec)
-    (lc, lre, lim), (rc, rre, rim) = _columns(a), _columns(b)
-
-    def grade(cols):
-        return cols[:, 2:2 + 2 * P].sum(axis=1) + 2 * cols[:, -1]
-
-    def cap(cols, col):
-        return np.where(cols[:, 0] != 0, tmax, 0) if col == 0 else cols[:, col]
-
-    g = grade(lc).astype(np.int16)[:, None] + grade(rc).astype(np.int16)
-    li, ri = np.nonzero(g <= gmax - 2 * h_shift)
-    if not len(li):
-        return FormalSymbol(spec)
-    # expand every pair into the derivation counts it keeps, channel by
-    # channel.  A derivation in pair i lowers alpha_i and beta_i and adds an
-    # h, so it keeps the grade; one in (t, tau) lowers no grade column and
-    # raises the grade by 2, so the (t, tau) counts share the pair's budget.
-    # It also lowers tau, so the last (t, tau) channel starts its count at
-    # the excess of the pair's tau power over the truncation, less the
-    # (t, tau) counts already taken
-    budget = (gmax - 2 * h_shift - g[li, ri]) // 2
-    excess = lc[li, 1] + rc[ri, 1] - tmax
+    gmax, tmax = spec.grade_max, spec.tau_max
+    (lk, lre, lim), (rk, rre, rim) = _columns(a), _columns(b)
+    sign, drop, _ = _channel_table(spec)
+    # an output's code is its pair's codes, less one j offset, with the h
+    # shift, less what its derivations take off
+    lcode, rcode = _code(a), _code(b)
+    shift = (h_shift - 1) * _radices(spec)[1][-1]
     if orders == "first":
         # k = 1: one derivation in one channel.  A (t, tau) one needs a
-        # budget of 1 and lowers tau by 1.  A pair's rows are its channels
-        # that can act, in the order of the bracket's formula, since
-        # floating-point sums depend on that order
-        can = [(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri]) > 0)
-               & (budget >= (cl < 2)) & (excess <= (cl < 2)) for cl, cr, _ in chs]
-        pair, chan = np.nonzero(np.column_stack(can))
-        ks = [(chan == c).astype(np.int64) for c in range(len(chs))]
-        k = np.ones(len(pair), dtype=np.int64)
+        # grade budget of 2 and lowers tau by 1.  A pair's rows are its
+        # channels that can act, in the order of the bracket's formula,
+        # since floating-point sums depend on that order
+        (lbits, lfre, lfim), (rbits, rfre, rfim) = _side(a, 0, False), _side(b, 1, False)
+        bits = lbits[:, None] & rbits
+        bits &= _bracket_channels(spec, h_shift).take(_room(a)[:, None] + _room(b), mode="clip")
+        # one byte per (pair, channel), so the rows come in (pair, channel) order
+        row = np.flatnonzero(_channel_bools().take(bits).view(np.bool_))
+        chan, pair = row & 3, row >> 2
+        pl, pr = pair // len(rre), pair % len(rre)
+        code = lcode[pl] + rcode[pr] - (drop - shift)[chan]
+        k = None
     else:
-        kmax = 4 * (gmax + tmax)
-        last_tau = max((c for c, ch in enumerate(chs) if ch[0] < 2), default=None)
-        pair, ks, k = np.arange(len(li)), [], np.zeros(len(li), dtype=np.int64)
-        for c, (cl, cr, _) in enumerate(chs):
-            top = np.minimum(np.minimum(cap(lc, cl)[li], cap(rc, cr)[ri])[pair], kmax - k)
-            low = np.zeros_like(top)
-            if cl < 2:
-                spent = sum(x for x, ch in zip(ks, chs) if ch[0] < 2)
-                top = np.minimum(top, budget[pair] - spent)
-                if c == last_tau:
-                    low = np.maximum(excess[pair] - spent, 0)
-            # with odd orders the last channel takes only the counts that make k odd
-            step = 2 if orders == "odd" and c == len(chs) - 1 else 1
-            if step == 2:
-                low += (low + k + 1) % 2
-            cnt = np.maximum((top - low) // step + 1, 0)
-            parent = np.repeat(np.arange(len(cnt)), cnt)
-            kc = low[parent] + step * (np.arange(len(parent)) - (np.cumsum(cnt) - cnt)[parent])
-            pair, ks, k = pair[parent], [x[parent] for x in ks] + [kc], k[parent] + kc
-    # channels 0, 1 and 2, 3 each act on one conjugate pair: a derivation in
-    # pair i lowers alpha_i and beta_i together, one in (t, tau) lowers tau
-    pl, pr = li[pair], ri[pair]
-    key = lc[pl] + rc[pr]
-    key[:, -1] += h_shift + k
-    for c in (0, 2):
-        i = (chs[c][0] - 2) % P
-        key[:, [1] if chs[c][0] < 2 else [2 + i, 2 + P + i]] -= (ks[c] + ks[c + 1])[:, None]
-
-    # a derivative pulls down a falling factorial, d_t pulls down (i m / 2)^kappa
-    falling = _falling(max(gmax, tmax))
-
-    def factor(cols, terms, col, x):
-        if col:
-            return falling[cols[terms, col], x], 0.0
-        m2 = cols[terms, 0]
-        reach = int(np.abs(m2).max(initial=0))
-        tab_re, tab_im = _dt_powers(reach, tmax)
-        return tab_re[m2 + reach, x], tab_im[m2 + reach, x]
+        # a derivation in pair i lowers alpha_i and beta_i and adds an h, so
+        # it keeps the grade; one in (t, tau) lowers no grade column and
+        # raises the grade by 2, and it lowers tau, so the pair's tau power
+        # may exceed the truncation by the (t, tau) count
+        (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
+        angle, room = spec.has_angle, gmax - 2 * h_shift
+        g = _grades(a)[:, None] + _grades(b)
+        li, ri = np.nonzero(g <= room)
+        radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
+        if angle:
+            budget = (room - g[li, ri]) // 2
+            radix[:2] = np.minimum(radix[:2], budget + 1)
+        # each pair's count tuples, in lexicographic order, are the numbers
+        # below the product of its radices, read as mixed-radix digits
+        cnt = radix.prod(axis=0)
+        pair = np.repeat(np.arange(len(li)), cnt)
+        rest = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        ks = np.empty((len(sign), len(pair)), dtype=np.int64)
+        for c in range(len(sign) - 1, -1, -1):
+            rest, ks[c] = np.divmod(rest, radix[c, pair])
+        k = ks.sum(axis=0)
+        keep = k % 2 == 1 if orders == "odd" else np.ones(len(k), dtype=bool)
+        if angle:
+            spent = ks[0] + ks[1]
+            excess = lk[1, li] + rk[1, ri] - tmax
+            keep &= (spent <= budget[pair]) & (spent >= excess[pair])
+        pair, ks, k = pair[keep], ks[:, keep], k[keep]
+        pl, pr = li[pair], ri[pair]
+        code = lcode[pl] + rcode[pr] + shift - (drop[:, None] * ks).sum(axis=0)
+    if not len(code):
+        return FormalSymbol(spec)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
         fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
-        for (cl, cr, sign), kc in zip(chs, ks):
-            on = np.nonzero(kc)[0]
-            if not len(on):
-                continue
-            x = kc[on]
-            kf = [1.0]
-            for kappa in range(1, int(x.max()) + 1):
-                kf.append(kf[-1] * (sign / kappa))
-            re, im = _cmul(fre[on], fim[on], np.array(kf)[x], 0.0)
-            re, im = _cmul(re, im, *factor(lc, pl[on], cl, x))
-            fre[on], fim[on] = _cmul(re, im, *factor(rc, pr[on], cr, x))
-        nz = np.nonzero((k == 0) | (fre != 0) | (fim != 0))[0]
-        w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
-        fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
-    key = key[nz]
-    lo = key.min(axis=0, initial=0)
-    code = np.ravel_multi_index(tuple((key - lo).T), tuple(key.max(axis=0, initial=0) - lo + 1))
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # unique keys by first occurrence
-    lab, n = np.argsort(order)[inv.ravel()], len(order)
-    vals = np.empty(n, dtype=complex)
-    vals.real = np.bincount(lab, weights=fre, minlength=n)
-    vals.imag = np.bincount(lab, weights=fim, minlength=n)
-    key = key[first[order]]
-    out = {(r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]): v
-           for r, v in zip(key.tolist(), vals)}
-    sym = FormalSymbol(spec, _prune(out), _raw=True)
-    if len(sym) < len(out):
-        kept = np.fromiter((t in sym._terms for t in out), dtype=bool, count=len(out))
-        key, vals = key[kept], vals[kept]
-    sym._cols = _frozen(key, vals.real, vals.imag)
-    return sym
+        if k is None:
+            fre, fim = _cmul(fre, fim, sign[chan], 0.0)
+            at = chan * len(lre) + pl
+            fre, fim = _cmul(fre, fim, lfre[at], lfim[at])
+            at = chan * len(rre) + pr
+            fre, fim = _cmul(fre, fim, rfre[at], rfim[at])
+            nz = (fre != 0) | (fim != 0)
+            nz = np.flatnonzero(nz) if np.count_nonzero(nz) < len(nz) else slice(None)
+            fre, fim = fre[nz], fim[nz]
+            w = scale * (-0.5j) ** 1
+            fre, fim = _cmul(fre, fim, w.real, w.imag)
+        else:
+            top = int(ks.max(initial=0))
+            for c, s in enumerate(sign.tolist()):
+                on = np.flatnonzero(ks[c])
+                if not len(on):
+                    continue
+                x, ol, orr = ks[c, on], pl[on], pr[on]
+                kf = [1.0]
+                for kappa in range(1, top + 1):
+                    kf.append(kf[-1] * (s / kappa))
+                re, im = _cmul(fre[on], fim[on], np.array(kf)[x], 0.0)
+                re, im = _cmul(re, im, lfre[c, ol, x], lfim[c, ol, x])
+                fre[on], fim[on] = _cmul(re, im, rfre[c, orr, x], rfim[c, orr, x])
+            nz = np.flatnonzero((k == 0) | (fre != 0) | (fim != 0))
+            w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
+            fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
+    code = code[nz]
+    if not len(code):
+        return FormalSymbol(spec)
+    heads, lab = _first_occurrence(code)
+    vre = np.bincount(lab, weights=fre, minlength=len(heads))
+    vim = np.bincount(lab, weights=fim, minlength=len(heads))
+    code = code[heads]
+    return FormalSymbol._of_columns(spec, _decode(code, spec), vre, vim, code, prune=True)
 
 
 def poisson_bracket(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
@@ -752,14 +1014,10 @@ def resonant_project(v: FormalSymbol) -> tuple[FormalSymbol, FormalSymbol]:
     alpha == beta, i.e. functions of (tau, x xi, h) on the cylinder and of
     the pair products on the saddle.
     """
-    res, non = {}, {}
-    for key, c in v._terms.items():
-        m2, _, alpha, beta, _ = key
-        (res if (m2 == 0 and alpha == beta) else non)[key] = c
-    return (
-        FormalSymbol(v.spec, res, _raw=True),
-        FormalSymbol(v.spec, non, _raw=True),
-    )
+    keys = _columns(v)[0]
+    P = v.spec.num_pairs
+    resonant = (keys[0] == 0) & (keys[2:2 + P] == keys[2 + P:2 + 2 * P]).all(axis=0)
+    return v._select(resonant), v._select(~resonant)
 
 
 def homological_solve(

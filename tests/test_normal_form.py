@@ -564,6 +564,58 @@ def test_saddle_model_validation():
         SaddleModel(0.0, 1.0, 1.0, FormalSymbol.monomial(spec, 1.0, alpha=(1, 1)))
 
 
+def test_malformed_prepared_quadratic_part_is_a_model_error(monkeypatch):
+    # every grade-2 key is there but its coefficient is wrong: that is the
+    # prepared-form check's model error, not the loop's pruning failure
+    prepared = normal_form._prepared_symbol
+    monkeypatch.setattr(normal_form, "_prepared_symbol",
+                        lambda model, spec: prepared(model, spec) * 2.0)
+    with pytest.raises(ModelValidationError, match="prepared saddle form"):
+        equilibrium_bnf(SaddleModel(0.0, 1.0, math.sqrt(2.0)), 4)
+
+
+# --------------------------------------------------------------------------
+# functional-calculus corrections against star powers
+# --------------------------------------------------------------------------
+
+def _star_power_corrections(bmax):
+    """``_action_power_corrections`` from star powers of iota = (x^2 + xi^2)/2
+    in the symbol algebra: read w off the pure-x coefficients of the star
+    powers, then invert the triangular relation in floats."""
+    spec = PhaseSpec(False, 1, max(2 * bmax, 2), 0)
+    iota = FormalSymbol.monomial(spec, 0.5, alpha=2) + FormalSymbol.monomial(spec, 0.5, beta=2)
+    powers = [FormalSymbol.constant(spec, 1.0)]
+    for _ in range(bmax):
+        powers.append(symbols.moyal_star(powers[-1], iota))
+    w = []
+    for b in range(bmax + 1):
+        wb = np.zeros(b // 2 + 1)
+        for (m2, a, alpha, beta, j), c in powers[b].terms.items():
+            if beta == (0,) and j % 2 == 0 and alpha[0] // 2 == b - j:
+                wb[j // 2] = (c * 2 ** (alpha[0] // 2)).real
+        w.append(wb)
+    v = []
+    for b in range(bmax + 1):
+        vb = np.zeros(b // 2 + 1)
+        vb[0] = 1.0
+        for u in range(1, b // 2 + 1):
+            acc = 0.0
+            for r in range(u):
+                acc += vb[r] * w[b - 2 * r][u - r]
+            vb[u] = -acc
+        v.append(tuple(vb))
+    return tuple(v)
+
+
+def test_action_power_corrections_match_the_star_powers_bit_for_bit():
+    for bmax in range(13):
+        got = normal_form._action_power_corrections(bmax)
+        want = _star_power_corrections(bmax)
+        assert [len(v) for v in got] == [len(v) for v in want]
+        assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want]
+    assert normal_form._action_power_corrections(4)[2:] == ((1.0, 0.25), (1.0, 1.25), (1.0, 3.5, 0.5625))
+
+
 # --------------------------------------------------------------------------
 # both pipelines through the nested-loop kernel oracle
 # --------------------------------------------------------------------------

@@ -357,6 +357,28 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coef", [1e15, 1e16])
+def test_cli_saddle_whose_pruning_drops_the_quadratic_part_is_a_numeric_failure(
+        tmp_path, capsys, coef):
+    # higher terms this large make the prepared symbol's pruning drop the
+    # rates it is divided by, before the prepared-form check runs: that is
+    # the loop's numeric failure (exit 3), not a malformed model (exit 1)
+    cfg = json.loads(json.dumps(GOOD))
+    cfg["model"]["higher_terms"] = [
+        {"alpha": [2, 2], "beta": [0, 0], "j": 0, "re": coef},
+        {"alpha": [3, 0], "beta": [0, 0], "j": 0, "re": coef},
+    ]
+    cfg["compute"].update({"order": 8, "direct": False})
+    cfg["compute"].pop("basis", None)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 3
+    assert "pruning dropped the grade-2 part" in capsys.readouterr().err
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["status"] == "incomplete"
+
+
 @pytest.mark.parametrize("name, basis", [
     ("quadratic_saddle", {"levels1": 10}),
     ("quadratic_saddle", {"levels1": -1, "levels2": 10}),

@@ -1,6 +1,7 @@
 """Unit tests for the truncated Weyl-symbol algebra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbnf.symbols import (
+    PRUNE_REL,
     FormalSymbol,
     IterationCapError,
     ModelDegeneracyError,
@@ -549,6 +551,19 @@ def test_kernel_skips_contributions_that_underflow_to_zero():
     assert list(got) == [(0, 0, (1, 0), (1, 0), 0), (0, 0, (0, 0), (0, 0), 1)]
 
 
+def test_kernel_shifted_by_h_minus_one_keeps_exponents_past_the_grade():
+    # all orders shifted by h^-1: the plain product of xi^2 and xi^3 is
+    # xi^5 h^-1, of grade 3, with an exponent above grade_max 4
+    for spec, m in ((PhaseSpec.saddle(4), 0), (PhaseSpec.cylinder(4, 2, orientable=False), 0.5)):
+        beta = (lambda n: (n, 0)) if spec.num_pairs == 2 else (lambda n: n)
+        a = FormalSymbol.monomial(spec, 0.5 - 1j, beta=beta(2)) + FormalSymbol.monomial(
+            spec, 2.0, alpha=beta(1), beta=beta(1), m=2 * m)
+        b = FormalSymbol.monomial(spec, 1.5, beta=beta(3), m=m) + FormalSymbol.monomial(
+            spec, -0.25j, alpha=beta(3), m=m)
+        got = _assert_kernel_matches_loop(a, b, "all", -1, 1.0)
+        assert any(max(k[3]) == 5 and k[4] == -1 for k in got)
+
+
 @pytest.mark.parametrize("orders,scale", KERNEL_MODES)
 def test_kernel_on_empty_operands_and_an_empty_pair_set(orders, scale):
     spec = PhaseSpec.cylinder(6, 4)
@@ -639,6 +654,181 @@ def test_kernel_tables_are_cached_and_read_only():
     assert tables[0][5].tolist() == [1.0, 5.0, 20.0, 60.0, 120.0, 120.0, 0.0]
     # row 0 is 2m = -4: (i m)^kappa = (-2i)^kappa
     assert tables[2][0].tolist() == [0.0, -2.0, 0.0, 8.0, 0.0]
+
+
+# --------------------------------------------------------------------------
+# array-held symbols against the dict semantics
+# --------------------------------------------------------------------------
+
+def _bits(terms):
+    return np.array(list(terms.values()), dtype=complex).view(np.uint64)
+
+
+def _assert_same_terms(got, want):
+    assert list(got) == list(want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _dict_prune(terms):
+    """The pruning rule on a dict, with Python's abs of each coefficient."""
+    if not terms:
+        return {}
+    floor = PRUNE_REL * max(abs(complex(c)) for c in terms.values())
+    return {k: c for k, c in terms.items() if abs(complex(c)) > floor}
+
+
+def _dict_sum(a, b):
+    """Symbol addition on dicts: c_a + c_b on a shared key, 0.0 + c_b on a
+    new one, listed after a's keys; then pruned."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) + c
+    return _dict_prune(out)
+
+
+def _wide_symbol(spec, rng, n_terms):
+    """Random terms with magnitudes from 1e-20 to 1e20, held as arrays."""
+    sym = random_symbol(spec, rng, n_terms=n_terms, max_exp=3, max_tau=3)
+    terms = {k: c * 10.0 ** rng.uniform(-20, 20) for k, c in sym.terms.items()}
+    return FormalSymbol(spec, terms, _raw=True) * 1.0, terms
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
+def test_max_abs_and_pruning_follow_pythons_abs(kind):
+    spec = KERNEL_SPECS[kind]
+    rng = np.random.default_rng(3)
+    pruned = 0
+    for n_terms in (1, 5, 40, 200):
+        sym, terms = _wide_symbol(spec, rng, n_terms)
+        assert sym._map is None  # a scalar multiple is held as arrays
+        want = max(abs(complex(c)) for c in terms.values())
+        assert np.float64(sym.max_abs()).tobytes() == np.float64(want).tobytes()
+        got = (sym + FormalSymbol.zero(spec))._terms
+        _assert_same_terms(got, _dict_prune(sym._terms))
+        pruned += len(terms) - len(got)
+    assert pruned > 10
+
+
+def test_sums_keep_the_dict_order_signed_zeros_and_bits():
+    spec = PhaseSpec.saddle(6)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a = random_symbol(spec, rng, n_terms=12, max_exp=2)
+        b = random_symbol(spec, rng, n_terms=12, max_exp=2)
+        ta, tb = {}, {}
+        # signed zeros on shared and on new keys, and a cancellation
+        for i, (k, c) in enumerate(a.terms.items()):
+            ta[k] = [c, complex(-0.0, c.imag), complex(c.real, -0.0)][i % 3]
+        for i, (k, c) in enumerate(b.terms.items()):
+            tb[k] = [complex(-0.0, c.imag), c, complex(c.real, -0.0)][i % 3]
+        shared = [k for k in tb if k in ta]
+        if shared:
+            tb[shared[0]] = -ta[shared[0]]
+        # array-held operands (scalar multiples by 1.0 keep every bit), and
+        # dict-held ones, or one of each
+        da, db = FormalSymbol(spec, ta, _raw=True), FormalSymbol(spec, tb, _raw=True)
+        sa, sb = da * 1.0, db * 1.0
+        want = _dict_sum({k: c * 1.0 for k, c in ta.items()}, {k: c * 1.0 for k, c in tb.items()})
+        for x, y in ((sa, sb), (sa, FormalSymbol(spec, sb._terms, _raw=True))):
+            _assert_same_terms((x + y)._terms, want)
+        _assert_same_terms((da + db)._terms, _dict_sum(ta, tb))
+        assert any(np.signbit(c.real) for c in want.values())
+    # a new key's -0.0 part becomes +0.0, a shared key's -0.0 + -0.0 stays -0.0
+    x = FormalSymbol(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 1.0)}, _raw=True) * 1.0
+    y = FormalSymbol(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 2.0),
+                            (0, 0, (0, 1), (0, 0), 0): complex(-0.0, 3.0)}, _raw=True) * 1.0
+    got = (x + y)._terms
+    assert [np.signbit(c.real) for c in got.values()] == [True, False]
+
+
+def test_lazy_terms_follow_the_dict_path_through_a_series():
+    # every step of a Lie series and of a conjugation series, held as arrays,
+    # against the loop kernel with the dict-semantics scalar product and sum
+    spec = PhaseSpec.cylinder(8, 4)
+    rng = np.random.default_rng(21)
+    p = random_symbol(spec, rng, n_terms=12, max_tau=3)
+    G = random_symbol(spec, rng, n_terms=6, max_tau=2, classical=True)
+    G = FormalSymbol(spec, {k: c for k, c in G.terms.items() if spec.grade(k) >= 3})
+    A = G * FormalSymbol.monomial(spec, 1.0, j=1)
+    for gen, orders, scale in ((G, "first", 2j), (A, "odd", -2j)):
+        acc = w = p
+        want_acc = want_w = p._terms
+        for k in range(1, 8):
+            w = _bidifferential(gen, w, orders, -1, scale) * (1.0 / k)
+            step = loop_bidifferential(gen, FormalSymbol(spec, want_w, _raw=True), orders, -1, scale)
+            want_w = {key: c * (1.0 / k) for key, c in step._terms.items()}
+            assert w._map is None
+            _assert_same_terms(w._terms, want_w)
+            if not w:
+                break
+            acc = acc + w
+            want_acc = _dict_sum(want_acc, want_w)
+            assert acc._map is None
+            _assert_same_terms(acc._terms, want_acc)
+        res, non = resonant_project(acc)
+        cl, qu = non.h_split()
+        for part, keep in ((res, lambda k: k[0] == 0 and k[2] == k[3]),
+                           (cl, lambda k: not (k[0] == 0 and k[2] == k[3]) and k[4] == 0),
+                           (qu, lambda k: not (k[0] == 0 and k[2] == k[3]) and k[4] >= 1),
+                           (acc.grade_part(5), lambda k: spec.grade(k) == 5)):
+            _assert_same_terms(part._terms, {k: c for k, c in want_acc.items() if keep(k)})
+        _assert_same_terms((-acc)._terms, {k: -c for k, c in want_acc.items()})
+
+
+@pytest.mark.parametrize("orders,scale", KERNEL_MODES)
+def test_first_occurrence_order_with_many_repeated_keys(orders, scale):
+    # every Fourier mode of a against every one of b lands on a few output
+    # keys, many times each, so the order is set by first occurrences deep
+    # inside the row list
+    spec = PhaseSpec.cylinder(8, 4)
+    rng = np.random.default_rng(4)
+    a = FormalSymbol(spec, {(2 * m, a_, (1,), (1,), 0): complex(*rng.normal(size=2))
+                            for m in range(-6, 7) for a_ in (0, 2)}, _raw=True)
+    b = FormalSymbol(spec, {(-2 * m, 1, (2,), (1,), 0): complex(*rng.normal(size=2))
+                            for m in range(-6, 7)}, _raw=True)
+    b = b + FormalSymbol(spec, {(2 * m, 0, (1,), (2,), 0): complex(*rng.normal(size=2))
+                                for m in range(6, -7, -1)}, _raw=True)
+    got = _assert_kernel_matches_loop(a, b, orders, -1 if orders != "all" else 0, scale)
+    assert len(got) < len(a) * len(b)  # fewer keys than term pairs
+
+
+def test_first_occurrence_over_a_wide_code_span():
+    # Fourier modes 2m = +-900 spread the output codes over more than 2^20
+    # slots, so the kernel labels the ranks of its codes instead
+    from qbnf import symbols
+
+    spec = PhaseSpec.cylinder(8, 4)
+    rng = np.random.default_rng(6)
+    a = FormalSymbol(spec, {(2 * m, 1, (1,), (1,), 0): complex(*rng.normal(size=2))
+                            for m in (-450, -3, 0, 7, 450)}, _raw=True)
+    b = FormalSymbol(spec, {(2 * m, 2, (2,), (1,), 0): complex(*rng.normal(size=2))
+                            for m in (450, 3, -7, 0, -450)}, _raw=True)
+    for orders, scale in KERNEL_MODES:
+        _assert_kernel_matches_loop(a, b, orders, -1 if orders != "all" else 0, scale)
+    code = np.array([5, -3, 5, 2**40, -3, 7, 2**40])
+    heads, labels = symbols._first_occurrence(code)
+    assert heads.tolist() == [0, 1, 3, 5] and labels.tolist() == [0, 1, 0, 2, 1, 3, 2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_non_finite_coefficient_raises_naming_its_key(bad, bad_first):
+    spec = PhaseSpec.saddle(4)
+    fine, worse = (0, 0, (1, 0), (1, 0), 0), (0, 0, (2, 0), (1, 0), 0)
+    items = [(fine, 1.0), (worse, bad)]
+    terms = dict(items[::-1] if bad_first else items)
+    message = f"non-finite coefficient .* at key {re.escape(str(worse))}"
+    with pytest.raises(ArithmeticError, match=message):  # the dict path
+        FormalSymbol(spec, terms)
+    raw = FormalSymbol(spec, terms, _raw=True)
+    with pytest.raises(ArithmeticError, match=message):  # the dict sum
+        raw + FormalSymbol.zero(spec)
+    with np.errstate(invalid="ignore"):  # inf * 0.0 in the product by 1.0 + 0j
+        held = raw * 1.0
+    with pytest.raises(ArithmeticError, match=message):  # the array sum
+        held + FormalSymbol.zero(spec)
+    with pytest.raises(ArithmeticError, match="non-finite"):  # a kernel output
+        poisson_bracket(raw, FormalSymbol.monomial(spec, 1.0, alpha=(1, 0)))
 
 
 # --------------------------------------------------------------------------
