@@ -46,6 +46,8 @@ from .symbols import (
     ModelDegeneracyError,
     PhaseSpec,
     TauSeries,
+    _columns,
+    _grades,
     homological_solve,
     lie_transform,
     resonant_project,
@@ -268,10 +270,7 @@ class GeneratorChain:
     @cached_property
     def remainder(self) -> FormalSymbol:
         wide = replay_chain(self, grade_max=self.order + 2)
-        tail = {
-            k: c for k, c in wide.terms.items() if wide.spec.grade(k) > self.order
-        }
-        return FormalSymbol(wide.spec, tail, _raw=True)
+        return wide._select(_grades(wide) > self.order)
 
 
 # --------------------------------------------------------------------------
@@ -524,15 +523,18 @@ def birkhoff_coordinates(symbol: FormalSymbol) -> FormalSymbol:
 def _equilibrium_solve(v: FormalSymbol, nu) -> FormalSymbol:
     """Per-term division by nu . (alpha - beta), asserted >= min |nu_i| off resonance."""
     floor = min(abs(nu[0]), abs(nu[1])) * (1 - 1e-12)
-    out = {}
-    for (m2, a, alpha, beta, j), c in v.terms.items():
-        D = sum(n * (al - be) for n, al, be in zip(nu, alpha, beta))
-        if abs(D) < floor:
-            raise ModelDegeneracyError(
-                f"resonance bound violated at alpha={alpha}, beta={beta}"
-            )
-        out[(m2, a, alpha, beta, j)] = c / D
-    return FormalSymbol(v.spec, out, _raw=True)
+    keys, re, im = _columns(v)
+    # D as the Python sum forms it, once per distinct alpha - beta of the two pairs
+    diffs, at = np.unique(keys[2:4] - keys[4:6], axis=1, return_inverse=True)
+    D = [sum(n * d for n, d in zip(nu, diff)) for diff in diffs.T.tolist()]
+    low = np.flatnonzero(np.array([abs(x) < floor for x in D], dtype=bool)[at])
+    if len(low):
+        _, _, alpha, beta, _ = list(v.terms)[low[0]]
+        raise ModelDegeneracyError(f"resonance bound violated at alpha={alpha}, beta={beta}")
+    c = np.empty(len(re), dtype=complex)
+    c.real, c.imag = re, im
+    q = c / np.array(D, dtype=complex)[at]
+    return v._with_coefficients(q.real, q.imag)
 
 
 def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, GeneratorChain]:

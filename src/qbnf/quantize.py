@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import OperatorMatrix
-from .symbols import FormalSymbol, substitute_pair
+from .symbols import FormalSymbol, _cmul, _columns, substitute_pair
 
 __all__ = [
     "DimensionCapError",
@@ -182,11 +182,12 @@ def complex_scale(symbol: FormalSymbol) -> FormalSymbol:
     relations are preserved.  Turns the hyperbolic axis of a saddle into
     a damped oscillator axis with coefficient lam1/(2i).
     """
-    out = {}
-    for (m2, a, alpha, beta, j), c in symbol.terms.items():
-        phase = np.exp(0.25j * math.pi * (alpha[0] - beta[0]))
-        out[(m2, a, alpha, beta, j)] = c * phase
-    return FormalSymbol(symbol.spec, out, _raw=True)
+    keys, re, im = _columns(symbol)
+    g, P = symbol.spec.grade_max, symbol.spec.num_pairs
+    # the phase of each alpha1 - beta1 in [-g, g], as numpy forms it for a Python complex
+    phase = np.array([np.exp(0.25j * math.pi * d) for d in range(-g, g + 1)])[
+        keys[2] - keys[2 + P] + g]
+    return symbol._with_coefficients(*_cmul(re, im, phase.real, phase.imag))
 
 
 def metaplectic_substitute(symbol: FormalSymbol) -> FormalSymbol:

@@ -33,20 +33,18 @@ suite:
   ``star_conjugate``; its leading effect is P -> P + {P, A}/h-shifted,
   i.e. an A with h-order one changes the h^1 coefficient by {p, a}.
 
-The bracket, the star product, the star commutator and the conjugation
-step are one bidifferential kernel: one numpy pass per call, each of whose
-coefficients is the floating-point sum that a nested loop over term pairs
-and derivation counts forms, added in that loop's order, as an
-``np.complex128``.
+The plain product, the bracket, the star product, the star commutator and
+the conjugation step are one bidifferential kernel: one numpy pass per
+call, each of whose coefficients is the floating-point sum that a nested
+loop over term pairs and derivation counts forms, added in that loop's
+order, as an ``np.complex128``.
 
-A symbol holds arrays first: key columns, one integer code per key and
-coefficient parts.  Kernel outputs, scalar multiples, negations, sums and
-the grade, h and resonance splits are formed on them, with the dict's
-semantics (Python's abs for pruning, c + c_other on a shared key and
-0.0 + c_other on a new one, keys in insertion order), so a Lie or
-conjugation series never builds a dict; the ``terms`` dict is built when
-something reads it.  Only a symbol built from a dict holds a dict, and a
-sum reads its arrays.  A symbol also keeps the kernel's tables for it as
+A symbol holds one form: key columns, one integer code per key and
+coefficient parts.  Every operation, the constructor included, forms
+these arrays with the semantics of a dict (Python's abs for pruning,
+c + c_other on a shared key and 0.0 + c_other on a new one, keys in
+insertion order); ``terms`` is a read view, a fresh dict built each time
+it is read.  A symbol also keeps the kernel's tables for it as
 an operand: grades, the channels each term can act in and the factors a
 derivation pulls down, so a series builds its generator's once.  The
 falling-factorial and d_t power tables behind those factors are built on
@@ -58,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Number
 from typing import Mapping
 
 import numpy as np
@@ -150,13 +149,6 @@ class PhaseSpec:
     def grade(self, key) -> int:
         _, _, alpha, beta, j = key
         return sum(alpha) + sum(beta) + 2 * j
-
-    def key_ok(self, key) -> bool:
-        """True when the key fits inside the truncation bounds."""
-        m2, a, alpha, beta, j = key
-        if a > self.tau_max or self.grade(key) > self.grade_max:
-            return False
-        return True
 
     def validate_key(self, key):
         m2, a, alpha, beta, j = key
@@ -276,34 +268,10 @@ class TauSeries:
 # the symbol container
 # --------------------------------------------------------------------------
 
-def _nonfinite(key, coef):
-    return ArithmeticError(f"non-finite coefficient {coef} at key {key}")
-
-
-def _prune(terms: dict) -> dict:
-    if not terms:
-        return {}
-    mags = [abs(c) for c in terms.values()]
-    for key, m in zip(terms, mags):
-        if not math.isfinite(m):
-            raise _nonfinite(key, terms[key])
-    top = max(mags)
-    if top == 0.0:
-        return {}
-    floor = PRUNE_REL * top
-    return {k: c for (k, c), m in zip(terms.items(), mags) if m > floor}
-
-
 def _frozen(*arrays):
     for x in arrays:
         x.flags.writeable = False
     return arrays
-
-
-def _coef_columns(coefs):
-    """Real and imaginary parts of coefficient values, read-only."""
-    c = np.array(list(coefs), dtype=complex)
-    return _frozen(c.real, c.imag)
 
 
 def _key_tuples(keys: np.ndarray, P: int) -> list:
@@ -350,6 +318,12 @@ def _decode(code: np.ndarray, spec: PhaseSpec) -> np.ndarray:
     return keys
 
 
+def _encode(keys: np.ndarray, spec: PhaseSpec) -> np.ndarray:
+    """Codes of key columns (see ``_radices``)."""
+    strides = _radices(spec)[1]
+    return strides @ keys + strides[-1]
+
+
 def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
     """Key of e^{imt} tau^a x^alpha xi^beta h^j; see ``FormalSymbol.monomial``."""
     m2 = 2 * m
@@ -366,6 +340,33 @@ def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
     return (int(round(m2)), a, tuple(alpha), tuple(beta), j)
 
 
+def _key_columns(keys: list, P: int) -> np.ndarray:
+    """Key columns (see ``_columns``) of (2m, a, alpha, beta, j) tuples."""
+    rows = [(k[0], k[1], *k[2], *k[3], k[4]) for k in keys]
+    return np.ascontiguousarray(np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * P).T)
+
+
+def _cleaned(spec: PhaseSpec, keys: list, re, im):
+    """(spec, key columns, re, im, codes) of terms as a caller gives them,
+    for ``FormalSymbol._of_columns(..., prune=True)``: every key checked
+    with ``spec.validate_key`` in order, out-of-bound keys and zero
+    coefficients dropped, and a repeated key's coefficients added from 0.0
+    in order."""
+    for key in keys:
+        spec.validate_key(key)
+    P = spec.num_pairs
+    cols = _key_columns(keys, P)
+    grade = cols[2:2 + 2 * P].sum(axis=0) + 2 * cols[-1]
+    at = np.flatnonzero((cols[1] <= spec.tau_max) & (grade <= spec.grade_max)
+                        & ((re != 0) | (im != 0)))
+    cols, re, im = cols.take(at, axis=1), re[at], im[at]
+    code = _encode(cols, spec)
+    if len(np.unique(code)) < len(code):  # keys equal once read with int()
+        heads, re, im = _sum_by_code(code, re, im)
+        cols, code = cols.take(heads, axis=1), code[heads]
+    return spec, cols, 0.0 + re, 0.0 + im, code
+
+
 class FormalSymbol:
     """Sparse truncated Weyl symbol.
 
@@ -376,64 +377,59 @@ class FormalSymbol:
     the largest coefficient, and a non-finite coefficient raises
     ArithmeticError naming its key.
 
-    A symbol holds either a dict (built from user terms) or key columns
-    and coefficient arrays (see ``_columns``), and builds the other form
-    when something reads it.  Kernel outputs, scalar multiples, negations,
-    sums and the grade, h and resonance splits are formed on the arrays,
-    so a Lie or conjugation series never builds a dict; ``terms`` builds
-    it on demand, with ``np.complex128`` values.  The kernel's per-operand
-    tables (grades, channel caps and derivative factors) are kept on the
-    symbol too, so a series builds its generator's once.
+    A symbol holds its terms one way: key columns, one code per key and
+    coefficient parts (see ``_columns``), in the order a dict of the same
+    operations would list them.  Every operation reads and forms these
+    arrays; ``terms`` is a read view, a fresh dict with ``np.complex128``
+    values.  The kernel's per-operand tables (grades, channel caps and
+    derivative factors) are kept on the symbol too, so a series builds its
+    generator's once.
     """
 
-    __slots__ = ("spec", "_map", "_cols", "_tabs")
+    __slots__ = ("spec", "_cols", "_tabs")
 
-    def __init__(self, spec: PhaseSpec, terms: Mapping | None = None, *, _raw=False):
-        self.spec = spec
-        self._cols = None  # the key columns and coefficient parts, built on first use
-        self._tabs = {}
-        if terms is None:
-            self._map = {}
-        elif _raw:
-            self._map = dict(terms)
-        else:
-            cleaned = {}
-            for key, coef in terms.items():
-                key = (int(key[0]), int(key[1]), tuple(key[2]), tuple(key[3]), int(key[4]))
-                spec.validate_key(key)
-                if not spec.key_ok(key) or coef == 0:
-                    continue
-                cleaned[key] = cleaned.get(key, 0.0) + complex(coef)
-            self._map = _prune(cleaned)
+    def __init__(self, spec: PhaseSpec, terms: Mapping | None = None):
+        """Symbol of ``terms``, each key read with int(): keys checked and
+        cleaned (see ``_cleaned``), then pruned."""
+        terms = terms or {}
+        keys = [(int(k[0]), int(k[1]), tuple(k[2]), tuple(k[3]), int(k[4])) for k in terms]
+        c = np.array([complex(v) for v in terms.values()], dtype=complex)
+        sym = FormalSymbol._of_columns(*_cleaned(spec, keys, c.real, c.imag), prune=True)
+        self.spec, self._cols, self._tabs = sym.spec, sym._cols, sym._tabs
 
     @classmethod
-    def _of_columns(cls, spec, keys, re, im, code, *, prune=False, tabs=None) -> "FormalSymbol":
-        """Symbol of distinct keys (columns ``keys``, codes ``code``) and
-        coefficient parts, pruned when ``prune``.  ``tabs`` are the cached
-        tables of a symbol with the same keys."""
+    def _of_columns(cls, spec, keys, re, im, code=None, *, prune=False, tabs=None) -> "FormalSymbol":
+        """Symbol of distinct keys (columns ``keys``, codes ``code``, encoded
+        here when None) and coefficient parts, pruned when ``prune``.
+        ``tabs`` are the cached tables of a symbol with the same keys."""
         if prune and len(re):
             mag = np.hypot(re, im)  # Python's abs of a complex, bit for bit
             top = mag.max()
             if not math.isfinite(top):
                 bad = int(np.flatnonzero(~np.isfinite(mag))[0])
-                raise _nonfinite(_key_tuples(keys[:, bad:bad + 1], spec.num_pairs)[0],
-                                 complex(re[bad], im[bad]))
+                key = _key_tuples(keys[:, bad:bad + 1], spec.num_pairs)[0]
+                raise ArithmeticError(f"non-finite coefficient {complex(re[bad], im[bad])} "
+                                      f"at key {key}")
             keep = mag > PRUNE_REL * top
             if np.count_nonzero(keep) < len(keep):
                 at = np.flatnonzero(keep)
-                keys, re, im, code = keys.take(at, axis=1), re[at], im[at], code[at]
+                keys, re, im = keys.take(at, axis=1), re[at], im[at]
+                code = None if code is None else code[at]
                 tabs = None
         sym = cls.__new__(cls)
-        sym.spec, sym._map = spec, None
-        sym._cols = _frozen(keys, re, im)
-        sym._tabs = {"code": _frozen(code)[0]} if tabs is None else tabs
+        sym.spec, sym._cols = spec, _frozen(keys, re, im)
+        sym._tabs = tabs or {"code": _frozen(_encode(keys, spec) if code is None else code)[0]}
         return sym
+
+    def _with_coefficients(self, re, im) -> "FormalSymbol":
+        """These keys with coefficient parts ``re``, ``im``, unpruned."""
+        return FormalSymbol._of_columns(self.spec, self._cols[0], re, im, tabs=self._tabs)
 
     def _select(self, keep: np.ndarray) -> "FormalSymbol":
         """The terms where ``keep`` holds, in order, unpruned."""
         keys, re, im = _columns(self)
         if np.count_nonzero(keep) == len(re):
-            return FormalSymbol._of_columns(self.spec, keys, re, im, _code(self), tabs=self._tabs)
+            return FormalSymbol._of_columns(self.spec, keys, re, im, tabs=self._tabs)
         at = np.flatnonzero(keep)
         return FormalSymbol._of_columns(self.spec, keys.take(at, axis=1), re[at], im[at],
                                         _code(self)[at])
@@ -470,20 +466,15 @@ class FormalSymbol:
     # -- inspection --------------------------------------------------------
 
     @property
-    def _terms(self) -> dict:
-        if self._map is None:
-            keys, re, im = self._cols
-            vals = np.empty(len(re), dtype=complex)
-            vals.real, vals.imag = re, im
-            self._map = dict(zip(_key_tuples(keys, self.spec.num_pairs), vals))
-        return self._map
-
-    @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        """The terms as a fresh dict in column order, with ``np.complex128`` values."""
+        keys, re, im = self._cols
+        vals = np.empty(len(re), dtype=complex)
+        vals.real, vals.imag = re, im
+        return dict(zip(_key_tuples(keys, self.spec.num_pairs), vals))
 
     def __len__(self):
-        return len(self._map) if self._cols is None else len(self._cols[1])
+        return len(self._cols[1])
 
     def __bool__(self):
         return len(self) > 0
@@ -517,10 +508,10 @@ class FormalSymbol:
         return int(j.min()) if len(j) else 0
 
     def conjugate(self) -> "FormalSymbol":
-        out = {}
-        for (m2, a, alpha, beta, j), c in self._terms.items():
-            out[(-m2, a, alpha, beta, j)] = out.get((-m2, a, alpha, beta, j), 0.0) + c.conjugate()
-        return FormalSymbol(self.spec, out, _raw=True)
+        """Mode m to -m and c to 0.0 + conj(c) per term, in order, unpruned."""
+        keys, re, im = _columns(self)
+        keys = np.concatenate([-keys[:1], keys[1:]])
+        return FormalSymbol._of_columns(self.spec, keys, 0.0 + re, 0.0 - im)
 
     def is_real(self, tol=1e-12) -> bool:
         """Pointwise reality: the coefficient at -m is the conjugate of the one at m."""
@@ -532,14 +523,16 @@ class FormalSymbol:
         """Same terms on another compatible spec; out-of-bound terms drop."""
         if spec.num_pairs != self.spec.num_pairs or spec.has_angle != self.spec.has_angle:
             raise SpecMismatchError("cannot reembed between different phase geometries")
-        return FormalSymbol(spec, self._terms)
+        keys, re, im = _columns(self)
+        keys = _key_tuples(keys, spec.num_pairs)
+        return FormalSymbol._of_columns(*_cleaned(spec, keys, re, im), prune=True)
 
     def evaluate(self, *, t=0.0, tau=0.0, pairs=None, h=0.0) -> complex:
         """Numeric evaluation at a phase-space point (pairs = ((x, xi), ...))."""
         if pairs is None:
             pairs = ((0.0, 0.0),) * self.spec.num_pairs
         total = 0j
-        for (m2, a, alpha, beta, j), c in self._terms.items():
+        for (m2, a, alpha, beta, j), c in self.terms.items():
             val = c * np.exp(0.5j * m2 * t)
             if a:
                 val *= tau**a
@@ -564,10 +557,12 @@ class FormalSymbol:
 
     def __add__(self, other):
         """c_self + c_other on a shared key, 0.0 + c_other on a new one,
-        listed after this symbol's keys in ``other``'s order; pruned.  Runs
-        on the arrays, whatever either operand holds."""
-        if isinstance(other, (int, float, complex)):
+        listed after this symbol's keys in ``other``'s order; pruned.  A
+        number enters as a constant symbol."""
+        if isinstance(other, Number):
             other = FormalSymbol.constant(self.spec, other)
+        elif not isinstance(other, FormalSymbol):
+            return NotImplemented
         self._check(other)
         (ka, ra, ia), (kb, rb, ib) = _columns(self), _columns(other)
         mine, theirs = _code(self), _code(other)
@@ -589,39 +584,27 @@ class FormalSymbol:
     __radd__ = __add__
 
     def __neg__(self):
-        keys, re, im = _columns(self)
-        return FormalSymbol._of_columns(self.spec, keys, -re, -im, _code(self), tabs=self._tabs)
+        _, re, im = _columns(self)
+        return self._with_coefficients(-re, -im)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
             other = FormalSymbol.constant(self.spec, other)
-        return self + (-other)
+        return self + (-other) if isinstance(other, FormalSymbol) else NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if isinstance(other, Number) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            keys, re, im = _columns(self)
-            x = complex(other)  # a real factor enters as x + 0j, as in Python
-            return FormalSymbol._of_columns(self.spec, keys, *_cmul(re, im, x.real, x.imag),
-                                            _code(self), tabs=self._tabs)
-        self._check(other)
-        spec = self.spec
-        out = {}
-        for (m2a, aa, ala, bea, ja), ca in self._terms.items():
-            for (m2b, ab, alb, beb, jb), cb in other._terms.items():
-                a = aa + ab
-                if a > spec.tau_max:
-                    continue
-                alpha = tuple(x + y for x, y in zip(ala, alb))
-                beta = tuple(x + y for x, y in zip(bea, beb))
-                j = ja + jb
-                if sum(alpha) + sum(beta) + 2 * j > spec.grade_max:
-                    continue
-                key = (m2a + m2b, a, alpha, beta, j)
-                out[key] = out.get(key, 0.0) + ca * cb
-        return FormalSymbol(spec, _prune(out), _raw=True)
+        """A number scales every coefficient, entering as ``complex(x)``; a
+        symbol gives the plain product, the star kernel's k = 0 order."""
+        if isinstance(other, FormalSymbol):
+            return _bidifferential(self, other, "zeroth", 0, 1.0)
+        if not isinstance(other, Number):
+            return NotImplemented
+        _, re, im = _columns(self)
+        x = complex(other)  # a real factor enters as x + 0j, as in Python
+        return self._with_coefficients(*_cmul(re, im, x.real, x.imag))
 
     __rmul__ = __mul__
 
@@ -629,26 +612,13 @@ class FormalSymbol:
 def _columns(sym: FormalSymbol):
     """Key columns and coefficient parts: ``keys[c]`` is column c, (2m, a,
     alpha..., beta..., j), of every key, and ``re``/``im`` the coefficients.
-
-    Read-only and kept on the immutable symbol; a symbol born from arrays
-    has them from its birth, one built from a dict builds them here once.
-    """
-    if sym._cols is None:
-        terms = sym._map
-        keys = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in terms],
-                        dtype=np.int64).reshape(len(terms), 3 + 2 * sym.spec.num_pairs)
-        sym._cols = (*_frozen(np.ascontiguousarray(keys.T)), *_coef_columns(terms.values()))
+    Read-only."""
     return sym._cols
 
 
 def _code(sym: FormalSymbol) -> np.ndarray:
     """The code of every key (see ``_radices``), kept on the symbol."""
-    code = sym._tabs.get("code")
-    if code is None:
-        strides = _radices(sym.spec)[1]
-        code = (_columns(sym)[0] * strides[:, None]).sum(axis=0) + strides[-1]
-        sym._tabs["code"] = _frozen(code)[0]
-    return code
+    return sym._tabs["code"]
 
 
 def _grades(sym: FormalSymbol) -> np.ndarray:
@@ -820,11 +790,20 @@ def _first_occurrence(code: np.ndarray):
     return heads, first[code]
 
 
+def _sum_by_code(code: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """(first row of each distinct code, in order; re and im summed per
+    code from +0.0 in row order)."""
+    heads, lab = _first_occurrence(code)
+    return (heads, np.bincount(lab, weights=re, minlength=len(heads)),
+            np.bincount(lab, weights=im, minlength=len(heads)))
+
+
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
                     scale: complex) -> FormalSymbol:
     """sum_k scale (h/2i)^k h^h_shift B_k(a, b) over the selected orders k.
 
-    ``orders`` is "all", "odd" or "first" (k = 1 only).  B_k sums, over
+    ``orders`` is "all", "odd", "first" (k = 1 only) or "zeroth" (k = 0
+    only: B_0(a, b) is the plain product a b).  B_k sums, over
     every multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
     the truncation are never formed, nor are derivation counts whose
@@ -835,9 +814,10 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     the channel bits both terms can act in, and the ones the pair's grade
     and tau room allow (``_bracket_channels``).  "odd" and "all" enumerate
     each pair's count tuples in closed form, as mixed-radix digits, and
-    keep those of the right parity within the pair's grade and tau room.
-    An output key's code is its pair's codes less what the derivations
-    take off; the output holds arrays only.
+    keep those of the right parity within the pair's grade and tau room;
+    "zeroth" keeps the all-zero tuple of each pair within that room.  An
+    output key's code is its pair's codes less what the derivations take
+    off.
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
@@ -877,11 +857,14 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
         # it keeps the grade; one in (t, tau) lowers no grade column and
         # raises the grade by 2, and it lowers tau, so the pair's tau power
         # may exceed the truncation by the (t, tau) count
-        (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
         angle, room = spec.has_angle, gmax - 2 * h_shift
         g = _grades(a)[:, None] + _grades(b)
         li, ri = np.nonzero(g <= room)
-        radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
+        if orders == "zeroth":  # one count tuple per pair: no derivation
+            radix = np.ones((len(sign), len(li)), dtype=np.int64)
+        else:
+            (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
+            radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
         if angle:
             budget = (room - g[li, ri]) // 2
             radix[:2] = np.minimum(radix[:2], budget + 1)
@@ -937,9 +920,7 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     code = code[nz]
     if not len(code):
         return FormalSymbol(spec)
-    heads, lab = _first_occurrence(code)
-    vre = np.bincount(lab, weights=fre, minlength=len(heads))
-    vim = np.bincount(lab, weights=fim, minlength=len(heads))
+    heads, vre, vim = _sum_by_code(code, fre, fim)
     code = code[heads]
     return FormalSymbol._of_columns(spec, _decode(code, spec), vre, vim, code, prune=True)
 
@@ -983,28 +964,37 @@ def substitute_pair(symbol: FormalSymbol, pair: int, x_row, xi_row) -> FormalSym
     Replaces x_pair -> x_row[0]*x + x_row[1]*xi and xi_pair -> xi_row[0]*x
     + xi_row[1]*xi by binomial expansion.  The caller is responsible for
     the substitution being canonical if bracket relations are to survive.
+    Every term c spreads over its expansion as c * fac, the Python
+    product; these are summed per key in one pass, keys listed by first
+    occurrence (source terms outer), and pruned once.
     """
-    spec = symbol.spec
-    out = FormalSymbol.zero(spec)
-    cxx, cxxi = x_row
-    cix, cixi = xi_row
-    for (m2, a, alpha, beta, j), c in symbol._terms.items():
-        p, q = alpha[pair], beta[pair]
-        expansion: dict[tuple[int, int], complex] = {}
-        for r in range(p + 1):
-            fx = math.comb(p, r) * cxx**r * cxxi ** (p - r)
-            for s in range(q + 1):
-                fxi = math.comb(q, s) * cix**s * cixi ** (q - s)
-                key = (r + s, (p - r) + (q - s))
-                expansion[key] = expansion.get(key, 0.0) + fx * fxi
-        terms = {}
-        for (na, nb), fac in expansion.items():
-            alpha2 = alpha[:pair] + (na,) + alpha[pair + 1 :]
-            beta2 = beta[:pair] + (nb,) + beta[pair + 1 :]
-            key = (m2, a, alpha2, beta2, j)
-            terms[key] = terms.get(key, 0.0) + c * fac
-        out = out + FormalSymbol(spec, terms, _raw=True)
-    return FormalSymbol(spec, _prune(out._terms), _raw=True)
+    spec, P = symbol.spec, symbol.spec.num_pairs
+    keys, re, im = _columns(symbol)
+    (cxx, cxxi), (cix, cixi) = x_row, xi_row
+    expansions, src, exps, facs = {}, [], [], []
+    for i, (p, q) in enumerate(zip(keys[2 + pair].tolist(), keys[2 + P + pair].tolist())):
+        expansion = expansions.get((p, q))
+        if expansion is None:
+            expansion = expansions[p, q] = {}
+            for r in range(p + 1):
+                fx = math.comb(p, r) * cxx**r * cxxi ** (p - r)
+                for s in range(q + 1):
+                    fxi = math.comb(q, s) * cix**s * cixi ** (q - s)
+                    key = (r + s, (p - r) + (q - s))
+                    expansion[key] = expansion.get(key, 0.0) + fx * fxi
+        src += [i] * len(expansion)
+        exps += expansion
+        facs += expansion.values()
+    if not src:
+        return symbol
+    out = keys.take(src, axis=1)
+    out[[2 + pair, 2 + P + pair]] = np.array(exps).T
+    fac = np.array(facs, dtype=complex)
+    fre, fim = _cmul(re[src], im[src], fac.real, fac.imag)
+    code = _encode(out, spec)
+    heads, vre, vim = _sum_by_code(code, fre, fim)
+    return FormalSymbol._of_columns(spec, out.take(heads, axis=1), vre, vim, code[heads],
+                                    prune=True)
 
 
 def resonant_project(v: FormalSymbol) -> tuple[FormalSymbol, FormalSymbol]:
@@ -1043,18 +1033,21 @@ def homological_solve(
         raise ModelDegeneracyError("mu(0) must be real and positive")
 
     residual, nonres = resonant_project(v)
-    groups: dict[tuple, np.ndarray] = {}
-    for (m2, a, alpha, beta, j), c in nonres._terms.items():
-        g = groups.setdefault((m2, alpha, beta, j), np.zeros(K + 1, dtype=complex))
-        g[a] += c
+    keys, re, im = _columns(nonres)
+    if not len(re):
+        return nonres, residual
+    # one tau polynomial per key less its tau power, by first occurrence
+    heads, group = _first_occurrence(_code(nonres) - keys[1] * _radices(spec)[1][1])
+    polys = np.zeros((len(heads), K + 1), dtype=complex)
+    polys.real[group, keys[1]], polys.imag[group, keys[1]] = 0.0 + re, 0.0 + im
 
     inv_cache: dict[tuple, TauSeries] = {}
     scale = abs(fp.coeffs[0]) + abs(mu.coeffs[0])
-    u_terms: dict = {}
-    for (m2, alpha, beta, j), poly in groups.items():
-        diff = sum(alpha) - sum(beta)
-        ck = (m2, diff)
+    u = np.empty_like(polys)
+    # the cylinder has one pair: alpha - beta is one column less another
+    for g, ck in enumerate(zip(keys[0, heads].tolist(), (keys[2] - keys[3])[heads].tolist())):
         if ck not in inv_cache:
+            m2, diff = ck
             D = (0.5j * m2) * fp + diff * mu
             if abs(D.coeffs[0]) <= 1e-14 * scale:
                 raise ModelDegeneracyError(
@@ -1062,12 +1055,13 @@ def homological_solve(
                     f"alpha-beta={diff}"
                 )
             inv_cache[ck] = D.inverse()
-        u_poly = np.convolve(poly, inv_cache[ck].coeffs)[: K + 1]
-        for a, c in enumerate(u_poly):
-            if c != 0:
-                key = (m2, a, alpha, beta, j)
-                u_terms[key] = u_terms.get(key, 0.0) + c
-    return FormalSymbol(spec, _prune(u_terms), _raw=True), residual
+        u[g] = np.convolve(polys[g], inv_cache[ck].coeffs)[: K + 1]
+    # the non-zero coefficients, by polynomial and then tau power
+    group, a = np.nonzero(u)
+    out = keys.take(heads[group], axis=1)
+    out[1] = a
+    c = u[group, a]
+    return FormalSymbol._of_columns(spec, out, 0.0 + c.real, 0.0 + c.imag, prune=True), residual
 
 
 #: the most terms any Lie or conjugation series may take before it raises

@@ -1,16 +1,18 @@
-"""The bidifferential kernel as a nested Python loop, kept as a test oracle.
+"""The bidifferential kernel and the plain product as nested Python loops,
+kept as test oracles.
 
 ``qbnf.symbols._bidifferential`` computes the same sums in one array pass
-and must give exactly what this loop gives: the same keys in the same
+and must give exactly what these loops give: the same keys in the same
 insertion order and the same coefficient bits.  Only the scalar types
-differ: the loop's follow Python arithmetic on its operands, the kernel's
-are all ``np.complex128``.  The loop visits term pairs (left term outer,
-right term inner) and, per pair, the derivation counts (k0, k1, k2, k3)
-in lexicographic order, multiplying in the factors one channel at a time
-and adding each contribution to its key as it goes.
+differ: the loops' follow Python arithmetic on their operands, the
+kernel's are all ``np.complex128``.  The kernel loop visits term pairs
+(left term outer, right term inner) and, per pair, the derivation counts
+(k0, k1, k2, k3) in lexicographic order, multiplying in the factors one
+channel at a time and adding each contribution to its key as it goes.
+Both return their pruned dict.
 """
 
-from qbnf.symbols import FormalSymbol, _prune
+from dict_symbol import dict_prune, held
 
 
 def _channels(spec):
@@ -56,7 +58,8 @@ def _operand(spec, chs, side, terms):
 def loop_bidifferential(a, b, orders, h_shift, scale):
     """sum_k scale (h/2i)^k h^h_shift B_k(a, b) over the selected orders k.
 
-    ``orders`` is "all", "odd" or "first" (k = 1 only).  B_k sums, over
+    ``orders`` is "all", "odd", "first" (k = 1 only) or "zeroth" (k = 0
+    only, the plain product).  B_k sums, over
     every multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  A term pair can only reach output grades
     >= g_a + g_b + 2 h_shift, so pairs above the truncation are skipped
@@ -72,8 +75,8 @@ def loop_bidifferential(a, b, orders, h_shift, scale):
         # point sums depend on that order
         chs = chs[::-1]
     K = spec.grade_max + spec.tau_max  # bounds every channel multiplicity
-    kmax = 1 if orders == "first" else 4 * K
-    odd = orders != "all"
+    kmax = {"zeroth": 0, "first": 1}.get(orders, 4 * K)
+    odd = orders in ("first", "odd")
     kf = []
     for _, _, sign in chs:
         f = [1.0]
@@ -88,8 +91,8 @@ def loop_bidifferential(a, b, orders, h_shift, scale):
     slot0 = 0 if chs[0][0] in ("tau", "t") else chs[0][0][1] + 1
     slot1 = 0 if chs[2][0] in ("tau", "t") else chs[2][0][1] + 1
     gmax, tmax = spec.grade_max, spec.tau_max
-    left = [(k, c, spec.grade(k)) for k, c in a._terms.items()]
-    right = [(k, c, spec.grade(k)) for k, c in b._terms.items()]
+    left = [(k, c, spec.grade(k)) for k, c in a.terms.items()]
+    right = [(k, c, spec.grade(k)) for k, c in b.terms.items()]
     # a term no partner can reach the truncation with needs no tables
     room = gmax - 2 * h_shift
     gl = room - min((g for _, _, g in right), default=room + 1)
@@ -162,4 +165,31 @@ def loop_bidifferential(a, b, orders, h_shift, scale):
                                 jtot + k,
                             )
                             out[key] = out.get(key, 0.0) + f3 * weight[k]
-    return FormalSymbol(spec, _prune(out), _raw=True)
+    return dict_prune(out)
+
+
+def loop_symbol(a, b, orders, h_shift, scale):
+    """``loop_bidifferential`` held as a symbol, to stand in for the kernel."""
+    return held(a.spec, loop_bidifferential(a, b, orders, h_shift, scale))
+
+
+def loop_product(a, b):
+    """The plain product a b: over term pairs (left term outer), ca * cb
+    added to its key from 0.0, pairs above the tau or grade truncation
+    skipped; then pruned."""
+    a._check(b)
+    spec = a.spec
+    out = {}
+    for (m2a, aa, ala, bea, ja), ca in a.terms.items():
+        for (m2b, ab, alb, beb, jb), cb in b.terms.items():
+            tau = aa + ab
+            if tau > spec.tau_max:
+                continue
+            alpha = tuple(x + y for x, y in zip(ala, alb))
+            beta = tuple(x + y for x, y in zip(bea, beb))
+            j = ja + jb
+            if sum(alpha) + sum(beta) + 2 * j > spec.grade_max:
+                continue
+            key = (m2a + m2b, tau, alpha, beta, j)
+            out[key] = out.get(key, 0.0) + ca * cb
+    return dict_prune(out)

@@ -35,7 +35,8 @@ from qbnf.symbols import (
 
 from conftest import random_symbol, symbols_close
 from average_oracle import averaged_closed_orbit_bnf
-from loop_kernel import loop_bidifferential
+from dict_symbol import held
+from loop_kernel import loop_symbol
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +659,7 @@ def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, qu
         return bnf(model, 8)[0].coeffs
 
     got = coeffs()
-    monkeypatch.setattr(symbols, "_bidifferential", loop_bidifferential)
+    monkeypatch.setattr(symbols, "_bidifferential", loop_symbol)
     want = coeffs()
     normal_form._action_power_corrections.cache_clear()
     assert len(want) > 10
@@ -669,9 +670,8 @@ def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, qu
 
 
 def _assert_carries_its_columns(sym):
-    carried = sym._cols
-    rebuilt = symbols._columns(FormalSymbol(sym.spec, sym._terms, _raw=True))
-    assert carried is not None
+    carried = symbols._columns(sym)
+    rebuilt = symbols._columns(held(sym.spec, sym.terms))
     keys, re, im = carried
     assert keys.dtype == rebuilt[0].dtype and np.array_equal(keys, rebuilt[0])
     for got, want in ((re, rebuilt[1]), (im, rebuilt[2])):
@@ -696,7 +696,7 @@ def test_kernel_outputs_and_their_multiples_carry_the_columns_they_would_build(
 
     def checked_mul(self, other):
         out = scalar_mul(self, other)
-        if isinstance(other, (int, float, complex)) and self._cols is not None:
+        if isinstance(other, (int, float, complex)):
             _assert_carries_its_columns(out)
             seen.append("scalar")
         return out

@@ -22,6 +22,7 @@ from qbnf.quantize import (
 from qbnf.symbols import FormalSymbol, PhaseSpec, moyal_star, poisson_bracket, star_conjugate
 
 from conftest import random_symbol, symbols_close
+from dict_symbol import held
 
 SPEC = PhaseSpec.cylinder(8, 8)
 SPEC2 = PhaseSpec.saddle(8)
@@ -609,7 +610,7 @@ def test_nonorientable_parity_violation_rejected_after_valid_terms():
     basis = CylinderBasis(-3, 3, 6, 0.1, orientable=False)
     good = FormalSymbol.monomial(spec, 1.0, m=0.5, alpha=1)
     _assert_bit_equal_to_oracle(good, basis)
-    bad = FormalSymbol(spec, {**good.terms, (2, 0, (1,), (0,), 0): 1.0}, _raw=True)
+    bad = held(spec, {**good.terms, (2, 0, (1,), (0,), 0): 1.0})
     with pytest.raises(ValueError, match="parity"):
         assemble_cylinder(bad, basis)
 

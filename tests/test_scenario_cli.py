@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qbnf.cli import main
@@ -783,3 +784,40 @@ def test_workload_artifacts_keep_their_recorded_bytes(tmp_path):
                 assert checks.observe(out)["digests"] == digests[name], (workload, variant, name)
                 seen += len(digests[name])
     assert seen == 2 * (4 * 3 + 4 * 7)  # two variants of 4 normal forms and 4 runs
+
+
+def test_every_workload_substitution_matches_the_running_prune(monkeypatch):
+    # every substitute_pair call of the normal forms, their chain replays and
+    # the direct operators of every input variant of every benchmark
+    # workload: summed in one pass and pruned once, as the package does, it
+    # gives the keys, order and bits of a sum pruned after each source term
+    from dict_symbol import loop_substitute_pair
+
+    from qbnf import normal_form, quantize, symbols
+    from qbnf.compare import model_operator_symbol
+    from qbnf.scenario import compute_normal_form
+
+    calls = []
+
+    def recording(symbol, pair, x_row, xi_row):
+        out = symbols.substitute_pair(symbol, pair, x_row, xi_row)
+        calls.append((symbol, pair, x_row, xi_row, out))
+        return out
+
+    monkeypatch.setattr(normal_form, "substitute_pair", recording)
+    monkeypatch.setattr(quantize, "substitute_pair", recording)
+    _, workloads, root = _perfbench()
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.NUM_VARIANTS):
+            for _, raw in workloads.scenarios(root, workload, variant):
+                config = load_config(raw)
+                _, chain = compute_normal_form(config)
+                assert chain.remainder is not None
+                if config.get("compute.direct"):
+                    model_operator_symbol(config.model())
+    assert len(calls) >= 170
+    for symbol, pair, x_row, xi_row, out in calls:
+        want = loop_substitute_pair(symbol.terms, pair, x_row, xi_row)
+        assert list(out.terms) == list(want)
+        assert np.array_equal(np.array(list(out.terms.values())).view(np.uint64),
+                              np.array(list(want.values()), dtype=complex).view(np.uint64))

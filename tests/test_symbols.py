@@ -2,6 +2,8 @@
 
 import math
 import re
+from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbnf.symbols import (
-    PRUNE_REL,
     FormalSymbol,
     IterationCapError,
     ModelDegeneracyError,
@@ -30,7 +31,15 @@ from qbnf.symbols import (
 )
 
 from conftest import random_symbol, symbols_close
-from loop_kernel import loop_bidifferential
+from dict_symbol import (
+    dict_clean,
+    dict_prune,
+    dict_sum,
+    held,
+    loop_homological_solve,
+    loop_substitute_pair,
+)
+from loop_kernel import loop_bidifferential, loop_product, loop_symbol
 
 SPEC = PhaseSpec.cylinder(8, 8)
 
@@ -496,12 +505,12 @@ KERNEL_SPECS = {
     "nonorientable": PhaseSpec.cylinder(8, 4, orientable=False),
 }
 #: each mode with the scale one of its callers passes
-KERNEL_MODES = [("first", 2j), ("odd", -2j), ("all", 1.0)]
+KERNEL_MODES = [("first", 2j), ("odd", -2j), ("all", 1.0), ("zeroth", 1.0)]
 
 
 def _assert_kernel_matches_loop(a, b, orders, h_shift, scale):
-    got = _bidifferential(a, b, orders, h_shift, scale)._terms
-    want = loop_bidifferential(a, b, orders, h_shift, scale)._terms
+    got = _bidifferential(a, b, orders, h_shift, scale).terms
+    want = loop_bidifferential(a, b, orders, h_shift, scale)
     assert list(got) == list(want)
 
     def bits(terms):
@@ -521,7 +530,7 @@ def _mixed(sym, rng):
         zero = float(rng.choice([0.0, -0.0]))
         c = [c, complex(c.real, zero), complex(zero, c.imag)][rng.integers(3)]
         terms[key] = np.complex128(c) if rng.random() < 0.5 else c
-    return FormalSymbol(sym.spec, terms, _raw=True)
+    return held(sym.spec, terms)
 
 
 @pytest.mark.parametrize("h_shift", [0, -1])
@@ -542,10 +551,10 @@ def test_kernel_skips_contributions_that_underflow_to_zero():
     # x2 and xi2 are 1e-200 each, so every contribution of that pair is
     # exactly 0; the h^1 key it would list first comes after x1 xi1
     spec = PhaseSpec.saddle(6)
-    a = FormalSymbol(spec, {(0, 0, (0, 1), (0, 0), 0): 1e-200 + 0j,
-                            (0, 0, (0, 0), (1, 0), 0): 0.24400126107973663 + 0j}, _raw=True)
-    b = FormalSymbol(spec, {(0, 0, (0, 0), (0, 1), 0): 1e-200 + 0j,
-                            (0, 0, (1, 0), (0, 0), 0): 1.5498095656014481 + 0j}, _raw=True)
+    a = held(spec, {(0, 0, (0, 1), (0, 0), 0): 1e-200 + 0j,
+                    (0, 0, (0, 0), (1, 0), 0): 0.24400126107973663 + 0j})
+    b = held(spec, {(0, 0, (0, 0), (0, 1), 0): 1e-200 + 0j,
+                    (0, 0, (1, 0), (0, 0), 0): 1.5498095656014481 + 0j})
     assert 1e-200 * 1e-200 == 0.0
     got = _assert_kernel_matches_loop(a, b, "all", 0, 1.0)
     assert list(got) == [(0, 0, (1, 0), (1, 0), 0), (0, 0, (0, 0), (0, 0), 1)]
@@ -605,8 +614,8 @@ def test_series_builds_the_generators_key_columns_once(monkeypatch, conjugate):
 
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_series_takes_kernel_outputs_that_carry_no_columns(monkeypatch, conjugate):
-    # every other step comes from the loop kernel, whose symbols carry no
-    # key columns: their scalar multiples build them on the next call
+    # every other step comes from the loop kernel, whose dict is held as
+    # columns built from it, with no kernel tables or codes yet
     from qbnf import symbols
 
     spec = PhaseSpec.cylinder(8, 4)
@@ -617,15 +626,15 @@ def test_series_takes_kernel_outputs_that_carry_no_columns(monkeypatch, conjugat
     if conjugate:
         G = G * FormalSymbol.monomial(spec, 1.0, j=1)
     series = star_conjugate if conjugate else lie_transform
-    want = series(p, G)._terms
+    want = series(p, G).terms
     kernel, calls = symbols._bidifferential, []
 
     def alternating(*args):
         calls.append(len(calls) % 2)
-        return (loop_bidifferential if calls[-1] else kernel)(*args)
+        return (loop_symbol if calls[-1] else kernel)(*args)
 
     monkeypatch.setattr(symbols, "_bidifferential", alternating)
-    got = series(p, G)._terms
+    got = series(p, G).terms
     assert len(calls) >= 3  # an array step after a loop step
     assert list(got) == list(want)
     assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
@@ -669,28 +678,27 @@ def _assert_same_terms(got, want):
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def _dict_prune(terms):
-    """The pruning rule on a dict, with Python's abs of each coefficient."""
-    if not terms:
-        return {}
-    floor = PRUNE_REL * max(abs(complex(c)) for c in terms.values())
-    return {k: c for k, c in terms.items() if abs(complex(c)) > floor}
+def _assert_one_form(sym):
+    """The symbol holds read-only key columns and coefficient parts, and
+    ``terms`` is a fresh dict read off them."""
+    from qbnf import symbols
 
-
-def _dict_sum(a, b):
-    """Symbol addition on dicts: c_a + c_b on a shared key, 0.0 + c_b on a
-    new one, listed after a's keys; then pruned."""
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0.0) + c
-    return _dict_prune(out)
+    keys, re, im = symbols._columns(sym)
+    assert not any(x.flags.writeable for x in (keys, re, im))
+    assert keys.dtype == np.int64 and keys.shape == (3 + 2 * sym.spec.num_pairs, len(sym))
+    P = sym.spec.num_pairs
+    read = {(r[0], r[1], tuple(r[2:2 + P]), tuple(r[2 + P:2 + 2 * P]), r[-1]): complex(x, y)
+            for r, x, y in zip(keys.T.tolist(), re, im)}
+    terms = sym.terms
+    assert terms is not sym.terms
+    _assert_same_terms(terms, read)
 
 
 def _wide_symbol(spec, rng, n_terms):
     """Random terms with magnitudes from 1e-20 to 1e20, held as arrays."""
     sym = random_symbol(spec, rng, n_terms=n_terms, max_exp=3, max_tau=3)
     terms = {k: c * 10.0 ** rng.uniform(-20, 20) for k, c in sym.terms.items()}
-    return FormalSymbol(spec, terms, _raw=True) * 1.0, terms
+    return held(spec, terms) * 1.0, terms
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
@@ -700,11 +708,11 @@ def test_max_abs_and_pruning_follow_pythons_abs(kind):
     pruned = 0
     for n_terms in (1, 5, 40, 200):
         sym, terms = _wide_symbol(spec, rng, n_terms)
-        assert sym._map is None  # a scalar multiple is held as arrays
+        _assert_one_form(sym)
         want = max(abs(complex(c)) for c in terms.values())
         assert np.float64(sym.max_abs()).tobytes() == np.float64(want).tobytes()
-        got = (sym + FormalSymbol.zero(spec))._terms
-        _assert_same_terms(got, _dict_prune(sym._terms))
+        got = (sym + FormalSymbol.zero(spec)).terms
+        _assert_same_terms(got, dict_prune(sym.terms))
         pruned += len(terms) - len(got)
     assert pruned > 10
 
@@ -724,20 +732,19 @@ def test_sums_keep_the_dict_order_signed_zeros_and_bits():
         shared = [k for k in tb if k in ta]
         if shared:
             tb[shared[0]] = -ta[shared[0]]
-        # array-held operands (scalar multiples by 1.0 keep every bit), and
-        # dict-held ones, or one of each
-        da, db = FormalSymbol(spec, ta, _raw=True), FormalSymbol(spec, tb, _raw=True)
+        # operands held as given, their scalar multiples by 1.0, or one of each
+        da, db = held(spec, ta), held(spec, tb)
         sa, sb = da * 1.0, db * 1.0
-        want = _dict_sum({k: c * 1.0 for k, c in ta.items()}, {k: c * 1.0 for k, c in tb.items()})
-        for x, y in ((sa, sb), (sa, FormalSymbol(spec, sb._terms, _raw=True))):
-            _assert_same_terms((x + y)._terms, want)
-        _assert_same_terms((da + db)._terms, _dict_sum(ta, tb))
+        want = dict_sum({k: c * 1.0 for k, c in ta.items()}, {k: c * 1.0 for k, c in tb.items()})
+        for x, y in ((sa, sb), (sa, held(spec, sb.terms))):
+            _assert_same_terms((x + y).terms, want)
+        _assert_same_terms((da + db).terms, dict_sum(ta, tb))
         assert any(np.signbit(c.real) for c in want.values())
     # a new key's -0.0 part becomes +0.0, a shared key's -0.0 + -0.0 stays -0.0
-    x = FormalSymbol(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 1.0)}, _raw=True) * 1.0
-    y = FormalSymbol(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 2.0),
-                            (0, 0, (0, 1), (0, 0), 0): complex(-0.0, 3.0)}, _raw=True) * 1.0
-    got = (x + y)._terms
+    x = held(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 1.0)}) * 1.0
+    y = held(spec, {(0, 0, (1, 0), (0, 0), 0): complex(-0.0, 2.0),
+                    (0, 0, (0, 1), (0, 0), 0): complex(-0.0, 3.0)}) * 1.0
+    got = (x + y).terms
     assert [np.signbit(c.real) for c in got.values()] == [True, False]
 
 
@@ -752,27 +759,27 @@ def test_lazy_terms_follow_the_dict_path_through_a_series():
     A = G * FormalSymbol.monomial(spec, 1.0, j=1)
     for gen, orders, scale in ((G, "first", 2j), (A, "odd", -2j)):
         acc = w = p
-        want_acc = want_w = p._terms
+        want_acc = want_w = p.terms
         for k in range(1, 8):
             w = _bidifferential(gen, w, orders, -1, scale) * (1.0 / k)
-            step = loop_bidifferential(gen, FormalSymbol(spec, want_w, _raw=True), orders, -1, scale)
-            want_w = {key: c * (1.0 / k) for key, c in step._terms.items()}
-            assert w._map is None
-            _assert_same_terms(w._terms, want_w)
+            step = loop_bidifferential(gen, held(spec, want_w), orders, -1, scale)
+            want_w = {key: c * (1.0 / k) for key, c in step.items()}
+            _assert_one_form(w)
+            _assert_same_terms(w.terms, want_w)
             if not w:
                 break
             acc = acc + w
-            want_acc = _dict_sum(want_acc, want_w)
-            assert acc._map is None
-            _assert_same_terms(acc._terms, want_acc)
+            want_acc = dict_sum(want_acc, want_w)
+            _assert_one_form(acc)
+            _assert_same_terms(acc.terms, want_acc)
         res, non = resonant_project(acc)
         cl, qu = non.h_split()
         for part, keep in ((res, lambda k: k[0] == 0 and k[2] == k[3]),
                            (cl, lambda k: not (k[0] == 0 and k[2] == k[3]) and k[4] == 0),
                            (qu, lambda k: not (k[0] == 0 and k[2] == k[3]) and k[4] >= 1),
                            (acc.grade_part(5), lambda k: spec.grade(k) == 5)):
-            _assert_same_terms(part._terms, {k: c for k, c in want_acc.items() if keep(k)})
-        _assert_same_terms((-acc)._terms, {k: -c for k, c in want_acc.items()})
+            _assert_same_terms(part.terms, {k: c for k, c in want_acc.items() if keep(k)})
+        _assert_same_terms((-acc).terms, {k: -c for k, c in want_acc.items()})
 
 
 @pytest.mark.parametrize("orders,scale", KERNEL_MODES)
@@ -782,12 +789,12 @@ def test_first_occurrence_order_with_many_repeated_keys(orders, scale):
     # inside the row list
     spec = PhaseSpec.cylinder(8, 4)
     rng = np.random.default_rng(4)
-    a = FormalSymbol(spec, {(2 * m, a_, (1,), (1,), 0): complex(*rng.normal(size=2))
-                            for m in range(-6, 7) for a_ in (0, 2)}, _raw=True)
-    b = FormalSymbol(spec, {(-2 * m, 1, (2,), (1,), 0): complex(*rng.normal(size=2))
-                            for m in range(-6, 7)}, _raw=True)
-    b = b + FormalSymbol(spec, {(2 * m, 0, (1,), (2,), 0): complex(*rng.normal(size=2))
-                                for m in range(6, -7, -1)}, _raw=True)
+    a = held(spec, {(2 * m, a_, (1,), (1,), 0): complex(*rng.normal(size=2))
+                    for m in range(-6, 7) for a_ in (0, 2)})
+    b = held(spec, {(-2 * m, 1, (2,), (1,), 0): complex(*rng.normal(size=2))
+                    for m in range(-6, 7)})
+    b = b + held(spec, {(2 * m, 0, (1,), (2,), 0): complex(*rng.normal(size=2))
+                        for m in range(6, -7, -1)})
     got = _assert_kernel_matches_loop(a, b, orders, -1 if orders != "all" else 0, scale)
     assert len(got) < len(a) * len(b)  # fewer keys than term pairs
 
@@ -799,10 +806,10 @@ def test_first_occurrence_over_a_wide_code_span():
 
     spec = PhaseSpec.cylinder(8, 4)
     rng = np.random.default_rng(6)
-    a = FormalSymbol(spec, {(2 * m, 1, (1,), (1,), 0): complex(*rng.normal(size=2))
-                            for m in (-450, -3, 0, 7, 450)}, _raw=True)
-    b = FormalSymbol(spec, {(2 * m, 2, (2,), (1,), 0): complex(*rng.normal(size=2))
-                            for m in (450, 3, -7, 0, -450)}, _raw=True)
+    a = held(spec, {(2 * m, 1, (1,), (1,), 0): complex(*rng.normal(size=2))
+                    for m in (-450, -3, 0, 7, 450)})
+    b = held(spec, {(2 * m, 2, (2,), (1,), 0): complex(*rng.normal(size=2))
+                    for m in (450, 3, -7, 0, -450)})
     for orders, scale in KERNEL_MODES:
         _assert_kernel_matches_loop(a, b, orders, -1 if orders != "all" else 0, scale)
     code = np.array([5, -3, 5, 2**40, -3, 7, 2**40])
@@ -818,17 +825,229 @@ def test_non_finite_coefficient_raises_naming_its_key(bad, bad_first):
     items = [(fine, 1.0), (worse, bad)]
     terms = dict(items[::-1] if bad_first else items)
     message = f"non-finite coefficient .* at key {re.escape(str(worse))}"
-    with pytest.raises(ArithmeticError, match=message):  # the dict path
+    with pytest.raises(ArithmeticError, match=message):  # the constructor
         FormalSymbol(spec, terms)
-    raw = FormalSymbol(spec, terms, _raw=True)
-    with pytest.raises(ArithmeticError, match=message):  # the dict sum
+    raw = held(spec, terms)
+    with pytest.raises(ArithmeticError, match=message):  # a sum
         raw + FormalSymbol.zero(spec)
     with np.errstate(invalid="ignore"):  # inf * 0.0 in the product by 1.0 + 0j
-        held = raw * 1.0
-    with pytest.raises(ArithmeticError, match=message):  # the array sum
-        held + FormalSymbol.zero(spec)
+        scaled = raw * 1.0
+    with pytest.raises(ArithmeticError, match=message):  # a scalar multiple's sum
+        scaled + FormalSymbol.zero(spec)
     with pytest.raises(ArithmeticError, match="non-finite"):  # a kernel output
         poisson_bracket(raw, FormalSymbol.monomial(spec, 1.0, alpha=(1, 0)))
+
+
+@pytest.mark.parametrize("x", [np.int64(2), np.float32(2.5), np.int8(-3), np.complex64(1 - 2j),
+                               True, 2, -0.5, 1.5j])
+def test_numbers_of_any_type_are_scalars(x):
+    sym = mono(0.5 - 1j, m=1, alpha=1) + mono(2.0, a=1)
+    z = complex(x)
+    for got, want in ((sym * x, sym * z), (x * sym, sym * z), (sym + x, sym + z),
+                      (x + sym, sym + z), (sym - x, sym - z), (x - sym, z - sym)):
+        assert type(got) is FormalSymbol
+        _assert_same_terms(got.terms, want.terms)
+
+
+@pytest.mark.parametrize("other", ["2", [2], None])
+def test_arithmetic_with_a_non_number_raises_type_error(other):
+    sym = mono(1.0, alpha=1)
+    for op in (lambda: sym * other, lambda: sym + other, lambda: sym - other,
+               lambda: other - sym):
+        with pytest.raises(TypeError):
+            op()
+
+
+# --------------------------------------------------------------------------
+# the constructor and reembedding against the dict cleaning path
+# --------------------------------------------------------------------------
+
+class _Items(Mapping):
+    """Key-value pairs listed as given, even keys a dict would merge or
+    could not hash."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __iter__(self):
+        return (k for k, _ in self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, key):
+        return next(c for k, c in self._items if k is key)
+
+    def items(self):
+        return iter(self._items)
+
+    def values(self):
+        return (c for _, c in self._items)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_cleans_like_the_dict_path(spec, terms, build=None):
+    got = _outcome(build or (lambda: FormalSymbol(spec, terms).terms))
+    want = _outcome(lambda: dict_clean(spec, terms))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_terms(got, want)
+    return got
+
+
+NAN, INF = complex(math.nan, 0.0), complex(1.0, -math.inf)
+CLEAN_CASES = {
+    "repeated after normalisation": (PhaseSpec.cylinder(6, 3), [
+        ((2.0, 0, [1], [0], 0), 1.5 - 1j), ((0, 1, (1,), (1,), 0), 0.25),
+        ((2, 0, (1,), (0,), 0), 0.5 + 2j), ((np.int64(2), 0.0, (1,), (0,), 0), -2.0 - 1j)]),
+    "zeros and signed zero parts": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), 0), complex(-0.0, 1.5)), ((0, 0, (0, 1), (0, 0), 0), 0),
+        ((0, 0, (0, 0), (1, 0), 0), complex(2.0, -0.0)), ((0, 0, (0, 0), (0, 1), 0), -0.0),
+        ((0, 0, (1, 1), (0, 0), 0), complex(-0.0, -0.0)), ((0, 0, (2, 0), (0, 0), 0), -3.0),
+        ((0, 0, (1, 0), (0, 0), 0), complex(0.0, -1.5)), ((0, 0, (0, 2), (0, 0), 0), 1e-16)]),
+    "out of bound": (PhaseSpec.cylinder(4, 2, orientable=False), [
+        ((1, 3, (1,), (0,), 0), 1.0), ((1, 1, (3,), (2,), 0), 2.0), ((0, 0, (1,), (1,), 2), 3.0),
+        ((-1, 2, (0,), (1,), 1), 0.5j), ((0, 0, (1,), (1,), 1), 1e-20)]),
+    "nan, then inf": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), 0), 1.0), ((0, 0, (2, 0), (0, 0), 0), NAN),
+        ((0, 0, (0, 1), (0, 0), 0), INF)]),
+    "inf, then nan": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), 0), 1.0), ((0, 0, (0, 1), (0, 0), 0), INF),
+        ((0, 0, (2, 0), (0, 0), 0), NAN)]),
+    "nan, then a negative exponent": (PhaseSpec.saddle(4), [
+        ((0, 0, (2, 0), (0, 0), 0), NAN), ((0, 0, (1, -1), (0, 0), 0), 1.0)]),
+    "a parity violation, then nan": (PhaseSpec.cylinder(4, 2, orientable=False), [
+        ((1, 0, (1,), (0,), 0), 1.0), ((2, 0, (1,), (0,), 0), 1.0), ((1, 0, (0,), (1,), 0), NAN)]),
+    "an odd mode on an orientable cylinder": (PhaseSpec.cylinder(4, 2), [
+        ((0, 0, (1,), (0,), 0), 1.0), ((1, 0, (1,), (0,), 0), 1.0)]),
+    "a tau power without an angle": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), 0), 1.0), ((0, 1, (1, 0), (0, 0), 0), 1.0)]),
+    "a short key, then a negative h power": (PhaseSpec.saddle(4), [
+        ((0, 0, (1,), (0,), 0), 1.0), ((0, 0, (1, 0), (0, 0), -1), 1.0)]),
+    "a negative tau power, then a short key": (PhaseSpec.cylinder(4, 2), [
+        ((0, -1, (1,), (0,), 0), 1.0), ((0, 0, (1, 0), (0,), 0), 1.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLEAN_CASES))
+def test_constructor_cleans_like_the_dict_path(case):
+    spec, items = CLEAN_CASES[case]
+    _assert_cleans_like_the_dict_path(spec, _Items(items))
+
+
+def test_constructor_errors_name_the_first_bad_key():
+    spec, items = CLEAN_CASES["a parity violation, then nan"]
+    with pytest.raises(ValueError, match=r"m=1\.0, alpha=\(1,\), beta=\(0,\)"):
+        FormalSymbol(spec, _Items(items))
+    spec, items = CLEAN_CASES["inf, then nan"]
+    with pytest.raises(ArithmeticError, match=re.escape(f"{INF} at key (0, 0, (0, 1), (0, 0), 0)")):
+        FormalSymbol(spec, _Items(items))
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
+def test_constructor_cleans_random_terms_like_the_dict_path(kind):
+    # repeated keys, zeros, out-of-bound keys and magnitudes from 1e-20 to
+    # 1e20, so that sums, drops and the prune all act
+    spec = KERNEL_SPECS[kind]
+    rng = np.random.default_rng(17)
+    for n_terms in (1, 5, 40, 200):
+        wider = replace(spec, grade_max=10, tau_max=6 if spec.has_angle else 0)
+        pool = list(random_symbol(wider, rng,
+                                  n_terms=n_terms, max_exp=4, max_tau=6).terms)
+        items = [(pool[i], complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-20, 20)
+                  * (rng.random() > 0.1)) for i in rng.integers(len(pool), size=2 * n_terms)]
+        _assert_cleans_like_the_dict_path(spec, _Items(items))
+
+
+def test_reembedding_cleans_like_the_dict_path():
+    rng = np.random.default_rng(19)
+    wide = PhaseSpec.cylinder(8, 4, orientable=False)
+    sym = random_symbol(wide, rng, n_terms=40, max_exp=3, max_tau=4)
+    sym = sym + FormalSymbol.monomial(wide, 1e-14, a=1, alpha=1, beta=1)
+    sym = sym * FormalSymbol.monomial(wide, 1e3, alpha=1, beta=1)  # the pruning floor moves
+    for spec in (PhaseSpec.cylinder(4, 2, orientable=False), PhaseSpec.cylinder(6, 4, False)):
+        got = _assert_cleans_like_the_dict_path(spec, sym.terms, lambda: sym.reembedded(spec).terms)
+        assert 0 < len(got) < len(sym)
+    # an orientable cylinder rejects the half-integer modes, naming the first
+    got = _assert_cleans_like_the_dict_path(
+        PhaseSpec.cylinder(8, 4), sym.terms, lambda: sym.reembedded(PhaseSpec.cylinder(8, 4)))
+    assert got[0] is ValueError and "integer Fourier modes" in got[1]
+    # an orientable symbol on a non-orientable cylinder breaks the parity
+    even = random_symbol(PhaseSpec.cylinder(6, 3), rng, n_terms=20, max_exp=2)
+    target = PhaseSpec.cylinder(6, 3, orientable=False)
+    got = _assert_cleans_like_the_dict_path(target, even.terms,
+                                            lambda: even.reembedded(target))
+    assert got[0] is ValueError and "anti-periodicity" in got[1]
+
+
+def test_terms_is_a_fresh_dict_each_read():
+    sym = mono(1.0, alpha=1) + mono(2j, m=1, a=2) + mono(-0.5, beta=2, j=1)
+    before = sym.terms
+    view = sym.terms
+    assert view is not before and view == before
+    view[(0, 0, (0,), (0,), 0)] = 5.0
+    view.pop(next(iter(before)))
+    for key in view:
+        view[key] = 0.0
+    _assert_same_terms(sym.terms, before)
+    assert len(sym) == 3 and sym.max_abs() == 2.0
+
+
+# --------------------------------------------------------------------------
+# the product and the transport solve against their dict loops
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
+def test_product_matches_the_dict_double_loop(kind):
+    spec = KERNEL_SPECS[kind]
+    rng = np.random.default_rng(23)
+    terms_out = 0
+    for n_terms in (1, 2, 4, 8, 16, 32):
+        for _ in range(8):
+            a, b = (random_symbol(spec, rng, n_terms=n_terms, max_tau=3)
+                    * 10.0 ** rng.uniform(-10, 10) for _ in range(2))
+            got = (a * b).terms
+            _assert_same_terms(got, loop_product(a, b))
+            terms_out += len(got)
+    assert terms_out > 200
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+def test_homological_solve_matches_the_dict_loop(orientable):
+    spec = PhaseSpec.cylinder(8, 4, orientable=orientable)
+    f, mu = TauSeries([0.0, 1.0, -0.2, 0.05]), TauSeries([1.0, 0.3, -0.1])
+    rng = np.random.default_rng(29)
+    for n_terms in (1, 5, 20, 60):
+        v = random_symbol(spec, rng, n_terms=n_terms, max_exp=3, max_tau=4)
+        v = v * 10.0 ** rng.uniform(-10, 10)
+        u, _ = homological_solve(v, f, mu)
+        want = loop_homological_solve(v.terms, 4, f.resized(4).derivative(), mu.resized(4))
+        _assert_same_terms(u.terms, want)
+
+
+def test_substitution_agrees_with_the_running_prune_to_rounding():
+    # summed in one pass and pruned once, a key that cancels exactly midway
+    # keeps its first place, and one a running prune drops and re-adds keeps
+    # its earlier terms, so on random symbols the two agree to rounding
+    # (bit for bit on the workloads' inputs, see test_scenario_cli)
+    rng = np.random.default_rng(31)
+    s = 1.0 / math.sqrt(2.0)
+    rows = [((s, 1j * s), (1j * s, s)), ((s, -1j * s), (-1j * s, s))]
+    for spec in (PhaseSpec.saddle(8), PhaseSpec.cylinder(8, 4, orientable=False)):
+        for n_terms in (1, 5, 20, 40):
+            sym = random_symbol(spec, rng, n_terms=n_terms, max_exp=4, max_tau=3)
+            for pair in range(spec.num_pairs):
+                for x_row, xi_row in rows:
+                    got = substitute_pair(sym, pair, x_row, xi_row)
+                    want = loop_substitute_pair(sym.terms, pair, x_row, xi_row)
+                    assert symbols_close(got, held(spec, want), tol=1e-14)
 
 
 # --------------------------------------------------------------------------
