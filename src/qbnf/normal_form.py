@@ -47,6 +47,7 @@ from .symbols import (
     PhaseSpec,
     TauSeries,
     _columns,
+    _first_occurrence,
     _grades,
     homological_solve,
     lie_transform,
@@ -434,8 +435,11 @@ def _eliminate(p: FormalSymbol, chain: GeneratorChain, solve, divisor) -> Formal
     """Remove the non-resonant part of ``p`` grade by grade up to the chain order.
 
     ``solve(v)`` divides a non-resonant part v by the model's homological
-    denominators; the classical quotient generates a Lie transform, the
-    h-part quotient (negated) a star conjugation.  ``divisor`` is the
+    denominators, the same at every grade: the transport solve forms each
+    denominator's inverse once (see ``homological_solve``), the saddle
+    division each nu . (alpha - beta) once per call.  The classical
+    quotient generates a Lie transform, the h-part quotient (negated) a
+    star conjugation.  ``divisor`` is the
     resonant classical grade-2 part of ``p`` those denominators come from.
     Returns the resonant symbol.  Raises ArithmeticError when pruning has
     dropped a term of ``divisor`` from the symbol or a non-resonant
@@ -522,11 +526,15 @@ def birkhoff_coordinates(symbol: FormalSymbol) -> FormalSymbol:
 
 def _equilibrium_solve(v: FormalSymbol, nu) -> FormalSymbol:
     """Per-term division by nu . (alpha - beta), asserted >= min |nu_i| off resonance."""
+    if not v:
+        return v
     floor = min(abs(nu[0]), abs(nu[1])) * (1 - 1e-12)
     keys, re, im = _columns(v)
-    # D as the Python sum forms it, once per distinct alpha - beta of the two pairs
-    diffs, at = np.unique(keys[2:4] - keys[4:6], axis=1, return_inverse=True)
-    D = [sum(n * d for n, d in zip(nu, diff)) for diff in diffs.T.tolist()]
+    # D as the Python sum forms it, once per distinct alpha - beta of the two
+    # pairs, found by an integer code: each difference lies in [-g, g]
+    diff = keys[2:4] - keys[4:6]
+    heads, at = _first_occurrence(diff[0] * (2 * v.spec.grade_max + 1) + diff[1])
+    D = [sum(n * d for n, d in zip(nu, pair)) for pair in diff[:, heads].T.tolist()]
     low = np.flatnonzero(np.array([abs(x) < floor for x in D], dtype=bool)[at])
     if len(low):
         _, _, alpha, beta, _ = list(v.terms)[low[0]]

@@ -47,8 +47,9 @@ insertion order); ``terms`` is a read view, a fresh dict built each time
 it is read.  A symbol also keeps the kernel's tables for it as
 an operand: grades, the channels each term can act in and the factors a
 derivation pulls down, so a series builds its generator's once.  The
-falling-factorial and d_t power tables behind those factors are built on
-first use, once per size, and cached read-only.
+falling-factorial and d_t power tables behind those factors, and the
+star paths' count-tuple tables, are built on first use, once per size,
+and cached read-only.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ class PhaseSpec:
         m2, a, alpha, beta, j = key
         if len(alpha) != self.num_pairs or len(beta) != self.num_pairs:
             raise ValueError(f"exponent vectors must have length {self.num_pairs}")
+        integral = _key_entries([(m2, a, *alpha, *beta, j)])[1]
+        if integral is not None and not integral.all():
+            raise ValueError(f"symbol key entries must be integers, got {key}")
         if a < 0 or j < 0 or min(alpha, default=0) < 0 or min(beta, default=0) < 0:
             raise ValueError("negative exponent in symbol key")
         if not self.has_angle and (m2 != 0 or a != 0):
@@ -270,7 +274,7 @@ class TauSeries:
 
 def _frozen(*arrays):
     for x in arrays:
-        x.flags.writeable = False
+        x.setflags(write=False)
     return arrays
 
 
@@ -281,39 +285,40 @@ def _key_tuples(keys: np.ndarray, P: int) -> list:
 
 @lru_cache(maxsize=None)
 def _radices(spec: PhaseSpec) -> tuple:
-    """Digit of each key column in a key's code, least significant first.
+    """Radix and stride of each key column's digit in a key's code.
 
     The code reads (2m, j + 1, a, alpha..., beta...) as a mixed-radix
-    number: every key lies inside the truncation, so every digit but 2m
-    lies in [0, radix) and equal codes are equal keys, and 2m, the leading
-    digit, may take any sign.  All orders shifted by h^-1 give h^-1 to
-    the plain product, so j may be -1 and then an exponent may reach
+    number, beta last the least significant: every key lies inside the
+    truncation, so every digit but 2m lies in [0, radix) and equal codes
+    are equal keys, and 2m, the leading digit, may take any sign (its
+    radix is given as 0).  All orders shifted by h^-1 give h^-1 to the
+    plain product, so j may be -1 and then an exponent may reach
     grade_max + 2; the j digit is offset by one and the exponent digits
     have room for that.  The code is the key's dot product with the
     strides plus the stride of j, so a sum or derivative of keys is the
-    matching sum of codes.  Returns ((column, radix), ...) and the
-    strides, per key column, read-only.
+    matching sum of codes.  Returns (radixes, strides), per key column,
+    read-only.
     """
     P, g = spec.num_pairs, spec.grade_max
     digits = [(2 + P + i, g + 3) for i in reversed(range(P))]
     digits += [(2 + i, g + 3) for i in reversed(range(P))]
     digits += [(1, spec.tau_max + 1), (2 + 2 * P, g // 2 + 2)]
-    strides = np.zeros(3 + 2 * P, dtype=np.int64)
+    radixes, strides = np.zeros((2, 3 + 2 * P), dtype=np.int64)
     step = 1
     for col, radix in digits:
-        strides[col] = step
+        radixes[col], strides[col] = radix, step
         step *= radix
     strides[0] = step
-    return tuple(digits), _frozen(strides)[0]
+    return _frozen(radixes, strides)
 
 
 def _decode(code: np.ndarray, spec: PhaseSpec) -> np.ndarray:
-    """Key columns of codes (see ``_radices``)."""
-    digits, _ = _radices(spec)
-    keys = np.empty((len(digits) + 1, len(code)), dtype=np.int64)
-    for col, radix in digits:
-        code, keys[col] = np.divmod(code, radix)
-    keys[0] = code
+    """Key columns of codes (see ``_radices``): each column's digit, the
+    code floor-divided by its stride and reduced by its radix, which holds
+    for a negative leading digit too."""
+    radixes, strides = _radices(spec)
+    keys = code // strides[:, None]
+    keys[1:] %= radixes[1:, None]
     keys[-1] -= 1
     return keys
 
@@ -340,30 +345,68 @@ def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
     return (int(round(m2)), a, tuple(alpha), tuple(beta), j)
 
 
-def _key_columns(keys: list, P: int) -> np.ndarray:
-    """Key columns (see ``_columns``) of (2m, a, alpha, beta, j) tuples."""
-    rows = [(k[0], k[1], *k[2], *k[3], k[4]) for k in keys]
-    return np.ascontiguousarray(np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * P).T)
+def _key_entries(rows: list):
+    """(rows of key entries as int64, None or where they are integral).
+
+    Rows of integers give their int64 array and None.  Any other entry,
+    such as a float, reads the rows as floats: an entry is integral when
+    it is an integer in the int64 range, and only those cast exactly.
+    """
+    raw = np.array(rows)
+    if raw.dtype == np.int64:
+        return raw, None
+    with np.errstate(invalid="ignore"):  # nan, inf and entries past the range cast to junk
+        real = raw.astype(float)
+        ints = real.astype(np.int64)
+    return ints, ints == real
 
 
-def _cleaned(spec: PhaseSpec, keys: list, re, im):
+def _cleaned(spec: PhaseSpec, keys, re, im):
     """(spec, key columns, re, im, codes) of terms as a caller gives them,
-    for ``FormalSymbol._of_columns(..., prune=True)``: every key checked
-    with ``spec.validate_key`` in order, out-of-bound keys and zero
-    coefficients dropped, and a repeated key's coefficients added from 0.0
-    in order."""
-    for key in keys:
-        spec.validate_key(key)
+    for ``FormalSymbol._of_columns(..., prune=True)``.
+
+    ``keys`` are (2m, a, alpha, beta, j) tuples as given, or int64 key
+    columns.  Array operations check every key by the rules of
+    ``spec.validate_key``, which raises the error of the first rejected
+    key.  Out-of-bound keys drop; zero coefficients are left to the prune,
+    unless a key repeats (given twice, or once as floats): then they drop
+    first, and the repeated key's coefficients add from 0.0 in order.
+    """
     P = spec.num_pairs
-    cols = _key_columns(keys, P)
+    integral = None
+    if isinstance(keys, np.ndarray):
+        cols = keys
+    else:
+        if any(len(k[2]) != P or len(k[3]) != P for k in keys):
+            for key in keys:
+                spec.validate_key(key)  # raises at the first bad key
+        rows, integral = _key_entries([(k[0], k[1], *k[2], *k[3], k[4]) for k in keys])
+        cols = rows.T
+    # the cylinder has one pair, so its parity is 2m - alpha + beta
+    odd = (None if not spec.has_angle else cols[0] if spec.orientable
+           else cols[0] - cols[2] + cols[3])
+    if ((integral is not None and not integral.all()) or cols[1:].min(initial=0) < 0
+            or (odd is None and cols[:2].any()) or (odd is not None and (odd & 1).any())):
+        bad = (cols[1:] < 0).any(axis=0)
+        bad |= cols[:2].any(axis=0) if odd is None else (odd & 1).astype(bool)
+        if integral is not None:
+            bad |= ~integral.all(axis=1)
+        at = int(np.argmax(bad))
+        spec.validate_key(keys[at] if isinstance(keys, list) else _key_tuples(cols[:, at:at + 1], P)[0])
     grade = cols[2:2 + 2 * P].sum(axis=0) + 2 * cols[-1]
-    at = np.flatnonzero((cols[1] <= spec.tau_max) & (grade <= spec.grade_max)
-                        & ((re != 0) | (im != 0)))
-    cols, re, im = cols.take(at, axis=1), re[at], im[at]
+    inside = (cols[1] <= spec.tau_max) & (grade <= spec.grade_max)
+    if inside.all():
+        cols = np.ascontiguousarray(cols)
+    else:
+        at = np.flatnonzero(inside)
+        cols, re, im = cols.take(at, axis=1), re[at], im[at]
     code = _encode(cols, spec)
-    if len(np.unique(code)) < len(code):  # keys equal once read with int()
-        heads, re, im = _sum_by_code(code, re, im)
-        cols, code = cols.take(heads, axis=1), code[heads]
+    if len(code) > 1:
+        ordered = np.sort(code)
+        if (ordered[1:] == ordered[:-1]).any():
+            at = np.flatnonzero((re != 0) | (im != 0))
+            heads, re, im = _sum_by_code(code[at], re[at], im[at])
+            cols, code = cols.take(at[heads], axis=1), code[at[heads]]
     return spec, cols, 0.0 + re, 0.0 + im, code
 
 
@@ -389,12 +432,14 @@ class FormalSymbol:
     __slots__ = ("spec", "_cols", "_tabs")
 
     def __init__(self, spec: PhaseSpec, terms: Mapping | None = None):
-        """Symbol of ``terms``, each key read with int(): keys checked and
-        cleaned (see ``_cleaned``), then pruned."""
-        terms = terms or {}
-        keys = [(int(k[0]), int(k[1]), tuple(k[2]), tuple(k[3]), int(k[4])) for k in terms]
-        c = np.array([complex(v) for v in terms.values()], dtype=complex)
-        sym = FormalSymbol._of_columns(*_cleaned(spec, keys, c.real, c.imag), prune=True)
+        """Symbol of ``terms``: keys checked, their entries integers or
+        integral floats, and cleaned (see ``_cleaned``), then pruned."""
+        if terms:
+            keys = [(k[0], k[1], tuple(k[2]), tuple(k[3]), k[4]) for k in terms]
+            c = np.array([complex(v) for v in terms.values()], dtype=complex)
+            sym = FormalSymbol._of_columns(*_cleaned(spec, keys, c.real, c.imag), prune=True)
+        else:
+            sym = FormalSymbol.zero(spec)
         self.spec, self._cols, self._tabs = sym.spec, sym._cols, sym._tabs
 
     @classmethod
@@ -438,7 +483,8 @@ class FormalSymbol:
 
     @classmethod
     def zero(cls, spec):
-        return cls(spec)
+        keys = np.zeros((3 + 2 * spec.num_pairs, 0), dtype=np.int64)
+        return cls._of_columns(spec, keys, np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
 
     @classmethod
     def constant(cls, spec, value):
@@ -523,9 +569,7 @@ class FormalSymbol:
         """Same terms on another compatible spec; out-of-bound terms drop."""
         if spec.num_pairs != self.spec.num_pairs or spec.has_angle != self.spec.has_angle:
             raise SpecMismatchError("cannot reembed between different phase geometries")
-        keys, re, im = _columns(self)
-        keys = _key_tuples(keys, spec.num_pairs)
-        return FormalSymbol._of_columns(*_cleaned(spec, keys, re, im), prune=True)
+        return FormalSymbol._of_columns(*_cleaned(spec, *_columns(self)), prune=True)
 
     def evaluate(self, *, t=0.0, tau=0.0, pairs=None, h=0.0) -> complex:
         """Numeric evaluation at a phase-space point (pairs = ((x, xi), ...))."""
@@ -692,6 +736,21 @@ def _dt_powers(reach: int, tmax: int):
     return _frozen(tab.real, tab.imag)
 
 
+def _caps(sym: FormalSymbol, side: int) -> np.ndarray:
+    """[c, n]: how often the term's derivative in channel c can act, with
+    ``sym`` the left (side 0) or right (side 1) kernel operand.  d_t acts
+    with a Fourier mode, up to the tau truncation.  Kept on the symbol,
+    read-only."""
+    got = sym._tabs.get(("caps", side))
+    if got is None:
+        spec, keys = sym.spec, _columns(sym)[0]
+        got = keys.take(_channel_table(spec)[2][side], axis=0)
+        if spec.num_pairs == 1:
+            got[1 - side] = (keys[0] != 0) * spec.tau_max
+        got = sym._tabs["caps", side] = _frozen(got)[0]
+    return got
+
+
 def _side(sym: FormalSymbol, side: int, full: bool):
     """Channel tables of ``sym`` as the left (side 0) or right (side 1)
     kernel operand, built once per symbol and side.
@@ -699,26 +758,23 @@ def _side(sym: FormalSymbol, side: int, full: bool):
     Without ``full``: the channels in which the term's derivative can act,
     one bit each (bit c for channel c), and the real and imaginary parts of
     the factor one derivation pulls down, flat [c, n].  With ``full``: how
-    often it can act, [c, n], and the factors of kappa derivations,
-    [c, n, kappa].  A factor is a falling factorial, or (i m / 2)^kappa
-    for d_t, read from ``_falling`` and ``_dt_powers``.
+    often it can act, [c, n] (``_caps``), and the factors of kappa
+    derivations, [c, n, kappa].  A factor is a falling factorial, or
+    (i m / 2)^kappa for d_t, read from ``_falling`` and ``_dt_powers``.
     """
     tabs = sym._tabs
     got = tabs.get((side, full))
     if got is not None:
         return got
-    spec, keys = sym.spec, _columns(sym)[0]
+    spec, m2 = sym.spec, _columns(sym)[0][0]
     gmax, tmax = spec.grade_max, spec.tau_max
     t = 1 - side if spec.num_pairs == 1 else None  # the d_t channel
-    caps = keys.take(_channel_table(spec)[2][side], axis=0)
+    caps = _caps(sym, side)
     fim = np.zeros(caps.shape + ((max(gmax, tmax) + 1,) if full else ()))
-    if t is not None:  # d_t acts with a Fourier mode, up to the tau truncation
-        m2 = keys[0]
-        caps[t] = (m2 != 0) * tmax
-        reach = int(np.abs(m2).max(initial=0))
     fre = _falling(max(gmax, tmax))[caps, slice(None) if full else 1]
     if t is not None:
         fre[t] = 0.0
+        reach = int(np.abs(m2).max(initial=0))
         if reach and tmax:
             row = m2 + reach
             for tab, out in zip(_dt_powers(reach, tmax), (fre, fim)):
@@ -762,10 +818,31 @@ def _bracket_channels(spec: PhaseSpec, h_shift: int) -> np.ndarray:
     return _frozen(bits)[0]
 
 
+def _room_for_three(a: FormalSymbol, b: FormalSymbol, u: np.ndarray, h_shift: int):
+    """The term pairs (left terms, right terms) inside the truncation (room
+    codes u, see ``_room``) with room for three derivations: sum_c min(left
+    cap, right cap) >= 3, the (t, tau) channels capped by the grade room."""
+    spec = a.spec
+    caps = _caps(a, 0), _caps(b, 1)
+    if min(int(c.sum(axis=0).max()) for c in caps) < 3:  # no term of one side has room
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lc, rc = (np.minimum(c, 3) for c in caps)
+    room = spec.grade_max - 2 * h_shift
+    # a pair's grade is its room code's high digit; a (t, tau) derivation costs 2
+    budget = (room - u // (2 * spec.tau_max + 2)) // 2 if spec.has_angle else None
+    total = 0
+    for c in range(len(lc)):
+        n = np.minimum(lc[c][:, None], rc[c])
+        total = total + (n if budget is None or c > 1 else np.minimum(n, budget))
+    return np.nonzero((total >= 3) & (u < (room + 1) * (2 * spec.tau_max + 2)))
+
+
 @lru_cache(maxsize=None)
-def _channel_bools() -> np.ndarray:
-    """[bits] -> four bytes, byte c 1 when bit c is set, read as one uint32."""
-    return _frozen(((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(np.uint8)
+def _channel_bools(last_first: bool) -> np.ndarray:
+    """[bits] -> four bytes, byte i 1 when bit i is set (bit 3 - i when
+    ``last_first``), read as one uint32."""
+    order = np.arange(4)[::-1] if last_first else np.arange(4)
+    return _frozen(((np.arange(16)[:, None] >> order) & 1).astype(np.uint8)
                    .view(np.uint32).ravel())[0]
 
 
@@ -779,9 +856,11 @@ def _first_occurrence(code: np.ndarray):
     """
     n = len(code)
     code = code - code.min()
-    if code.max() >= 1 << 20:
+    span = int(code.max()) + 1
+    if span > 1 << 20:
         code = np.unique(code, return_inverse=True)[1]
-    first = np.empty(int(code.max()) + 1, dtype=np.int32)  # half the pages of intp
+        span = int(code.max()) + 1
+    first = np.empty(span, dtype=np.int32)  # half the pages of intp
     first[code] = n
     rows = np.arange(n, dtype=np.int32)
     np.minimum.at(first, code, rows)
@@ -798,26 +877,150 @@ def _sum_by_code(code: np.ndarray, re: np.ndarray, im: np.ndarray):
             np.bincount(lab, weights=im, minlength=len(heads)))
 
 
+def _single_rows(a: FormalSymbol, b: FormalSymbol, u: np.ndarray, h_shift: int,
+                 w: complex, last_first: bool):
+    """The k = 1 rows of a kernel call: (pair, channel, code, re, im), zero
+    contributions dropped, times the weight ``w``.
+
+    One row per channel both terms can act in and the pair's grade and tau
+    room (room codes ``u``) allow (``_bracket_channels``), read off one
+    (pair, channel) mask, in (pair, channel) order, a pair's channels last
+    first when ``last_first``.  A (t, tau) derivation needs a grade budget
+    of 2 and lowers tau by 1.
+    """
+    spec = a.spec
+    (_, lre, lim), (_, rre, rim) = _columns(a), _columns(b)
+    sign, drop, _ = _channel_table(spec)
+    (lbits, lfre, lfim), (rbits, rfre, rfim) = _side(a, 0, False), _side(b, 1, False)
+    bits = lbits[:, None] & rbits
+    bits &= _bracket_channels(spec, h_shift).take(u, mode="clip")
+    # one byte per (pair, channel), so the rows come in (pair, channel) order
+    row = np.flatnonzero(_channel_bools(last_first).take(bits).view(np.bool_))
+    chan, pair = row & 3, row >> 2
+    if last_first:
+        chan = 3 - chan
+    pl, pr = np.divmod(pair, len(rre))
+    fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
+    fre, fim = _cmul(fre, fim, sign[chan], 0.0)
+    at = chan * len(lre) + pl
+    fre, fim = _cmul(fre, fim, lfre[at], lfim[at])
+    at = chan * len(rre) + pr
+    fre, fim = _cmul(fre, fim, rfre[at], rfim[at])
+    nz = (fre != 0) | (fim != 0)
+    if np.count_nonzero(nz) < len(nz):
+        nz = np.flatnonzero(nz)
+        pair, chan, pl, pr, fre, fim = pair[nz], chan[nz], pl[nz], pr[nz], fre[nz], fim[nz]
+    code = _code(a)[pl] + _code(b)[pr] - (drop - _h_offset(spec, h_shift))[chan]
+    return (pair, chan, code, *_cmul(fre, fim, w.real, w.imag))
+
+
+@lru_cache(maxsize=1 << 12)
+def _count_tuples(radix: tuple, orders: str) -> np.ndarray:
+    """[c, n]: the derivation count tuples below ``radix`` that ``orders``
+    keeps ("odd": an odd sum of at least 3, else all), in lexicographic
+    order, then a row of their sums; read-only."""
+    ks = np.indices(radix).reshape(len(radix), -1)
+    k = ks.sum(axis=0)
+    keep = (k % 2 == 1) & (k >= 3) if orders == "odd" else slice(None)
+    return _frozen(np.vstack([ks, k])[:, keep])[0]
+
+
+def _count_rows(a: FormalSymbol, b: FormalSymbol, li: np.ndarray, ri: np.ndarray,
+                orders: str, h_shift: int, scale: complex):
+    """The rows of the term pairs (li, ri) with derivation counts of the
+    order ``orders`` selects ("all", "zeroth", or k >= 3 of "odd"): (pair,
+    counts, code, re, im), pair the flat index of (left term, right term)
+    and counts [c, row], zero contributions dropped, weighted.
+
+    A pair's radices are one more than the counts each channel allows; its
+    count tuples, in lexicographic order, are read from the table of those
+    radices (``_count_tuples``), and those within the pair's grade and tau
+    room are kept.  A derivation in pair i lowers alpha_i and beta_i and
+    adds an h, so it keeps the grade; one in (t, tau) lowers no grade
+    column and raises the grade by 2, and it lowers tau, so the pair's tau
+    power may exceed the truncation by the (t, tau) count.
+    """
+    spec = a.spec
+    (lk, lre, lim), (rk, rre, rim) = _columns(a), _columns(b)
+    sign, drop, _ = _channel_table(spec)
+    angle, room = spec.has_angle, spec.grade_max - 2 * h_shift
+    if orders == "zeroth":  # one count tuple per pair: no derivation
+        radix = np.ones((len(sign), len(li)), dtype=np.int64)
+    else:
+        (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
+        radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
+    if angle:
+        budget = (room - _grades(a)[li] - _grades(b)[ri]) // 2
+        radix[:2] = np.minimum(radix[:2], budget + 1)
+    # one table per distinct radix vector; a row is an entry of its pair's table
+    top = int(radix.max()) + 1
+    heads, lab = _first_occurrence(((radix[0] * top + radix[1]) * top + radix[2]) * top + radix[3])
+    tables = [_count_tuples(tuple(r), orders) for r in radix[:, heads].T.tolist()]
+    size = np.array([t.shape[1] for t in tables])
+    table = np.concatenate(tables, axis=1)
+    cnt = size[lab]
+    pair = np.repeat(np.arange(len(li)), cnt)
+    at = np.arange(len(pair)) + np.repeat((np.cumsum(size) - size)[lab] - (np.cumsum(cnt) - cnt), cnt)
+    if angle:
+        spent = table[0] + table[1]
+        excess = lk[1, li] + rk[1, ri] - spec.tau_max
+        keep = np.flatnonzero((spent[at] <= budget[pair]) & (spent[at] >= excess[pair]))
+        pair, at = pair[keep], at[keep]
+    ks = table.take(at, axis=1)
+    pl, pr = li[pair], ri[pair]
+    fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
+    top = int(ks[:-1].max(initial=0))
+    for c, s in enumerate(sign.tolist()):
+        on = np.flatnonzero(ks[c])
+        if not len(on):
+            continue
+        x = ks[c, on]
+        kf = [1.0]
+        for kappa in range(1, top + 1):
+            kf.append(kf[-1] * (s / kappa))
+        re, im = _cmul(fre[on], fim[on], np.array(kf)[x], 0.0)
+        at = (c * len(lre) + pl[on]) * lfre.shape[2] + x
+        re, im = _cmul(re, im, lfre.ravel()[at], lfim.ravel()[at])
+        at = (c * len(rre) + pr[on]) * rfre.shape[2] + x
+        fre[on], fim[on] = _cmul(re, im, rfre.ravel()[at], rfim.ravel()[at])
+    k = ks[-1]
+    nz = np.flatnonzero((k == 0) | (fre != 0) | (fim != 0))
+    ks, k, pl, pr = ks[:, nz], k[nz], pl[nz], pr[nz]
+    w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
+    code = _code(a)[pl] + _code(b)[pr] + _h_offset(spec, h_shift) - drop @ ks[:-1]
+    return pl * len(rre) + pr, ks[:-1], code, *_cmul(fre[nz], fim[nz], w.real[k], w.imag[k])
+
+
+def _h_offset(spec: PhaseSpec, h_shift: int) -> int:
+    """What an output key's code adds to its pair's codes besides the
+    derivations: the h shift, less one j offset (see ``_radices``)."""
+    return (h_shift - 1) * int(_radices(spec)[1][-1])
+
+
 def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
                     scale: complex) -> FormalSymbol:
     """sum_k scale (h/2i)^k h^h_shift B_k(a, b) over the selected orders k.
 
     ``orders`` is "all", "odd", "first" (k = 1 only) or "zeroth" (k = 0
-    only: B_0(a, b) is the plain product a b).  B_k sums, over
-    every multiset of k elementary derivations, the signed derivatives with
+    only: B_0(a, b) is the plain product a b).  B_k sums, over every
+    multiset of k elementary derivations, the signed derivatives with
     1/kappa! weights per channel.  Pairs with g_a + g_b + 2 h_shift above
     the truncation are never formed, nor are derivation counts whose
-    output grade or tau power lies above it.  Each operand's grades,
-    channel tables and key codes are kept on it (see ``_side`` and
-    ``_code``), so a series builds its generator's once.  "first" reads
-    its rows, one per channel that can act, off one (pair, channel) mask:
-    the channel bits both terms can act in, and the ones the pair's grade
-    and tau room allow (``_bracket_channels``).  "odd" and "all" enumerate
-    each pair's count tuples in closed form, as mixed-radix digits, and
-    keep those of the right parity within the pair's grade and tau room;
-    "zeroth" keeps the all-zero tuple of each pair within that room.  An
-    output key's code is its pair's codes less what the derivations take
-    off.
+    output grade or tau power lies above it; a call whose operands' least
+    grades already lie above it returns the zero symbol before it builds
+    any table.  Each operand's grades, channel tables and key codes are
+    kept on it (see ``_side`` and ``_code``), so a series builds its
+    generator's once.
+
+    The k = 1 rows of "first" and "odd" come off the bracket's (pair,
+    channel) mask (``_single_rows``): "first" lists a pair's channels in
+    the order of the bracket's formula, "odd" last first, which is the
+    lexicographic order of the count tuples.  "odd" enumerates its k >= 3
+    rows (``_count_rows``) only for the pairs with room for three
+    derivations (``_room_for_three``) and merges the two row sets in
+    (pair, count tuple) order; "all" and "zeroth" enumerate the count
+    tuples of every pair inside the truncation.  An output key's code is
+    its pair's codes less what the derivations take off.
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
@@ -831,98 +1034,39 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     """
     a._check(b)
     spec = a.spec
-    gmax, tmax = spec.grade_max, spec.tau_max
-    (lk, lre, lim), (rk, rre, rim) = _columns(a), _columns(b)
-    sign, drop, _ = _channel_table(spec)
-    # an output's code is its pair's codes, less one j offset, with the h
-    # shift, less what its derivations take off
-    lcode, rcode = _code(a), _code(b)
-    shift = (h_shift - 1) * _radices(spec)[1][-1]
-    if orders == "first":
-        # k = 1: one derivation in one channel.  A (t, tau) one needs a
-        # grade budget of 2 and lowers tau by 1.  A pair's rows are its
-        # channels that can act, in the order of the bracket's formula,
-        # since floating-point sums depend on that order
-        (lbits, lfre, lfim), (rbits, rfre, rfim) = _side(a, 0, False), _side(b, 1, False)
-        bits = lbits[:, None] & rbits
-        bits &= _bracket_channels(spec, h_shift).take(_room(a)[:, None] + _room(b), mode="clip")
-        # one byte per (pair, channel), so the rows come in (pair, channel) order
-        row = np.flatnonzero(_channel_bools().take(bits).view(np.bool_))
-        chan, pair = row & 3, row >> 2
-        pl, pr = pair // len(rre), pair % len(rre)
-        code = lcode[pl] + rcode[pr] - (drop - shift)[chan]
-        k = None
-    else:
-        # a derivation in pair i lowers alpha_i and beta_i and adds an h, so
-        # it keeps the grade; one in (t, tau) lowers no grade column and
-        # raises the grade by 2, and it lowers tau, so the pair's tau power
-        # may exceed the truncation by the (t, tau) count
-        angle, room = spec.has_angle, gmax - 2 * h_shift
-        g = _grades(a)[:, None] + _grades(b)
-        li, ri = np.nonzero(g <= room)
-        if orders == "zeroth":  # one count tuple per pair: no derivation
-            radix = np.ones((len(sign), len(li)), dtype=np.int64)
-        else:
-            (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
-            radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
-        if angle:
-            budget = (room - g[li, ri]) // 2
-            radix[:2] = np.minimum(radix[:2], budget + 1)
-        # each pair's count tuples, in lexicographic order, are the numbers
-        # below the product of its radices, read as mixed-radix digits
-        cnt = radix.prod(axis=0)
-        pair = np.repeat(np.arange(len(li)), cnt)
-        rest = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        ks = np.empty((len(sign), len(pair)), dtype=np.int64)
-        for c in range(len(sign) - 1, -1, -1):
-            rest, ks[c] = np.divmod(rest, radix[c, pair])
-        k = ks.sum(axis=0)
-        keep = k % 2 == 1 if orders == "odd" else np.ones(len(k), dtype=bool)
-        if angle:
-            spent = ks[0] + ks[1]
-            excess = lk[1, li] + rk[1, ri] - tmax
-            keep &= (spent <= budget[pair]) & (spent >= excess[pair])
-        pair, ks, k = pair[keep], ks[:, keep], k[keep]
-        pl, pr = li[pair], ri[pair]
-        code = lcode[pl] + rcode[pr] + shift - (drop[:, None] * ks).sum(axis=0)
-    if not len(code):
-        return FormalSymbol(spec)
-
+    room = spec.grade_max - 2 * h_shift
+    if not a or not b or a.min_grade() + b.min_grade() > room:
+        return FormalSymbol.zero(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
-        fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
-        if k is None:
-            fre, fim = _cmul(fre, fim, sign[chan], 0.0)
-            at = chan * len(lre) + pl
-            fre, fim = _cmul(fre, fim, lfre[at], lfim[at])
-            at = chan * len(rre) + pr
-            fre, fim = _cmul(fre, fim, rfre[at], rfim[at])
-            nz = (fre != 0) | (fim != 0)
-            nz = np.flatnonzero(nz) if np.count_nonzero(nz) < len(nz) else slice(None)
-            fre, fim = fre[nz], fim[nz]
-            w = scale * (-0.5j) ** 1
-            fre, fim = _cmul(fre, fim, w.real, w.imag)
-        else:
-            top = int(ks.max(initial=0))
-            for c, s in enumerate(sign.tolist()):
-                on = np.flatnonzero(ks[c])
-                if not len(on):
-                    continue
-                x, ol, orr = ks[c, on], pl[on], pr[on]
-                kf = [1.0]
-                for kappa in range(1, top + 1):
-                    kf.append(kf[-1] * (s / kappa))
-                re, im = _cmul(fre[on], fim[on], np.array(kf)[x], 0.0)
-                re, im = _cmul(re, im, lfre[c, ol, x], lfim[c, ol, x])
-                fre[on], fim[on] = _cmul(re, im, rfre[c, orr, x], rfim[c, orr, x])
-            nz = np.flatnonzero((k == 0) | (fre != 0) | (fim != 0))
-            w = np.array([scale * (-0.5j) ** n for n in range(int(k.max(initial=0)) + 1)])
-            fre, fim = _cmul(fre[nz], fim[nz], w.real[k[nz]], w.imag[k[nz]])
-    code = code[nz]
+        if orders in ("first", "odd"):
+            u = _room(a)[:, None] + _room(b)
+            pair, chan, code, fre, fim = _single_rows(a, b, u, h_shift, scale * (-0.5j) ** 1,
+                                                      orders == "odd")
+        if orders == "odd":
+            li, ri = _room_for_three(a, b, u, h_shift)
+            if len(li):
+                # (pair, count tuple) as one number: pair, then counts as digits
+                # below a radix past every cap, at most the larger truncation
+                radix = max(spec.grade_max, spec.tau_max) + 1
+                pair3, ks, *more = _count_rows(a, b, li, ri, orders, h_shift, scale)
+                for c in range(len(ks)):
+                    pair, pair3 = pair * radix + (chan == c), pair3 * radix + ks[c]
+                code, fre, fim = _merged((pair, code, fre, fim), (pair3, *more))
+        elif orders != "first":
+            li, ri = np.nonzero(_grades(a)[:, None] + _grades(b) <= room)
+            code, fre, fim = _count_rows(a, b, li, ri, orders, h_shift, scale)[2:]
     if not len(code):
-        return FormalSymbol(spec)
+        return FormalSymbol.zero(spec)
     heads, vre, vim = _sum_by_code(code, fre, fim)
     code = code[heads]
     return FormalSymbol._of_columns(spec, _decode(code, spec), vre, vim, code, prune=True)
+
+
+def _merged(first, second):
+    """(code, re, im) of two row sets (order, code, re, im), each listed by
+    ascending order, the orders all distinct: one set in order."""
+    at = np.argsort(np.concatenate([first[0], second[0]]), kind="stable")  # one merge of two runs
+    return [np.concatenate([x, y])[at] for x, y in zip(first[1:], second[1:])]
 
 
 def poisson_bracket(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
@@ -1018,8 +1162,11 @@ def homological_solve(
     Finds u with (f'(tau) d_t + mu(tau)(x d_x - xi d_xi)) u = v - [v],
     term by term: u_{m, alpha, beta} = v_{m, alpha, beta} / D with
     D(tau) = i m f'(tau) + mu(tau) (|alpha| - |beta|), dividing tau series
-    by the truncated inverse of D.  The resonant part [v] is returned as
-    the residual, untouched.
+    by the truncated inverse of D.  The inverse of each D is formed once
+    per f', mu and (m, alpha - beta) and kept for later calls
+    (``_transport_inverse``), so a normal form, which divides by the same
+    model's denominators at every grade, inverts each once.  The resonant
+    part [v] is returned as the residual, untouched.
     """
     spec = v.spec
     if not spec.has_angle:
@@ -1041,27 +1188,32 @@ def homological_solve(
     polys = np.zeros((len(heads), K + 1), dtype=complex)
     polys.real[group, keys[1]], polys.imag[group, keys[1]] = 0.0 + re, 0.0 + im
 
-    inv_cache: dict[tuple, TauSeries] = {}
-    scale = abs(fp.coeffs[0]) + abs(mu.coeffs[0])
+    series = fp.coeffs.tobytes(), mu.coeffs.tobytes()
     u = np.empty_like(polys)
     # the cylinder has one pair: alpha - beta is one column less another
     for g, ck in enumerate(zip(keys[0, heads].tolist(), (keys[2] - keys[3])[heads].tolist())):
-        if ck not in inv_cache:
-            m2, diff = ck
-            D = (0.5j * m2) * fp + diff * mu
-            if abs(D.coeffs[0]) <= 1e-14 * scale:
-                raise ModelDegeneracyError(
-                    f"transport denominator vanishes on non-resonant term m={m2/2}, "
-                    f"alpha-beta={diff}"
-                )
-            inv_cache[ck] = D.inverse()
-        u[g] = np.convolve(polys[g], inv_cache[ck].coeffs)[: K + 1]
+        u[g] = np.convolve(polys[g], _transport_inverse(*series, *ck))[: K + 1]
     # the non-zero coefficients, by polynomial and then tau power
     group, a = np.nonzero(u)
     out = keys.take(heads[group], axis=1)
     out[1] = a
     c = u[group, a]
     return FormalSymbol._of_columns(spec, out, 0.0 + c.real, 0.0 + c.imag, prune=True), residual
+
+
+@lru_cache(maxsize=1 << 12)
+def _transport_inverse(fp: bytes, mu: bytes, m2: int, diff: int) -> np.ndarray:
+    """Truncated inverse of D = i m f' + mu (|alpha| - |beta|), f' and mu
+    given by their coefficient bytes; read-only.  Raises
+    ModelDegeneracyError when D(0) vanishes against |f'(0)| + |mu(0)|."""
+    fp, mu = (TauSeries(np.frombuffer(x, dtype=complex)) for x in (fp, mu))
+    D = (0.5j * m2) * fp + diff * mu
+    if abs(D.coeffs[0]) <= 1e-14 * (abs(fp.coeffs[0]) + abs(mu.coeffs[0])):
+        raise ModelDegeneracyError(
+            f"transport denominator vanishes on non-resonant term m={m2/2}, "
+            f"alpha-beta={diff}"
+        )
+    return _frozen(D.inverse().coeffs)[0]
 
 
 #: the most terms any Lie or conjugation series may take before it raises
@@ -1079,9 +1231,10 @@ def _exp_series(P: FormalSymbol, step, what: str) -> FormalSymbol:
     acc = P
     w = P
     for k in range(1, ceiling + 1):
-        w = step(w) * (1.0 / k)
+        w = step(w)
         if not w:
             return acc
+        w = w * (1.0 / k)
         acc = acc + w
         if k >= cap and w.max_abs() <= PRUNE_REL * max(acc.max_abs(), 1.0) * 10.0:
             return acc

@@ -12,7 +12,13 @@ import math
 
 import numpy as np
 
-from qbnf.symbols import PRUNE_REL, FormalSymbol, ModelDegeneracyError, _key_columns
+from qbnf.symbols import PRUNE_REL, FormalSymbol, ModelDegeneracyError
+
+
+def _key_columns(keys, P):
+    """Key columns of (2m, a, alpha, beta, j) tuples, as int64."""
+    rows = [(k[0], k[1], *k[2], *k[3], k[4]) for k in keys]
+    return np.ascontiguousarray(np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * P).T)
 
 
 def held(spec, terms):
@@ -40,13 +46,16 @@ def dict_prune(terms):
 
 
 def dict_clean(spec, terms):
-    """What ``FormalSymbol(spec, terms)`` keeps: each key read with int()
-    and checked by ``spec.validate_key``, out-of-bound keys and zero
-    coefficients dropped, repeated keys summed from 0.0, then pruned."""
+    """What ``FormalSymbol(spec, terms)`` keeps: each key checked by
+    ``spec.validate_key`` (every entry an integer or an integral float)
+    and read with int(), out-of-bound keys and zero coefficients dropped,
+    repeated keys summed from 0.0, then pruned."""
     cleaned = {}
     for key, coef in terms.items():
-        key = (int(key[0]), int(key[1]), tuple(key[2]), tuple(key[3]), int(key[4]))
+        key = (key[0], key[1], tuple(key[2]), tuple(key[3]), key[4])
         spec.validate_key(key)
+        key = (int(key[0]), int(key[1]), tuple(map(int, key[2])), tuple(map(int, key[3])),
+               int(key[4]))
         if key[1] > spec.tau_max or spec.grade(key) > spec.grade_max or coef == 0:
             continue
         cleaned[key] = cleaned.get(key, 0.0) + complex(coef)
@@ -116,3 +125,21 @@ def loop_homological_solve(terms, K, fp, mu):
                 key = (m2, a, alpha, beta, j)
                 u_terms[key] = u_terms.get(key, 0.0) + c
     return dict_prune(u_terms)
+
+
+def loop_equilibrium_solve(terms, nu):
+    """``normal_form._equilibrium_solve`` one term at a time: D = nu .
+    (alpha - beta) as the Python sum forms it, once per distinct alpha -
+    beta (a dict), and each coefficient divided by its D in one numpy
+    complex division, in key order."""
+    floor = min(abs(nu[0]), abs(nu[1])) * (1 - 1e-12)
+    D = {}
+    for _, _, alpha, beta, _ in terms:
+        diff = tuple(x - y for x, y in zip(alpha, beta))
+        if diff not in D:
+            D[diff] = sum(n * d for n, d in zip(nu, diff))
+        if abs(D[diff]) < floor:
+            raise ModelDegeneracyError(f"resonance bound violated at alpha={alpha}, beta={beta}")
+    den = [D[tuple(x - y for x, y in zip(k[2], k[3]))] for k in terms]
+    q = np.array(list(terms.values()), dtype=complex) / np.array(den, dtype=complex)
+    return dict(zip(terms, q))

@@ -35,7 +35,7 @@ from qbnf.symbols import (
 
 from conftest import random_symbol, symbols_close
 from average_oracle import averaged_closed_orbit_bnf
-from dict_symbol import held
+from dict_symbol import held, loop_equilibrium_solve
 from loop_kernel import loop_symbol
 
 
@@ -468,6 +468,31 @@ def test_equilibrium_exact_action_quartic():
     for l in range(6):
         z = nf.evaluate(0.5 * h, (l + 0.5) * h, h)
         assert np.min(np.abs(s.eigenvalues - z)) < 1e-12
+
+
+def test_equilibrium_solve_matches_the_dict_loop():
+    # random saddle symbols whose alpha - beta take negative entries, at
+    # magnitudes from 1e-10 to 1e10: the grouped division keeps the bits
+    spec = PhaseSpec.saddle(8)
+    rng = np.random.default_rng(53)
+    for nu in ((complex(1.0), 1j * math.sqrt(2.0)), (complex(0.7), 1.9j)):
+        negative = 0
+        for n_terms in (1, 4, 16, 60):
+            v = random_symbol(spec, rng, n_terms=n_terms, max_exp=4)
+            v = symbols.resonant_project(v)[1] * 10.0 ** rng.uniform(-10, 10)
+            got = normal_form._equilibrium_solve(v, nu).terms
+            want = loop_equilibrium_solve(v.terms, nu)
+            assert list(got) == list(want)
+            assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                                  np.array(list(want.values()), dtype=complex).view(np.uint64))
+            negative += sum(min(x - y for x, y in zip(k[2], k[3])) < 0 for k in got)
+        assert negative > 20
+    # a resonant term among them names itself
+    v = v + FormalSymbol.monomial(spec, 0.5, alpha=(2, 1), beta=(2, 1))
+    with pytest.raises(symbols.ModelDegeneracyError, match=r"alpha=\(2, 1\), beta=\(2, 1\)"):
+        normal_form._equilibrium_solve(v, nu)
+    with pytest.raises(symbols.ModelDegeneracyError, match=r"alpha=\(2, 1\), beta=\(2, 1\)"):
+        loop_equilibrium_solve(v.terms, nu)
 
 
 def test_equilibrium_order_stability():

@@ -20,6 +20,7 @@ from qbnf.symbols import (
     TauSeries,
     _ad_step,
     _bidifferential,
+    _transport_inverse,
     homological_solve,
     lie_transform,
     moyal_commutator,
@@ -586,6 +587,74 @@ def test_kernel_on_empty_operands_and_an_empty_pair_set(orders, scale):
     assert not _assert_kernel_matches_loop(top, top, orders, 0, scale)
 
 
+#: grade 10, so that pairs of degree-3 terms fit with room for three derivations
+STAR_SPECS = {
+    "saddle": PhaseSpec.saddle(10),
+    "cylinder": PhaseSpec.cylinder(10, 4),
+    "nonorientable": PhaseSpec.cylinder(10, 4, orientable=False),
+}
+
+
+def _of_degree(sym, low, high=99, tau_max=99):
+    return FormalSymbol(sym.spec, {k: c for k, c in sym.terms.items()
+                                   if low <= sum(k[2]) + sum(k[3]) <= high and k[1] <= tau_max})
+
+
+@pytest.mark.parametrize("h_shift", [0, -1])
+@pytest.mark.parametrize("kind", sorted(STAR_SPECS))
+def test_star_rows_with_room_for_three_derivations_match_the_loop(kind, h_shift):
+    # degree >= 3 on both sides: one pair yields k = 1 and k >= 3 rows, and
+    # the two row sets meet the sums in the nested loop's order
+    spec = STAR_SPECS[kind]
+    rng = np.random.default_rng(37)
+    ks = set()
+    for n_terms in (3, 8, 20, 40):
+        a, b = (_mixed(_of_degree(random_symbol(spec, rng, n_terms=n_terms, max_exp=3,
+                                                max_tau=3, classical=True), 3), rng)
+                for _ in range(2))
+        got = _assert_kernel_matches_loop(a, b, "odd", h_shift, -2j)
+        ks |= {key[4] - h_shift for key in got}  # classical operands: j = h_shift + k
+    assert 1 in ks and max(ks) >= 3
+
+
+@pytest.mark.parametrize("h_shift", [0, -1])
+@pytest.mark.parametrize("kind", sorted(STAR_SPECS))
+def test_star_rows_without_room_for_three_derivations_match_the_loop(kind, h_shift):
+    # quadratic terms with no Fourier mode and no tau power act in at most
+    # two derivations: every row is a k = 1 row, and the full derivative
+    # tables are never built
+    spec = STAR_SPECS[kind]
+    rng = np.random.default_rng(43)
+    P = spec.num_pairs
+    quadratic = [(e[:P], e[P:]) for e in map(tuple, np.eye(2 * P, dtype=int))]
+    quadratic = [(tuple(x + y for x, y in zip(p[0], q[0])), tuple(x + y for x, y in zip(p[1], q[1])))
+                 for i, p in enumerate(quadratic) for q in quadratic[i:]]
+    terms_out = 0
+    for n_terms in (3, 8, 20):
+        a = FormalSymbol(spec, {(0, 0, alpha, beta, 0): complex(*rng.normal(size=2))
+                                for alpha, beta in quadratic})
+        b = _of_degree(random_symbol(spec, rng, n_terms=2 * n_terms, max_exp=3, max_tau=3,
+                                     classical=True), 3)
+        got = _assert_kernel_matches_loop(a, b, "odd", h_shift, -2j)
+        assert all(key[4] == h_shift + 1 for key in got)
+        assert (0, True) not in a._tabs and (1, True) not in b._tabs
+        terms_out += len(got)
+    assert terms_out > 50
+
+
+@pytest.mark.parametrize("h_shift", [0, -1])
+@pytest.mark.parametrize("orders,scale", KERNEL_MODES)
+def test_a_prefiltered_call_builds_no_tables(orders, scale, h_shift):
+    # least grades 4 and 5 lie above the room 6 - 2 h_shift: no pair forms
+    spec = PhaseSpec.cylinder(6, 4)
+    rng = np.random.default_rng(47)
+    a = _of_degree(random_symbol(spec, rng, n_terms=12, max_exp=3, max_tau=3), 4)
+    b = _of_degree(random_symbol(spec, rng, n_terms=12, max_exp=3, max_tau=3), 5)
+    assert a.min_grade() + b.min_grade() > 6 - 2 * h_shift
+    assert not _assert_kernel_matches_loop(a, b, orders, h_shift, scale)
+    assert set(a._tabs) <= {"code", "grade"} and set(b._tabs) <= {"code", "grade"}
+
+
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_series_builds_the_generators_key_columns_once(monkeypatch, conjugate):
     from qbnf import symbols
@@ -933,6 +1002,17 @@ CLEAN_CASES = {
         ((0, 0, (1,), (0,), 0), 1.0), ((0, 0, (1, 0), (0, 0), -1), 1.0)]),
     "a negative tau power, then a short key": (PhaseSpec.cylinder(4, 2), [
         ((0, -1, (1,), (0,), 0), 1.0), ((0, 0, (1, 0), (0,), 0), 1.0)]),
+    "integral floats and numpy scalars": (PhaseSpec.cylinder(4, 2, orientable=False), [
+        ((1.0, np.float64(1.0), (np.int64(1),), (0.0,), 0), 2.0),
+        ((np.int64(1), 1, (1,), (0,), np.float64(0.0)), 0.5j), ((-1.0, 0, [0], [1], 1.0), 1.0)]),
+    "a half-integer 2m after valid keys": (PhaseSpec.cylinder(4, 2, orientable=False), [
+        ((1, 0, (1,), (0,), 0), 1.0), ((1.5, 0, (1,), (0,), 0), 2.0)]),
+    "a fractional exponent": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), 0), 1.0), ((0, 0, (1.7, 0), (0, 0), 0), 1.0)]),
+    "a nan h power, then a negative exponent": (PhaseSpec.saddle(4), [
+        ((0, 0, (1, 0), (0, 0), math.nan), 1.0), ((0, 0, (-1, 0), (0, 0), 0), 1.0)]),
+    "a negative exponent, then a fractional tau power": (PhaseSpec.cylinder(4, 2), [
+        ((0, 0, (-1,), (0,), 0), 1.0), ((0, 0.5, (1,), (0,), 0), 1.0)]),
 }
 
 
@@ -949,6 +1029,24 @@ def test_constructor_errors_name_the_first_bad_key():
     spec, items = CLEAN_CASES["inf, then nan"]
     with pytest.raises(ArithmeticError, match=re.escape(f"{INF} at key (0, 0, (0, 1), (0, 0), 0)")):
         FormalSymbol(spec, _Items(items))
+
+
+@pytest.mark.parametrize("key", [
+    (1.5, 0, (1,), (0,), 0), (1, 0.5, (1,), (0,), 0), (1, 0, (1,), (0,), 0.5),
+    (1, 0, (1.7,), (0,), 0), (1, 0, (1,), (math.inf,), 0), (1, 0, (math.nan,), (0,), 0)])
+def test_non_integral_key_entries_raise_naming_the_key(key):
+    # read with int(), the first three became other keys without an error
+    spec = PhaseSpec.cylinder(4, 2, orientable=False)
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {key}")):
+        FormalSymbol(spec, {(1, 0, (1,), (0,), 0): 1.0, key: 2.0})
+    with pytest.raises(ValueError, match="must be integers"):
+        FormalSymbol.monomial(spec, 1.0, m=0.5, a=0.5, alpha=1)
+    saddle = PhaseSpec.saddle(4)
+    with pytest.raises(ValueError, match="must be integers"):
+        FormalSymbol(saddle, {(0, 0, (1.5, 0), (0.5, 0), 0): 1.0})
+    # integral floats and numpy integers still name the integer key
+    sym = FormalSymbol(spec, {(1.0, np.float64(1.0), (1.0,), (np.int64(0),), 0.0): 2.0})
+    assert list(sym.terms) == [(1, 1, (1,), (0,), 0)]
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
@@ -1030,6 +1128,33 @@ def test_homological_solve_matches_the_dict_loop(orientable):
         u, _ = homological_solve(v, f, mu)
         want = loop_homological_solve(v.terms, 4, f.resized(4).derivative(), mu.resized(4))
         _assert_same_terms(u.terms, want)
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+def test_transport_inverses_are_formed_once_and_keep_the_bits(monkeypatch, orientable):
+    # a run of solves with the same f and mu, as a normal form makes, inverts
+    # each denominator once and gives the bits of solves that invert afresh
+    spec = PhaseSpec.cylinder(8, 4, orientable=orientable)
+    f, mu = TauSeries([0.0, 1.0, -0.2, 0.05]), TauSeries([1.0, 0.3, -0.1])
+    rng = np.random.default_rng(41)
+    vs = [random_symbol(spec, rng, n_terms=n, max_exp=3, max_tau=4) * 10.0 ** rng.uniform(-5, 5)
+          for n in (1, 5, 20, 60, 20)]
+    fresh = []
+    for v in vs:
+        _transport_inverse.cache_clear()
+        fresh.append(homological_solve(v, f, mu))
+    inverses = []
+    inverse = TauSeries.inverse
+    monkeypatch.setattr(TauSeries, "inverse", lambda g: inverses.append(g) or inverse(g))
+    _transport_inverse.cache_clear()
+    shared = [homological_solve(v, f, mu) for v in vs]
+    for (u, res), (u0, res0) in zip(shared, fresh):
+        _assert_same_terms(u.terms, u0.terms)
+        _assert_same_terms(res.terms, res0.terms)
+    per_call = [{(k[0], sum(k[2]) - sum(k[3])) for k in resonant_project(v)[1].terms} for v in vs]
+    assert len(inverses) == len(set().union(*per_call)) < sum(map(len, per_call))
+    fp, mu = f.resized(4).derivative(), mu.resized(4)
+    assert not _transport_inverse(fp.coeffs.tobytes(), mu.coeffs.tobytes(), 2, 1).flags.writeable
 
 
 def test_substitution_agrees_with_the_running_prune_to_rounding():
