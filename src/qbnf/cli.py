@@ -24,6 +24,9 @@ misspelled key, a value of the wrong JSON type (a flag that is not true
 or false, an integer field given as a float or a string) or out of its
 range, or a broken model invariant (``qbnf.schema.SCHEMA`` lists every
 key), 3 numeric failure (``run_report.json`` is marked incomplete).
+A cylinder window beyond the orbit branch through tau = 0 exits 3: the
+lattice's when it leaves the branch's energies, widened by its 20 %
+enumeration margin, and the auto basis's when its centre does.
 """
 
 from __future__ import annotations

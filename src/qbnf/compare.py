@@ -142,13 +142,14 @@ MATCH_WINDOW_PAD = 0.02
 
 def auto_basis(model, window: Window, h) -> CylinderBasis | SaddleBasis:
     """Basis covering ``window`` at h with headroom: a cylinder's Fourier range
-    and levels, or a saddle's per-axis levels."""
+    and levels, or a saddle's per-axis levels.  A cylinder window's centre
+    off the orbit branch through tau = 0 raises ArithmeticError."""
     if isinstance(model, CylinderModel):
         fp0 = model.energy.derivative().coeffs[0].real
         mu0 = model.rate.coeffs[0].real
         offset = model.action / (2.0 * math.pi)
         tau_hw = 1.3 * window.half_width / fp0
-        tau0 = model.energy.solve(window.center).real
+        tau0 = model.energy.solve(window.center)
         k_lo = int(math.floor((tau0 - tau_hw + offset) / h)) - _PAD_K
         k_hi = int(math.ceil((tau0 + tau_hw + offset) / h)) + _PAD_K
         levels = int(math.ceil(1.4 * window.depth / (mu0 * h))) + _PAD_LEVELS
@@ -201,9 +202,6 @@ def convergence_sweep(
     inflated by ``MATCH_WINDOW_PAD``), and ``fit_convergence`` fits the
     reports.
     """
-    h_values = sorted(h_values, reverse=True)
-    if len(h_values) < 3:
-        raise ValueError("need at least three h values for a slope fit")
     bnf = closed_orbit_bnf if isinstance(model, CylinderModel) else equilibrium_bnf
     nf, _ = bnf(model, order)
     sym = model_operator_symbol(model)
@@ -222,11 +220,11 @@ def fit_convergence(reports, label_cap: int = 3) -> SweepResult:
     """Fit the decay order in h of the matched error of ``reports``.
 
     The fitted quantity is log(max matched error over quantum numbers up
-    to ``label_cap``) against log h, one point per report.  The largest
-    h is discarded when its fit residual exceeds three times the RMS of
-    the others.  Runs whose errors sit at rounding level are flagged
-    exact instead of fitted.  Raises ArithmeticError when a report has
-    no matched pair within the label cap.
+    to ``label_cap``) against log h, one point per non-zero error; the
+    largest h is discarded as ``_fit_slope`` says.  Runs whose errors sit
+    at rounding level are flagged exact instead of fitted.  Raises
+    ArithmeticError when a report has no matched pair within the label
+    cap, or when fewer than three h values have a non-zero error.
     """
     reports = {r.h: r for r in sorted(reports, key=lambda r: r.h, reverse=True)}
     if len(reports) < 3:
@@ -243,19 +241,27 @@ def fit_convergence(reports, label_cap: int = 3) -> SweepResult:
         return SweepResult(None, errors, True, [], reports)
 
     hs = [h for h in reports if errors[h] > 0]
+    if len(hs) < 3:
+        raise ArithmeticError(
+            f"a slope fit needs three h values with a non-zero matched error; "
+            f"of h = {list(reports)} only {hs} have one"
+        )
     slope, discarded = _fit_slope(hs, [errors[h] for h in hs])
     return SweepResult(slope, errors, False, discarded, reports)
 
 
 def _fit_slope(hs, errs):
+    """Slope of log err against log h (``hs`` descending), and the h values discarded.
+
+    With four or more points, the largest h is discarded when it lies off
+    the line through the others by more than three times their RMS
+    residual from it, or than 1e-9 (rounding) if that is larger.
+    """
     x = np.log(np.asarray(hs, dtype=float))
     y = np.log(np.asarray(errs, dtype=float))
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    discarded = []
-    # largest h is the first entry after the descending sort
-    if len(hs) > 3 and rms > 0 and abs(resid[0]) > 3.0 * rms:
-        discarded.append(hs[0])
-        coef = np.polyfit(x[1:], y[1:], 1)
-    return float(coef[0]), discarded
+    if len(hs) > 3:
+        rest = np.polyfit(x[1:], y[1:], 1)
+        rms = float(np.sqrt(np.mean((y[1:] - np.polyval(rest, x[1:])) ** 2)))
+        if abs(y[0] - np.polyval(rest, x[0])) > 3.0 * max(rms, 1e-9):
+            return float(rest[0]), [hs[0]]
+    return float(np.polyfit(x, y, 1)[0]), []

@@ -93,7 +93,9 @@ class Spectrum:
     matrix_norm: float
     #: whether the power iteration for matrix_norm met its tolerance; either
     #: way matrix_norm is a lower bound for ||M||_2
-    norm_converged: bool = True
+    norm_converged: bool
+    #: the matrix solved, as the triplets the solve read
+    operator: OperatorMatrix
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -328,19 +330,12 @@ def eigenvalues(M, *, blockwise: bool = False) -> Spectrum:
     non-zero entries (a lower bound; ``Spectrum.norm_converged`` says
     whether the iteration met its tolerance).
 
-    Every matrix takes the one block solve; only the partition differs.
-    By default the matrix is one block, solved in one piece, unless every
-    stored entry lies on the diagonal: then each index is its own block,
-    so the eigenvalues are the diagonal entries in index order and the
-    residuals are zero, LAPACK's own result bit for bit.  With
-    ``blockwise`` the blocks are the weakly connected components of the
-    entries with |m_ij| > PATTERN_EPS * max|M|.  Each block, and its
-    columns of the whole matrix over their non-zero rows, are built from
-    the triplets, so no matrix is made dense beyond its blocks.  The
-    eigenvalues come block by block, in the order of each block's
-    smallest index, and each residual is that of the zero-padded block
-    eigenvector on the whole matrix.  The certificate, fingerprint and
-    norm are those of the whole matrix.
+    The partition into blocks is the module docstring's: one block, one
+    per index when every stored entry lies on the diagonal, or with
+    ``blockwise`` the weakly connected components.  The eigenvalues come
+    block by block, in the order of each block's smallest index.  The
+    certificate, fingerprint and norm are those of the whole matrix,
+    which the Spectrum keeps as ``operator``.
     """
     T = _triplets(M)
     if T.dim == 0:
@@ -354,7 +349,7 @@ def eigenvalues(M, *, blockwise: bool = False) -> Spectrum:
         blocks = [np.arange(T.dim)]
     w, residuals = _solve_blocks(T, blocks)
     norm, converged = spectral_norm(T)
-    spec = Spectrum(w, residuals, fp, norm, converged)
+    spec = Spectrum(w, residuals, fp, norm, converged, T)
     bound = TOL_REL * max(norm, np.finfo(float).tiny)
     worst = float(np.max(residuals)) if len(residuals) else 0.0
     if worst > bound:

@@ -12,9 +12,12 @@ and an equilibrium normal form F(iota1, iota2; h) yields
 The rule itself, label to slot values, is ``NormalFormPoly.arguments``;
 the lattices and ``lattice_rescaling_check`` evaluate it and keep no copy.
 Lattices are enumerated inside a complex window (an energy interval times
-a decay-depth strip); candidate ranges come from the linear part of the
-normal form with a safety margin and are then filtered exactly, all
-labels in one array pass that gives ``NormalFormPoly.evaluate``'s bits.
+a decay-depth strip); candidate ranges come from the normal form's leading
+terms with a safety margin and are then filtered exactly, all labels in
+one array pass that gives ``NormalFormPoly.evaluate``'s bits.  A
+closed-orbit lattice lists the orbit branch through tau = 0
+(``TauSeries.branch``); a window whose margin leaves that branch's
+energies raises ArithmeticError.
 ``predicted_lattice`` picks the lattice of the normal form's kind.
 """
 
@@ -120,11 +123,16 @@ def closed_orbit_lattice(
         raise ValueError("normal form is not of closed-orbit kind")
     if h <= 0:
         raise ValueError("h must be positive")
+    # tau range of the window's energies, with margin, on the branch of the
+    # energy profile through tau = 0
     f = nf.leading_series(0)
-    # tau range from the energy profile, with margin
-    lo = _invert_monotone(f, window.center - _MARGIN * window.half_width)
-    hi = _invert_monotone(f, window.center + _MARGIN * window.half_width)
-    tau_lo, tau_hi = min(lo, hi), max(lo, hi)
+    reach = _MARGIN * window.half_width
+    try:
+        tau_lo, tau_hi = f.solve(window.center - reach), f.solve(window.center + reach)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"lattice window {window.center:g} +- {reach:g} (half width "
+                              f"with margin): {exc}") from exc
+    end_lo, end_hi = f.branch()
 
     # depth cap on (l + 1/2) h from the decay-rate coefficient
     rate = nf.leading_series(1)
@@ -138,13 +146,17 @@ def closed_orbit_lattice(
     if l_cap is not None:
         lmax = min(lmax, l_cap)
 
+    # k of tau = h (k + shift l) - offset over the range, padded by a label
+    # but kept strictly inside the branch
     offset = nf.action / (2.0 * math.pi)
     shift = 0.0 if nf.orientable else 0.5
     labels = [
         (k, l)
         for l in range(lmax + 1)
-        for k in range(int(math.floor((tau_lo + offset) / h - shift * l)) - 1,
-                       int(math.ceil((tau_hi + offset) / h - shift * l)) + 2)
+        for k in range(int(max(math.floor((tau_lo + offset) / h - shift * l) - 1,
+                               np.floor((end_lo + offset) / h - shift * l) + 1)),
+                       int(min(math.ceil((tau_hi + offset) / h - shift * l) + 1,
+                               np.ceil((end_hi + offset) / h - shift * l) - 1)) + 1)
     ]
     return _windowed(nf, h, window, labels)
 
@@ -211,18 +223,6 @@ def _windowed(nf: NormalFormPoly, h: float, window: Window, labels) -> Resonance
     entries = [LatticeEntry(*labels[i], complex(re[i], im[i]))
                for i in np.nonzero(window._holds(re, im))[0].tolist()]
     return ResonanceLattice(entries, window, h)
-
-
-def _invert_monotone(series, target):
-    try:
-        val = series.solve(target)
-        return float(np.real(val))
-    except ValueError:
-        # fall back to the linear part when the window leaves the
-        # invertible range of the truncated series
-        c = series.coeffs
-        slope = c[1].real if len(c) > 1 and c[1] != 0 else 1.0
-        return float((target - c[0].real) / slope)
 
 
 # --------------------------------------------------------------------------

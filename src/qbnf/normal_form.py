@@ -611,15 +611,13 @@ class OrbitDiagnostics(NamedTuple):
 def orbit_diagnostics(energy: TauSeries, rate: TauSeries, E: float) -> OrbitDiagnostics:
     """Period and Poincare multiplier of the orbit at energy E.
 
-    Inverts tau -> energy(tau) by Newton iteration on the truncated
-    series; T(E) = 2 pi / energy'(tau_E) and the multiplier modulus is
+    tau_E is the orbit of energy E on the branch through tau = 0
+    (``TauSeries.solve``, which raises ArithmeticError off that branch);
+    T(E) = 2 pi / energy'(tau_E) and the multiplier modulus is
     exp(T(E) rate(tau_E)).
     """
     tau_E = energy.solve(E)
-    fp = energy.derivative()(tau_E)
-    if abs(np.imag(fp)) > 1e-10 or np.real(fp) <= 0:
-        raise ValueError("energy profile is not invertible at this energy")
-    period = 2.0 * math.pi / float(np.real(fp))
+    period = 2.0 * math.pi / float(np.real(energy.derivative()(tau_E)))
     try:
         mult = math.exp(period * float(np.real(rate(tau_E))))
     except OverflowError:

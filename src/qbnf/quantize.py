@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -257,7 +258,8 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
     """Matrix of the Weyl quantization of a cylinder symbol.
 
     The symbol must already be in oscillator coordinates (after
-    ``metaplectic_substitute``).  Entries are exact; couplings leaving
+    ``metaplectic_substitute``), with the basis's orientability (its key
+    rules are the symbol's own).  Entries are exact; couplings leaving
     the Fourier window or the level range are dropped, which affects the
     spectrum only through the usual basis-truncation error.  Each term
     contributes, for every non-zero W[l', l] of its Weyl monomial (l-major,
@@ -273,24 +275,15 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
     # tau of the column (k, l), one row per level l
     shift = np.zeros(L + 1) if basis.orientable else 0.5 * np.arange(L + 1)
     col_tau = basis.h * (ks + shift[:, np.newaxis]) - basis.action / (2.0 * math.pi)
-    wm_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    # (l, l', W[l', l]) of a Weyl monomial's non-zeros, l-major, once per (p, q)
+    weyl = cache(lambda p, q: _nonzeros(weyl_monomial_matrix(p, q, L, basis.h).T))
     parts = []
 
     for (m2, a, alpha, beta, j), c in symbol.terms.items():
-        pq = (alpha[0], beta[0])
-        if pq not in wm_cache:
-            # (l, l', W[l', l]), l-major
-            wm_cache[pq] = _nonzeros(weyl_monomial_matrix(pq[0], pq[1], L, basis.h).T)
-        l, lp, w = wm_cache[pq]
+        l, lp, w = weyl(alpha[0], beta[0])
         if basis.orientable:
-            if m2 % 2:
-                raise ValueError("half-integer mode in an orientable assembly")
             dk = np.full(len(l), m2 // 2)
         else:
-            if (m2 - (alpha[0] - beta[0])) % 2:
-                raise ValueError(
-                    "assembly rejected a term violating the anti-periodicity parity"
-                )
             num = m2 + (l - lp)
             even = num % 2 == 0  # the other level transitions are parity-forbidden
             l, lp, w, dk = l[even], lp[even], w[even], num[even] // 2
@@ -315,18 +308,13 @@ def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
     if spec.has_angle or spec.num_pairs != 2:
         raise ValueError("assemble_saddle expects a two-pair symbol")
     n2 = basis.levels2 + 1
-    cache1: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-    cache2: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    # each axis's Weyl monomial non-zeros, once per (p, q)
+    weyl1, weyl2 = (cache(lambda p, q, n=n: _nonzeros(weyl_monomial_matrix(p, q, n, basis.h)))
+                    for n in (basis.levels1, basis.levels2))
     parts = []
     for (m2, a, alpha, beta, j), c in symbol.terms.items():
-        k1 = (alpha[0], beta[0])
-        k2 = (alpha[1], beta[1])
-        if k1 not in cache1:
-            cache1[k1] = _nonzeros(weyl_monomial_matrix(k1[0], k1[1], basis.levels1, basis.h))
-        if k2 not in cache2:
-            cache2[k2] = _nonzeros(weyl_monomial_matrix(k2[0], k2[1], basis.levels2, basis.h))
-        r1, c1, v1 = cache1[k1]
-        r2, c2, v2 = cache2[k2]
+        r1, c1, v1 = weyl1(alpha[0], beta[0])
+        r2, c2, v2 = weyl2(alpha[1], beta[1])
         parts.append((
             (r1[:, np.newaxis] * n2 + r2).ravel(),
             (c1[:, np.newaxis] * n2 + c2).ravel(),
@@ -353,17 +341,11 @@ def direct_spectrum(
     1e-6 under the widening are flagged as truncation artifacts rather
     than silently dropped.  Without the widened spectrum every windowed
     eigenvalue is accepted.  Both solves are ``eigenvalues``' one block
-    solve, built from the assembled triplets, so neither operator is
-    made dense; they differ only in the partition.  The base operator,
-    whose eigenvalues and residuals are returned, is one block: the
-    matrix as assembled solved in one piece, or read off its diagonal
-    when every assembled entry lies there.  The widened operator, whose
-    eigenvalues feed only the 1e-6 test, is solved block by block
-    (``blockwise=True``): its blocks are those of the entries above
-    eps * max|W|, so assembly rounding (about 1e-17 max|W|) does not
-    join them.  Every residual is measured on the whole matrix and
-    certified against its norm, taken by power iteration on its
-    non-zero entries.
+    solve from the assembled triplets, neither operator made dense: the
+    base operator, whose eigenvalues and residuals are returned, in its
+    default partition, and the widened one, whose eigenvalues feed only
+    the 1e-6 test, ``blockwise`` (assembly rounding, about 1e-17 of its
+    largest entry, does not join its blocks).
 
     The widened basis is built first, so one over DIM_CAP fails before
     any solve.  The base operator is then assembled and solved, and only
@@ -375,7 +357,8 @@ def direct_spectrum(
     accepted : list of (eigenvalue, residual)
     flagged : list of eigenvalue
     spectrum : Spectrum
-        Full certified spectrum of the base matrix.
+        Full certified spectrum of the base matrix, which it keeps as
+        ``spectrum.operator``.
     """
     from .eigensolve import eigenvalues
 

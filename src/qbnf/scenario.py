@@ -51,12 +51,10 @@ from .quantize import (
     CylinderBasis,
     DimensionCapError,
     SaddleBasis,
-    assemble_cylinder,
-    assemble_saddle,
     direct_spectrum,
 )
 from .schema import ConfigError
-from .symbols import PRUNE_REL, FormalSymbol, PhaseSpec, TauSeries
+from .symbols import PRUNE_REL, FormalSymbol, PhaseSpec, TauSeries, _monomial_key
 
 __all__ = [
     "ConfigError",
@@ -68,7 +66,6 @@ __all__ = [
     "run_scenario",
     "emit_plot_data",
     "dump_matrix",
-    "assembled_operator",
     "compute_normal_form",
     "computed_spectrum",
     "FLOAT_FMT",
@@ -164,11 +161,8 @@ def _build_terms(shape: PhaseSpec, items, what) -> FormalSymbol | None:
     for it in items:
         m, a, alpha, beta, j, re, im = (schema.read(it, f"term.{name}") for name in
                                         ("m", "a", "alpha", "beta", "j", "re", "im"))
-        m2 = 2 * m
-        if abs(m2 - round(m2)) > 1e-12:
-            raise ConfigError(f"{what} Fourier mode must be integer or half-integer")
-        key = (round(m2), a, tuple(alpha), tuple(beta), j)
         try:
+            key = _monomial_key(shape, m, a, alpha, beta, j)
             shape.validate_key(key)
         except ValueError as exc:
             raise ConfigError(f"invalid {what} entry {it!r}: {exc}") from exc
@@ -376,15 +370,6 @@ def compute_normal_form(config: ScenarioConfig):
     return equilibrium_bnf(model, config.order)
 
 
-def assembled_operator(config: ScenarioConfig, h: float):
-    """The model operator on the configured basis (debugging aid)."""
-    sym = model_operator_symbol(config.model())
-    basis = config.basis_for(h)
-    if config.kind == "cylinder":
-        return assemble_cylinder(sym, basis)
-    return assemble_saddle(sym, basis)
-
-
 def computed_spectrum(config: ScenarioConfig, h: float):
     sym = model_operator_symbol(config.model())
     basis = config.basis_for(h)
@@ -446,10 +431,10 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
                                         l_cap=config.get("compute.l_cap"))
                 write(f"lattice_h{tag}.csv", _write_lattice_csv, lat)
             if "direct" in stages:
-                accepted, flagged, _ = computed_spectrum(config, h)
+                accepted, flagged, spectrum = computed_spectrum(config, h)
                 write(f"spectrum_h{tag}.csv", _write_spectrum_csv, accepted)
                 if config.get("compute.dump_matrices"):
-                    write(f"matrix_h{tag}.csv", dump_matrix, assembled_operator(config, h))
+                    write(f"matrix_h{tag}.csv", dump_matrix, spectrum.operator)
             if "match" in stages:
                 rep = match_lattices(lat, accepted, order=config.order,
                                      radius=config.get("compute.match_radius"))

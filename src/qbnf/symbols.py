@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from numbers import Number
 from typing import Mapping
 
@@ -249,20 +249,48 @@ class TauSeries:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         return bool(np.max(np.abs(self.coeffs.imag)) <= 1e-12 * scale)
 
-    def solve(self, target):
-        """Solve g(tau) = target by Newton iteration from tau = 0 on the truncated series."""
-        d = self.derivative()
-        tau = 0j
-        scale = max(1.0, abs(target))
-        for _ in range(50):
-            val = self(tau) - target
+    def branch(self) -> tuple[float, float]:
+        """The ends of the branch of g through tau = 0: the real critical
+        points of g nearest 0 on either side, -inf or +inf where there is
+        none.  g is read by the real parts of its coefficients and must rise
+        through 0 (ArithmeticError otherwise), so it rises on the branch."""
+        c = self.coeffs.real
+        if len(c) < 2 or c[1] <= 0:
+            raise ArithmeticError("the series does not rise through tau = 0")
+        crit = np.roots((c[1:] * np.arange(1, len(c)))[::-1])
+        crit = crit.real[crit.imag == 0]
+        return float(crit[crit < 0].max(initial=-np.inf)), float(crit[crit > 0].min(initial=np.inf))
+
+    def solve(self, target) -> float:
+        """The tau of ``branch()`` with g(tau) = target, unique there: Newton
+        iteration from 0 that bisects its bracket (the branch, cut to the
+        roots' Cauchy bound) wherever a step would leave it.  No tau on the
+        branch has that value: ArithmeticError, naming ``target`` and the
+        branch's energy range; a root is never extrapolated."""
+        lo, hi = self.branch()
+        c = self.coeffs.real
+        dc = c[1:] * np.arange(1, len(c))
+
+        def poly(coeffs, t):  # Horner in Python floats
+            return reduce(lambda acc, ci: acc * t + ci, coeffs[::-1].tolist(), 0.0)
+
+        e_lo, e_hi = (poly(c, t) if math.isfinite(t) else t for t in (lo, hi))
+        if not e_lo < target < e_hi:
+            raise ArithmeticError(f"no tau on the branch through tau = 0 has energy {target:g}; "
+                                  f"its energies span ({e_lo:g}, {e_hi:g})")
+        n = np.flatnonzero(c)[-1]
+        reach = 1.0 + max(abs(target - c[0]), np.abs(c[1:n]).max(initial=0.0)) / abs(c[n])
+        lo, hi = max(lo, -reach), min(hi, reach)
+        tau, scale = 0.0, max(1.0, abs(target))
+        for _ in range(100):
+            val = poly(c, tau) - target
             if abs(val) <= 1e-13 * scale:
-                return tau.real if abs(tau.imag) < 1e-12 else tau
-            dv = d(tau)
-            if dv == 0:
-                break
-            tau = tau - val / dv
-        raise ValueError(f"Newton iteration failed to invert series at target {target}")
+                return tau
+            lo, hi = (tau, hi) if val < 0 else (lo, tau)
+            slope = poly(dc, tau)
+            step = tau - val / slope if slope > 0 else math.nan
+            tau = step if lo < step < hi else 0.5 * (lo + hi)
+        raise ArithmeticError(f"Newton iteration did not settle at energy {target:g}")
 
     def __repr__(self):
         return f"TauSeries({np.array2string(self.coeffs, precision=6)})"

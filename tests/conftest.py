@@ -39,6 +39,43 @@ def random_symbol(spec, rng, n_terms=4, max_exp=2, max_mode=2, max_tau=2,
     return sym
 
 
+def workload_cylinder(center, half_width=0.2, depth=0.2, h=0.1, order=4):
+    """The normal-form workloads' cylinder (f = tau - 0.2 tau^2, mu = 1 + 0.3 tau,
+    perfbench/workloads.py) as a scenario config, with its window centred at ``center``.
+
+    f peaks at tau = 2.5, so the orbit branch through tau = 0 reaches
+    energies up to 1.25 and no further.
+    """
+    return {
+        "schema_version": 1,
+        "model": {
+            "kind": "cylinder",
+            "energy0": center,
+            "energy_coeffs": [0.0, 1.0, -0.2],
+            "rate_coeffs": [1.0, 0.3],
+            "perturbation": [
+                {"m": 1, "alpha": [3], "beta": [0], "re": 0.1},
+                {"m": -1, "alpha": [0], "beta": [3], "re": 0.1},
+                {"m": 2, "a": 1, "alpha": [2], "beta": [2], "re": 0.05},
+            ],
+        },
+        "compute": {
+            "order": order,
+            "h_values": [h],
+            "window": {"half_width": half_width, "depth": depth},
+        },
+    }
+
+
+def config_operator(config, h):
+    """A scenario's model operator on its basis at h, assembled apart from any run."""
+    from qbnf.compare import model_operator_symbol
+    from qbnf.quantize import assemble_cylinder, assemble_saddle
+
+    assemble = assemble_cylinder if config.kind == "cylinder" else assemble_saddle
+    return assemble(model_operator_symbol(config.model()), config.basis_for(h))
+
+
 def symbols_close(a, b, tol=1e-12):
     d = a - b
     scale = max(a.max_abs(), b.max_abs(), 1.0)

@@ -241,3 +241,19 @@ def test_fit_convergence_rejects_what_it_cannot_fit():
     reports = [_report(h, [h]) for h in (0.2, 0.1)] + [MatchReport([], [], [], 0.0, 0.0, 0.05)]
     with pytest.raises(ArithmeticError, match="h=0.05"):
         fit_convergence(reports)
+
+
+def test_fit_convergence_needs_three_nonzero_errors():
+    # two of three h values matched exactly: one point is left, which a
+    # line fits with any slope (numpy only warns); it is refused instead
+    reports = [_report(0.1, [1e-9]), _report(0.05, [0.0]), _report(0.025, [0.0])]
+    with pytest.raises(ArithmeticError, match=r"h = \[0.1, 0.05, 0.025\] only \[0.1\]"):
+        fit_convergence(reports)
+
+
+def test_fit_convergence_discards_a_largest_h_off_the_line():
+    hs = (0.2, 0.1, 0.05, 0.025, 0.0125)
+    off = fit_convergence([_report(h, [(10.0 if h == 0.2 else 1.0) * h**4]) for h in hs])
+    assert off.discarded == [0.2] and abs(off.slope - 4.0) < 1e-9
+    clean = fit_convergence([_report(h, [3.0 * h**4]) for h in hs])
+    assert clean.discarded == [] and abs(clean.slope - 4.0) < 1e-9

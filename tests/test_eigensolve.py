@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import config_operator
 from dense_solve import dense_solve
 from qbnf import eigensolve
 from qbnf.eigensolve import PATTERN_EPS, EigensolveError, _triplets, eigenvalues, spectral_norm
-from qbnf.scenario import assembled_operator, bundled_scenarios, load_config
+from qbnf.scenario import bundled_scenarios, load_config
 
 
 def _match_sets(a, b, tol):
@@ -218,7 +219,7 @@ def test_solve_gives_the_dense_oracle_bits(rng, n, density):
     for name in bundled_scenarios() for h in load_config(name).h_values
 ])
 def test_bundled_base_operators_give_the_dense_oracle_bits(name, h):
-    op = assembled_operator(load_config(name), h)
+    op = config_operator(load_config(name), h)
     _assert_dense_solve_bits(op, eigenvalues(op))
 
 
@@ -226,7 +227,7 @@ def test_solve_holds_under_three_dense_arrays_at_its_peak():
     # LAPACK needs the block and its eigenvectors; the residuals add the
     # support-row slab C and one 64-column slab of C @ V, not all of C @ V
     cfg = load_config("cylinder_cubic")
-    op = assembled_operator(cfg, cfg.h_values[0])
+    op = config_operator(cfg, cfg.h_values[0])
     eigenvalues(op)  # scipy.linalg is imported outside the measured call
     tracemalloc.start()
     try:

@@ -251,3 +251,39 @@ def test_predicted_lattice_applies_the_rule_of_the_kind():
         saddle_lattice(nfs, 0.1, w, k_cap=0).entries
     with pytest.raises(ValueError, match="no k cap"):
         predicted_lattice(NF_LIN, 0.1, w, k_cap=1)
+
+
+@pytest.mark.parametrize("name, end, centers, half_width", [
+    # the bundled cylinders at their own h and window, and the workload
+    # cylinder at h = 0.1; ``end`` bounds the orbit branch through tau = 0
+    ("cylinder_cubic", (-math.inf, math.inf), (0.0, 0.5, -0.7), None),
+    ("nonorientable_halfmode", (-math.inf, math.inf), (0.0, 0.4), None),
+    ("cylinder_unperturbed", (-1.0 / 0.6, math.inf), (0.0, 1.0, -0.5), None),
+    ("workload", (-math.inf, 2.5), (0.8, -1.5, 0.0, 0.95), None),
+    # a window so narrow at the top of the branch that its margin stays on
+    # it while the labels just past the fold (tau = 2.6, energy 1.248)
+    # fall inside the window
+    ("workload", (-math.inf, 2.5), (1.2435,), 0.005),
+])
+def test_closed_orbit_lattice_lists_every_branch_point_in_the_window(name, end, centers,
+                                                                     half_width):
+    from conftest import workload_cylinder
+    from qbnf.scenario import compute_normal_form, load_config
+
+    for center in centers:
+        if name == "workload":
+            config = load_config(workload_cylinder(center, half_width or 0.2))
+        else:
+            raw = load_config(name).canonical()
+            raw["model"]["energy0"] = center
+            config = load_config(raw)
+        nf, _ = compute_normal_form(config)
+        h, window = config.h_values[0], config.window()
+        box = [(k, l) for k in range(-200, 201) for l in range(40)
+               if end[0] < nf.arguments(k, l, h)[0] < end[1]]
+        want = _windowed(nf, h, window, box).entries
+        assert want and max(l for _, l, _ in want) < 39
+        got = closed_orbit_lattice(nf, h, window).entries
+        assert [(e.k, e.l) for e in got] == [(e.k, e.l) for e in want], (name, center)
+        assert all(a.z.real.hex() == b.z.real.hex() and a.z.imag.hex() == b.z.imag.hex()
+                   for a, b in zip(got, want)), (name, center)

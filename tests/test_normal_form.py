@@ -374,8 +374,9 @@ def test_orbit_diagnostics_newton():
 
 
 def test_orbit_diagnostics_out_of_range():
-    # below the minimum of the truncated parabola: Newton cannot converge
-    with pytest.raises(ValueError):
+    # below the minimum of the truncated parabola: no orbit of the branch
+    # through tau = 0 has that energy
+    with pytest.raises(ArithmeticError, match=r"energy -5; its energies span \(-0.25, inf\)"):
         orbit_diagnostics(TauSeries([0.0, 1.0, 1.0]), TauSeries([1.0]), -5.0)
 
 

@@ -22,7 +22,6 @@ from qbnf.quantize import (
 from qbnf.symbols import FormalSymbol, PhaseSpec, moyal_star, poisson_bracket, star_conjugate
 
 from conftest import random_symbol, symbols_close
-from dict_symbol import held
 
 SPEC = PhaseSpec.cylinder(8, 8)
 SPEC2 = PhaseSpec.saddle(8)
@@ -605,14 +604,14 @@ def test_assembly_drops_entries_that_cancel():
 
 
 def test_nonorientable_parity_violation_rejected_after_valid_terms():
-    # the parity check runs per term, also after terms that assembled
+    # the parity rule is the symbol's own: its constructor rejects a key
+    # that breaks it also after valid keys, so assembly never meets one
     spec = PhaseSpec.cylinder(8, 8, orientable=False)
     basis = CylinderBasis(-3, 3, 6, 0.1, orientable=False)
     good = FormalSymbol.monomial(spec, 1.0, m=0.5, alpha=1)
     _assert_bit_equal_to_oracle(good, basis)
-    bad = held(spec, {**good.terms, (2, 0, (1,), (0,), 0): 1.0})
-    with pytest.raises(ValueError, match="parity"):
-        assemble_cylinder(bad, basis)
+    with pytest.raises(ValueError, match="anti-periodicity"):
+        FormalSymbol(spec, {**good.terms, (2, 0, (1,), (0,), 0): 1.0})
 
 
 def test_widened_solve_never_builds_the_dense_widened_matrix(monkeypatch):

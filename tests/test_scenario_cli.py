@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import config_operator
 from qbnf.cli import main
 from qbnf.lattice import LatticeEntry, ResonanceLattice, Window
 from qbnf.compare import MatchedPair, MatchReport, convergence_sweep
@@ -227,10 +228,10 @@ def test_run_scenario_nonorientable(tmp_path):
 
 def test_matrix_dump_roundtrip(tmp_path):
     import numpy as np
-    from qbnf.scenario import assembled_operator, dump_matrix
+    from qbnf.scenario import dump_matrix
 
     cfg = load_config(GOOD)
-    op = assembled_operator(cfg, 0.1)
+    op = config_operator(cfg, 0.1)
     path = tmp_path / "matrix.csv"
     dump_matrix(path, op)
     lines = path.read_text().splitlines()
@@ -242,9 +243,9 @@ def test_matrix_dump_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("dump", [True, False])
-def test_run_writes_the_assembled_operator_only_when_asked(tmp_path, dump):
+def test_run_writes_the_assembled_operator_only_when_asked(tmp_path, monkeypatch, dump):
     import numpy as np
-    from qbnf.scenario import assembled_operator
+    from qbnf import quantize
 
     raw = json.loads(json.dumps(GOOD))
     raw["compute"]["dump_matrices"] = dump
@@ -252,7 +253,13 @@ def test_run_writes_the_assembled_operator_only_when_asked(tmp_path, dump):
     # the wrong order would not read back as the same matrix
     raw["model"]["higher_terms"] = [{"alpha": [0, 2], "beta": [0, 1], "re": 0.05}]
     cfg = load_config(raw)
+    # every assembly ends in one _summed call: the dump is the operator the
+    # run solved, so the base operator is assembled once either way
+    dims, summed = [], quantize._summed
+    monkeypatch.setattr(quantize, "_summed", lambda parts, n: dims.append(n) or summed(parts, n))
     run_scenario(cfg, tmp_path)
+    monkeypatch.undo()
+    assert dims == [cfg.basis_for(0.1).dim]
     listed = json.loads((tmp_path / "run_report.json").read_text())["artifacts"]
     path = tmp_path / "matrix_h0p1.csv"
     assert ("matrix_h0p1.csv" in listed) is dump and path.exists() is dump
@@ -262,7 +269,7 @@ def test_run_writes_the_assembled_operator_only_when_asked(tmp_path, dump):
     n = int(lines[0])
     vals = np.array([complex(float(r), float(i))
                      for r, i in (ln.split(",") for ln in lines[1:])])
-    want = assembled_operator(cfg, 0.1).matrix
+    want = config_operator(cfg, 0.1).matrix  # an assembly of its own, apart from the run
     assert vals.size == n * n and n == want.shape[0]
     dense = np.ascontiguousarray(vals.reshape((n, n), order="F"))
     assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
@@ -378,6 +385,57 @@ def test_cli_saddle_whose_pruning_drops_the_quadratic_part_is_a_numeric_failure(
     assert "pruning dropped the grade-2 part" in capsys.readouterr().err
     report = json.loads((out / "run_report.json").read_text())
     assert report["status"] == "incomplete"
+
+
+def _workload_cylinder_run(tmp_path, capsys, command, center):
+    """Exit code, stderr and run report of ``command`` on the workload cylinder at ``center``."""
+    from conftest import workload_cylinder
+
+    p = tmp_path / f"c{center}.json"
+    p.write_text(json.dumps(workload_cylinder(center)))
+    out = tmp_path / f"{command}-{center}"
+    rc = main([command, "--config", str(p), "--out", str(out)])
+    return rc, capsys.readouterr().err, json.loads((out / "run_report.json").read_text())
+
+
+@pytest.mark.parametrize("command, center", [
+    ("run", 1.2), ("lattice", 1.2), ("run", 2.0), ("lattice", 2.0), ("direct", 2.0),
+])
+def test_cli_window_off_the_orbit_branch_is_a_numeric_failure(tmp_path, capsys, command,
+                                                              center):
+    # f = tau - 0.2 tau^2 peaks at 1.25: a window reaching above it (1.2)
+    # or lying above it (2.0) has energies no orbit of the branch through
+    # tau = 0 has, so the lattice cannot list it, nor the basis centre on it
+    rc, err, report = _workload_cylinder_run(tmp_path, capsys, command, center)
+    assert rc == 3 and "Traceback" not in err
+    assert "its energies span (-inf, 1.25)" in err
+    assert report["status"] == "incomplete" and report["errors"][0]["stage"] == "numeric"
+
+
+def test_cli_window_near_the_fold_lists_the_whole_branch_or_fails(tmp_path, capsys):
+    # at centre 1.03 the window (0.83, 1.23) holds 12 points of the branch;
+    # its enumeration margin reaches 1.27, above the fold at 1.25
+    rc, err, report = _workload_cylinder_run(tmp_path, capsys, "run", 1.03)
+    if rc == 3:
+        assert report["status"] == "incomplete" and "Traceback" not in err
+        return
+    assert rc == 0
+    rows = (tmp_path / "run-1.03" / "lattice_h0p1.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+
+
+def test_cli_bad_fourier_mode_is_a_config_error_naming_the_entry(tmp_path, capsys):
+    from conftest import workload_cylinder
+
+    raw = workload_cylinder(0.0)
+    raw["model"]["perturbation"].append({"m": 0.3, "alpha": [3], "beta": [0], "re": 0.1})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid perturbation entry" in err and "'m': 0.3" in err
+    assert "integer or half-integer" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, basis", [
@@ -769,19 +827,55 @@ def test_readme_lists_every_schema_key():
         assert any(line.startswith(row) for line in lines), row
 
 
+#: the BLAS thread count the reference digests were recorded at
+#: (perfbench/baseline.json); at one thread LAPACK orders the eigenvalues
+#: of some bundled operators differently (README)
+_RECORDED_BLAS_THREADS = "2"
+
+#: runs every scenario of the hashed workloads at input variants 0 and 1
+#: under ``argv[2]`` and prints the digests of each run's artifacts
+_HASHED_RUNS = """
+import json, sys
+from pathlib import Path
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import checks, workloads
+from qbnf.scenario import load_config, run_scenario
+digests = {}
+for workload in ("bnf_classical", "bnf_quantum", "bundled_run"):
+    for variant in (0, 1):
+        for name, raw in workloads.scenarios(root, workload, variant):
+            run = out / f"{workload}-{variant}-{name}"
+            run_scenario(load_config(raw), run)
+            digests[f"{workload}/{variant}/{name}"] = checks.observe(run)["digests"]
+print(json.dumps(digests))
+"""
+
+
 def test_workload_artifacts_keep_their_recorded_bytes(tmp_path):
     # every artifact of the normal-form and bundled workloads, at input
-    # variants 0 and 1, hashes to its digest in perfbench/reference.json
+    # variants 0 and 1, hashes to its digest in perfbench/reference.json;
+    # the runs go to a child process at the recorded BLAS thread count, so
+    # the test holds whatever count the suite itself runs at
+    import os
+    import subprocess
+    import sys
+
     checks, workloads, root = _perfbench()
+    env = dict(os.environ, **{var: _RECORDED_BLAS_THREADS for var in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    child = subprocess.run([sys.executable, "-c", _HASHED_RUNS, str(root), str(tmp_path)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    observed = json.loads(child.stdout)
     reference = checks.load_reference()
     seen = 0
     for workload in ("bnf_classical", "bnf_quantum", "bundled_run"):
         for variant in (0, 1):
             digests = checks.recorded(reference, "digests", workload, variant)
-            for name, raw in workloads.scenarios(root, workload, variant):
-                out = tmp_path / f"{workload}-{variant}-{name}"
-                run_scenario(load_config(raw), out)
-                assert checks.observe(out)["digests"] == digests[name], (workload, variant, name)
+            for name, _ in workloads.scenarios(root, workload, variant):
+                assert observed[f"{workload}/{variant}/{name}"] == digests[name], \
+                    (workload, variant, name)
                 seen += len(digests[name])
     assert seen == 2 * (4 * 3 + 4 * 7)  # two variants of 4 normal forms and 4 runs
 

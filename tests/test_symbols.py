@@ -1190,3 +1190,33 @@ def test_tau_series_newton_solve():
     f = TauSeries([0.0, 1.0, 1.0], 6)  # tau + tau^2
     tau = f.solve(0.11)
     assert abs(tau - 0.1) < 1e-12
+
+
+def test_tau_series_solve_stays_on_the_branch_through_zero():
+    # tau - 0.5 tau^2 + 0.06 tau^3 peaks at tau = 1.307 (energy 0.587):
+    # Newton from 0 at energy 0.7 jumps past that peak to tau = 5.81,
+    # where f' > 0 too; no tau of the branch has that energy
+    f = TauSeries([0.0, 1.0, -0.5, 0.06])
+    lo, hi = f.branch()
+    assert lo == -math.inf and hi == pytest.approx((1 - math.sqrt(0.28)) / 0.36, rel=1e-14)
+    with pytest.raises(ArithmeticError, match=r"energy 0.7; its energies span \(-inf, 0.58"):
+        f.solve(0.7)
+    tau = f.solve(0.5)
+    assert 0 < tau < hi and abs(f(tau) - 0.5) <= 1e-13
+
+
+def test_tau_series_solve_bisects_where_newton_leaves_the_branch():
+    # tau + 3 tau^2 - 4 tau^3 rises on (-0.132, 0.632) up to energy 0.82:
+    # the first Newton step to energy 0.8 lands at tau = 0.8, past the
+    # peak, from where Newton settles on the falling side's root
+    f = TauSeries([0.0, 1.0, 3.0, -4.0])
+    lo, hi = f.branch()
+    tau = f.solve(0.8)
+    assert lo < tau < hi and abs(f(tau) - 0.8) <= 1e-13
+    assert f.solve(0.0) == 0.0
+
+
+def test_tau_series_solve_refuses_a_series_that_does_not_rise():
+    for coeffs in ([1.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.1]):
+        with pytest.raises(ArithmeticError, match="does not rise"):
+            TauSeries(coeffs).solve(0.1)
