@@ -50,7 +50,6 @@ from .lattice import (
     Window,
     closed_orbit_lattice,
     homogeneity_check,
-    lattice_rescaling_check,
     predicted_lattice,
     saddle_lattice,
 )

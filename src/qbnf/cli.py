@@ -19,11 +19,13 @@ runs the direct solve.  The BLAS thread count is set in the environment
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) before the process starts.
 
 Exit codes: 0 success, 1 a bug (the traceback is printed), 2
-configuration error, before any file is written: an unknown or
-misspelled key, a value of the wrong JSON type (a flag that is not true
-or false, an integer field given as a float or a string) or out of its
-range, or a broken model invariant (``qbnf.schema.SCHEMA`` lists every
-key), 3 numeric failure (``run_report.json`` is marked incomplete).
+configuration error, before any file is written: a config path that
+cannot be read or decoded, an unknown or misspelled key, a value of the
+wrong JSON type (a flag that is not true or false, an integer field
+given as a float or a string) or out of its range, two h values with
+the same artifact tag (``<h>`` in 6 significant digits), or a broken
+model invariant (``qbnf.schema.SCHEMA`` lists every key), 3 numeric
+failure (``run_report.json`` is marked incomplete).
 A cylinder window beyond the orbit branch through tau = 0 exits 3: the
 lattice's when it leaves the branch's energies, widened by its 20 %
 enumeration margin, and the auto basis's when its centre does.

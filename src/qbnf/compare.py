@@ -66,10 +66,6 @@ class MatchReport:
     order: int | None = None
     radius: float = 0.0
 
-    @property
-    def all_matched(self) -> bool:
-        return not self.unmatched_predicted
-
     def max_err_over(self, label_cap: int) -> float:
         errs = [
             p.error for p in self.pairs if abs(p.k) <= label_cap and p.l <= label_cap
@@ -78,10 +74,9 @@ class MatchReport:
 
 
 def _computed_values(computed) -> np.ndarray:
-    vals = getattr(computed, "eigenvalues", computed)
-    if len(vals) and isinstance(vals[0], tuple):
-        vals = [v[0] for v in vals]
-    return np.asarray(vals, dtype=complex)
+    if len(computed) and isinstance(computed[0], tuple):
+        computed = [v[0] for v in computed]
+    return np.asarray(computed, dtype=complex)
 
 
 def match_lattices(
@@ -89,10 +84,10 @@ def match_lattices(
 ) -> MatchReport:
     """Mutual-nearest-neighbor pairing of a lattice with eigenvalues.
 
-    ``computed`` may be a Spectrum, an array of eigenvalues, or the
-    accepted list of ``direct_spectrum``.  The default radius is 0.45
-    times the minimum separation of the predicted lattice, which keeps
-    the pairing injective for simple lattices.  An entry pairs with its
+    ``computed`` is an array of eigenvalues or the accepted list of
+    ``direct_spectrum``.  The default radius is 0.45 times the minimum
+    separation of the predicted lattice, which keeps the pairing
+    injective for simple lattices.  An entry pairs with its
     nearest eigenvalue (the first, on a tie) when that lies within the
     radius and has the entry as its own nearest lattice point; each
     eigenvalue has one nearest lattice point, so it pairs at most once.

@@ -10,7 +10,7 @@ and an equilibrium normal form F(iota1, iota2; h) yields
     z_{k,l} = F((k + 1/2) h, (l + 1/2) h; h).
 
 The rule itself, label to slot values, is ``NormalFormPoly.arguments``;
-the lattices and ``lattice_rescaling_check`` evaluate it and keep no copy.
+the lattices evaluate it and keep no copy.
 Lattices are enumerated inside a complex window (an energy interval times
 a decay-depth strip); candidate ranges come from the normal form's leading
 terms with a safety margin and are then filtered exactly, all labels in
@@ -40,7 +40,6 @@ __all__ = [
     "closed_orbit_lattice",
     "saddle_lattice",
     "homogeneity_check",
-    "lattice_rescaling_check",
 ]
 
 
@@ -257,29 +256,3 @@ def homogeneity_check(
             worst = max(worst, abs(lhs - rhs) / denom)
     return worst
 
-
-def lattice_rescaling_check(
-    nf: NormalFormPoly, h: float, eps: float, labels
-) -> float:
-    """Max relative defect of the rescaled lattice evaluation.
-
-    Evaluating the h-layers at arguments divided by eps with weights
-    (h/eps)^j must reproduce the plain evaluation with weights h^j; this
-    is the lattice form of the homogeneity identity.
-    """
-    worst = 0.0
-    scale = max(nf.scale(), 1e-300)
-    for k, l in labels:
-        u, v = nf.arguments(k, l, h)
-        plain = 0j
-        rescaled = 0j
-        for j in nf.h_orders():
-            plain += nf.evaluate_layer(j, u, v) * h**j
-            rescaled += (
-                nf.evaluate_layer(j, eps * (u / eps), eps * (v / eps))
-                * eps**j
-                * (h / eps) ** j
-            )
-        denom = max(abs(plain), abs(rescaled), 1e-12 * scale)
-        worst = max(worst, abs(plain - rescaled) / denom)
-    return worst

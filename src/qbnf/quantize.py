@@ -101,20 +101,6 @@ class CylinderBasis:
     def dim(self) -> int:
         return self.num_k * (self.levels + 1)
 
-    def index(self, k, l) -> int:
-        return (k - self.k_min) * (self.levels + 1) + l
-
-    def labels(self):
-        return [
-            (k, l)
-            for k in range(self.k_min, self.k_max + 1)
-            for l in range(self.levels + 1)
-        ]
-
-    def tau_value(self, k, l) -> float:
-        base = k + 0.5 * l if not self.orientable else k
-        return self.h * base - self.action / (2.0 * math.pi)
-
     def widened(self) -> "CylinderBasis":
         return CylinderBasis(
             self.k_min - _WIDEN_K,
@@ -145,12 +131,6 @@ class SaddleBasis:
     @property
     def dim(self) -> int:
         return (self.levels1 + 1) * (self.levels2 + 1)
-
-    def index(self, k, l) -> int:
-        return k * (self.levels2 + 1) + l
-
-    def labels(self):
-        return [(k, l) for k in range(self.levels1 + 1) for l in range(self.levels2 + 1)]
 
     def widened(self) -> "SaddleBasis":
         return SaddleBasis(self.levels1 + _WIDEN_LEVELS, self.levels2 + _WIDEN_LEVELS, self.h)

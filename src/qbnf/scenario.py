@@ -2,14 +2,16 @@
 
 A scenario is a JSON object.  ``qbnf.schema.SCHEMA`` is the one table
 of its keys, listed below; README.md says what each does.  ``load_config``
-holds a config to the table, which rejects an unknown key, a key of the
-other model kind and a value of the wrong JSON type or out of its range,
-then checks the rules that tie keys together: h_values descend,
-tau_order is no lower than the model's tau content, a term's Fourier mode
-m is a multiple of 1/2, no term lies below the pruning floor, and the
-model keeps its invariants.  A sweep needs the direct stage and at least
-three h values.  ``scenario_echo.json`` is the raw input, with no
-defaults filled in.
+raises ConfigError for a file it cannot read or decode.  It holds a
+config to the table, which rejects an unknown key, a key of the other
+model kind and a value of the wrong JSON type or out of its range, then
+checks the rules that tie keys together: h_values descend, no two of
+them share an artifact tag (h in 6 significant digits, which names every
+per-h file), tau_order is no lower than the model's tau content, a
+term's Fourier mode m is a multiple of 1/2, no term lies below the
+pruning floor, and the model keeps its invariants.  A sweep needs the
+direct stage and at least three h values.  ``scenario_echo.json`` is the
+raw input, with no defaults filled in.
 
 Artifacts are deterministic: CSV numbers are printed with 17 significant
 digits, JSON keys are sorted, reruns are bit-identical.
@@ -25,8 +27,6 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from . import schema
 from .compare import (
@@ -212,8 +212,10 @@ def load_config(source) -> ScenarioConfig:
     """Load a scenario from a path, a bundled name, or a dict.
 
     The config is held to ``qbnf.schema.SCHEMA``, then to the rules that
-    tie keys together: descending h values, a tau order no lower than the
-    model's, the model's own invariants and a buildable basis.
+    tie keys together: descending h values with distinct artifact tags, a
+    tau order no lower than the model's, the model's own invariants and a
+    buildable basis.  A file that cannot be read or decoded is a
+    ConfigError naming its path.
     """
     if isinstance(source, dict):
         raw = source
@@ -226,7 +228,9 @@ def load_config(source) -> ScenarioConfig:
             else:
                 raise ConfigError(f"no such config file or bundled scenario: {source}")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     schema.check(raw)
@@ -234,6 +238,14 @@ def load_config(source) -> ScenarioConfig:
     hs = config.h_values
     if hs != sorted(hs, reverse=True):
         raise ConfigError("compute.h_values must be in descending order")
+    tagged = {}
+    for h in hs:
+        tag = _h_tag(h)
+        if tag in tagged:
+            raise ConfigError(f"compute.h_values {tagged[tag]!r} and {h!r} share the "
+                              f"artifact tag h{tag}; give h values that differ in 6 "
+                              f"significant digits")
+        tagged[tag] = h
     model = config.model()  # raises ConfigError with the violated invariant
     tau_order = config.get("compute.tau_order")
     if tau_order is not None and tau_order < content_tau_order(model):
@@ -327,14 +339,13 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def dump_matrix(path: Path, op) -> None:
-    """Debug dump of an assembled operator: column-major complex pairs.
+    """Debug dump of an assembled ``OperatorMatrix``: column-major complex pairs.
 
     The file holds the dimension as a first line, then one line per
     entry in column-major order with the real and imaginary parts in the
     fixed CSV float format.
     """
-    M = np.asarray(getattr(op, "matrix", op), dtype=complex)
-    _write_csv(path, str(M.shape[0]), ((c.real, c.imag) for c in M.flatten(order="F")))
+    _write_csv(path, str(op.dim), ((c.real, c.imag) for c in op.matrix.flatten(order="F")))
 
 
 def emit_plot_data(path: Path, lattice: ResonanceLattice | None, rep: MatchReport | None) -> None:

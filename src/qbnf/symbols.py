@@ -207,10 +207,6 @@ class TauSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = other if isinstance(other, TauSeries) else TauSeries([other])
-        return self + (-1.0) * other
-
     def __mul__(self, other):
         if isinstance(other, TauSeries):
             n = max(self.order, other.order)
@@ -561,9 +557,6 @@ class FormalSymbol:
         g = _grades(self)
         return int(g.min()) if len(g) else self.spec.grade_max + 1
 
-    def max_fourier(self) -> float:
-        return int(np.abs(_columns(self)[0][0]).max(initial=0)) / 2.0
-
     def holds_keys_of(self, other: "FormalSymbol") -> bool:
         """True when every key of ``other`` is a key of this symbol."""
         self._check(other)
@@ -587,36 +580,11 @@ class FormalSymbol:
         keys = np.concatenate([-keys[:1], keys[1:]])
         return FormalSymbol._of_columns(self.spec, keys, 0.0 + re, 0.0 - im)
 
-    def is_real(self, tol=1e-12) -> bool:
-        """Pointwise reality: the coefficient at -m is the conjugate of the one at m."""
-        diff = self - self.conjugate()
-        scale = max(self.max_abs(), 1e-300)
-        return diff.max_abs() <= tol * scale
-
     def reembedded(self, spec: PhaseSpec) -> "FormalSymbol":
         """Same terms on another compatible spec; out-of-bound terms drop."""
         if spec.num_pairs != self.spec.num_pairs or spec.has_angle != self.spec.has_angle:
             raise SpecMismatchError("cannot reembed between different phase geometries")
         return FormalSymbol._of_columns(*_cleaned(spec, *_columns(self)), prune=True)
-
-    def evaluate(self, *, t=0.0, tau=0.0, pairs=None, h=0.0) -> complex:
-        """Numeric evaluation at a phase-space point (pairs = ((x, xi), ...))."""
-        if pairs is None:
-            pairs = ((0.0, 0.0),) * self.spec.num_pairs
-        total = 0j
-        for (m2, a, alpha, beta, j), c in self.terms.items():
-            val = c * np.exp(0.5j * m2 * t)
-            if a:
-                val *= tau**a
-            for i in range(self.spec.num_pairs):
-                if alpha[i]:
-                    val *= pairs[i][0] ** alpha[i]
-                if beta[i]:
-                    val *= pairs[i][1] ** beta[i]
-            if j:
-                val *= h**j
-            total += val
-        return complex(total)
 
     def __repr__(self):
         return f"FormalSymbol({len(self)} terms, grade<={self.spec.grade_max})"

@@ -76,6 +76,31 @@ def config_operator(config, h):
     return assemble(model_operator_symbol(config.model()), config.basis_for(h))
 
 
+def lattice_rescaling_check(nf, h, eps, labels):
+    """Max relative defect of the rescaled lattice evaluation.
+
+    Evaluating the h-layers at arguments divided by eps with weights
+    (h/eps)^j must reproduce the plain evaluation with weights h^j; this
+    is the lattice form of the homogeneity identity.
+    """
+    worst = 0.0
+    scale = max(nf.scale(), 1e-300)
+    for k, l in labels:
+        u, v = nf.arguments(k, l, h)
+        plain = 0j
+        rescaled = 0j
+        for j in nf.h_orders():
+            plain += nf.evaluate_layer(j, u, v) * h**j
+            rescaled += (
+                nf.evaluate_layer(j, eps * (u / eps), eps * (v / eps))
+                * eps**j
+                * (h / eps) ** j
+            )
+        denom = max(abs(plain), abs(rescaled), 1e-12 * scale)
+        worst = max(worst, abs(plain - rescaled) / denom)
+    return worst
+
+
 def symbols_close(a, b, tol=1e-12):
     d = a - b
     scale = max(a.max_abs(), b.max_abs(), 1.0)

@@ -5,7 +5,7 @@ These functions do the same operations one term at a time in Python, on
 dicts, with the semantics the arrays must keep: Python's abs for pruning,
 c + c_other on a shared key and 0.0 + c_other on a new one, keys in
 insertion order.  Each returns a dict; ``held`` makes a symbol of one as
-it is.
+it is, and ``dict_evaluate`` gives the numeric value of one at a point.
 """
 
 import math
@@ -69,6 +69,25 @@ def dict_sum(a, b):
     for k, c in b.items():
         out[k] = out.get(k, 0.0) + c
     return dict_prune(out)
+
+
+def dict_evaluate(terms, *, pairs, t=0.0, tau=0.0, h=0.0) -> complex:
+    """The terms summed at the phase-space point (t, tau, pairs, h), one
+    term at a time; ``pairs`` is ((x, xi), ...), one entry per pair."""
+    total = 0j
+    for (m2, a, alpha, beta, j), c in terms.items():
+        val = c * np.exp(0.5j * m2 * t)
+        if a:
+            val *= tau**a
+        for (x, xi), ea, eb in zip(pairs, alpha, beta):
+            if ea:
+                val *= x**ea
+            if eb:
+                val *= xi**eb
+        if j:
+            val *= h**j
+        total += val
+    return complex(total)
 
 
 def loop_substitute_pair(terms, pair, x_row, xi_row):

@@ -33,7 +33,7 @@ POINTS = {(0, 0): 0.1 - 0.05j, (1, 0): 0.2 - 0.05j, (0, 1): 0.1 - 0.15j}
 def test_match_identical():
     lat = lattice_of(POINTS)
     rep = match_lattices(lat, list(POINTS.values()))
-    assert rep.all_matched and not rep.unmatched_computed
+    assert not rep.unmatched_predicted and not rep.unmatched_computed
     assert rep.max_err == 0.0
 
 
@@ -41,7 +41,7 @@ def test_match_uniform_shift():
     lat = lattice_of(POINTS)
     shifted = [z + 1e-6 for z in POINTS.values()]
     rep = match_lattices(lat, shifted, radius=1e-3)
-    assert rep.all_matched
+    assert not rep.unmatched_predicted
     assert abs(rep.max_err - 1e-6) < 1e-9
     assert abs(rep.mean_err - 1e-6) < 1e-9
 
@@ -50,7 +50,7 @@ def test_match_spurious_computed():
     lat = lattice_of(POINTS)
     comp = list(POINTS.values()) + [5.0 - 5.0j]
     rep = match_lattices(lat, comp, radius=1e-3)
-    assert rep.all_matched
+    assert not rep.unmatched_predicted
     assert rep.unmatched_computed == [5.0 - 5.0j]
 
 

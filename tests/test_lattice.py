@@ -12,7 +12,6 @@ from qbnf.lattice import (
     _windowed,
     closed_orbit_lattice,
     homogeneity_check,
-    lattice_rescaling_check,
     predicted_lattice,
     saddle_lattice,
 )
@@ -24,6 +23,8 @@ from qbnf.normal_form import (
     equilibrium_bnf,
 )
 from qbnf.symbols import FormalSymbol, PhaseSpec, TauSeries
+
+from conftest import lattice_rescaling_check
 
 
 NF_LIN = NormalFormPoly("closed_orbit", {(1, 0, 0): 1.0, (0, 1, 0): 1.0}, 2)

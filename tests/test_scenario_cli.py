@@ -337,6 +337,20 @@ def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("make", ["directory", "utf16_bom"])
+def test_cli_unreadable_config_is_a_config_error_naming_the_path(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    if make == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config file" in err and str(path) in err
+    assert not out.exists()
+
+
 def test_cli_sweep_subcommand(tmp_path):
     cfg = json.loads(json.dumps(GOOD))
     cfg["model"]["higher_terms"] = [
@@ -587,6 +601,16 @@ def _assert_config_error(tmp_path, capsys, raw, match):
     assert main(["lattice", "--config", str(p), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("h_values", [[0.1000001, 0.1], [0.1, 0.1]])
+def test_config_rejects_h_values_that_share_an_artifact_tag(tmp_path, capsys, h_values):
+    # both would write lattice_h0p1.csv and the other per-h files
+    raw = json.loads(bundled_scenarios()["quadratic_saddle"].read_text())
+    raw["compute"]["h_values"] = h_values
+    first, second = h_values
+    _assert_config_error(tmp_path, capsys, raw,
+                         rf"{first} and {second} share the artifact tag h0p1")
 
 
 def test_config_rejects_k_cap_on_a_cylinder(tmp_path, capsys):

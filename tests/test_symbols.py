@@ -34,6 +34,7 @@ from qbnf.symbols import (
 from conftest import random_symbol, symbols_close
 from dict_symbol import (
     dict_clean,
+    dict_evaluate,
     dict_prune,
     dict_sum,
     held,
@@ -84,7 +85,7 @@ def sympy_equal(expr, sym, n_points=6):
     for _ in range(n_points):
         t, tau, x, xi, h = rng.uniform(0.2, 1.0, size=5)
         lhs = complex(f(t, tau, x, xi, h))
-        rhs = sym.evaluate(t=t, tau=tau, pairs=((x, xi),), h=h)
+        rhs = dict_evaluate(sym.terms, t=t, tau=tau, pairs=((x, xi),), h=h)
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
             return False
     return True
@@ -380,8 +381,10 @@ def test_lie_reality_preserved(rng):
         G = FormalSymbol(
             SPEC, {k: c for k, c in Gr.terms.items() if SPEC.grade(k) >= 3}
         )
-        out = lie_transform(p, G)
-        assert out.h_split()[0].is_real(1e-10)
+        classical = lie_transform(p, G).h_split()[0]
+        # pointwise reality: the coefficient at -m is the conjugate of the one at m
+        defect = (classical - classical.conjugate()).max_abs()
+        assert defect <= 1e-10 * max(classical.max_abs(), 1e-300)
 
 
 # --------------------------------------------------------------------------
