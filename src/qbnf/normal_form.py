@@ -581,15 +581,13 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
 # replay and diagnostics
 # --------------------------------------------------------------------------
 
-def replay_chain(chain: GeneratorChain, grade_max: int | None = None) -> FormalSymbol:
+def replay_chain(chain: GeneratorChain, grade_max: int) -> FormalSymbol:
     """Re-apply a generator chain to its own model at a chosen truncation.
 
     The replay runs on the chain's spec.  With ``grade_max`` above the
     chain order, the result reproduces the normalized symbol up to terms
     of grade > order (the remainder).
     """
-    if grade_max is None:
-        grade_max = chain.order
     spec = replace(chain.normalized_symbol.spec, grade_max=grade_max)
     p = _prepared_symbol(chain.model, spec)
     for method, _, gen in chain.steps:

@@ -31,6 +31,7 @@ from pathlib import Path
 from . import schema
 from .compare import (
     MATCH_WINDOW_PAD,
+    MatchedPair,
     MatchReport,
     auto_basis,
     fit_convergence,
@@ -287,12 +288,16 @@ def _write_spectrum_csv(path: Path, accepted) -> None:
     _write_csv(path, "re_z,im_z,residual", ((z.real, z.imag, res) for z, res in accepted))
 
 
+#: a matched pair's fields: the columns of ``match_h*.csv``, the keys of its ``pairs`` in JSON
+_MATCH_COLUMNS = ("k", "l", "re_pred", "im_pred", "re_comp", "im_comp", "abs_err")
+
+
+def _match_row(p: MatchedPair) -> tuple:
+    return p.k, p.l, p.predicted.real, p.predicted.imag, p.computed.real, p.computed.imag, p.error
+
+
 def _write_match_csv(path: Path, rep: MatchReport) -> None:
-    _write_csv(path, "k,l,re_pred,im_pred,re_comp,im_comp,abs_err", (
-        (p.k, p.l, p.predicted.real, p.predicted.imag, p.computed.real, p.computed.imag,
-         p.error)
-        for p in rep.pairs
-    ))
+    _write_csv(path, ",".join(_MATCH_COLUMNS), map(_match_row, rep.pairs))
 
 
 def _match_report_dict(rep: MatchReport) -> dict:
@@ -303,13 +308,7 @@ def _match_report_dict(rep: MatchReport) -> dict:
         "max_err": rep.max_err,
         "mean_err": rep.mean_err,
         "num_matched": len(rep.pairs),
-        "pairs": [
-            {"k": p.k, "l": p.l,
-             "re_pred": p.predicted.real, "im_pred": p.predicted.imag,
-             "re_comp": p.computed.real, "im_comp": p.computed.imag,
-             "abs_err": p.error}
-            for p in rep.pairs
-        ],
+        "pairs": [dict(zip(_MATCH_COLUMNS, _match_row(p))) for p in rep.pairs],
         "unmatched_predicted": [
             {"k": e.k, "l": e.l, "re": e.z.real, "im": e.z.imag}
             for e in rep.unmatched_predicted

@@ -138,9 +138,7 @@ class PhaseSpec:
             raise ValueError("tau_max is meaningful only with an angle variable")
 
     @classmethod
-    def cylinder(cls, grade_max, tau_max=None, orientable=True):
-        if tau_max is None:
-            tau_max = grade_max
+    def cylinder(cls, grade_max, tau_max, orientable=True):
         return cls(True, 1, grade_max, tau_max, orientable)
 
     @classmethod
@@ -814,25 +812,6 @@ def _bracket_channels(spec: PhaseSpec, h_shift: int) -> np.ndarray:
     return _frozen(bits)[0]
 
 
-def _room_for_three(a: FormalSymbol, b: FormalSymbol, u: np.ndarray, h_shift: int):
-    """The term pairs (left terms, right terms) inside the truncation (room
-    codes u, see ``_room``) with room for three derivations: sum_c min(left
-    cap, right cap) >= 3, the (t, tau) channels capped by the grade room."""
-    spec = a.spec
-    caps = _caps(a, 0), _caps(b, 1)
-    if min(int(c.sum(axis=0).max()) for c in caps) < 3:  # no term of one side has room
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lc, rc = (np.minimum(c, 3) for c in caps)
-    room = spec.grade_max - 2 * h_shift
-    # a pair's grade is its room code's high digit; a (t, tau) derivation costs 2
-    budget = (room - u // (2 * spec.tau_max + 2)) // 2 if spec.has_angle else None
-    total = 0
-    for c in range(len(lc)):
-        n = np.minimum(lc[c][:, None], rc[c])
-        total = total + (n if budget is None or c > 1 else np.minimum(n, budget))
-    return np.nonzero((total >= 3) & (u < (room + 1) * (2 * spec.tau_max + 2)))
-
-
 @lru_cache(maxsize=None)
 def _channel_bools(last_first: bool) -> np.ndarray:
     """[bits] -> four bytes, byte i 1 when bit i is set (bit 3 - i when
@@ -921,51 +900,71 @@ def _count_tuples(radix: tuple, orders: str) -> np.ndarray:
     return _frozen(np.vstack([ks, k])[:, keep])[0]
 
 
-def _count_rows(a: FormalSymbol, b: FormalSymbol, li: np.ndarray, ri: np.ndarray,
-                orders: str, h_shift: int, scale: complex):
-    """The rows of the term pairs (li, ri) with derivation counts of the
-    order ``orders`` selects ("all", "zeroth", or k >= 3 of "odd"): (pair,
+def _count_rows(a: FormalSymbol, b: FormalSymbol, u: np.ndarray, orders: str, h_shift: int,
+                scale: complex):
+    """The rows of a kernel call with derivation counts of the order
+    ``orders`` selects ("all", "zeroth", or k >= 3 of "odd"): (pair,
     counts, code, re, im), pair the flat index of (left term, right term)
-    and counts [c, row], zero contributions dropped, weighted.
+    and counts [c, row], zero contributions dropped, weighted; None when
+    no pair has room for the three derivations of "odd".
 
-    A pair's radices are one more than the counts each channel allows; its
-    count tuples, in lexicographic order, are read from the table of those
-    radices (``_count_tuples``), and those within the pair's grade and tau
-    room are kept.  A derivation in pair i lowers alpha_i and beta_i and
-    adds an h, so it keeps the grade; one in (t, tau) lowers no grade
-    column and raises the grade by 2, and it lowers tau, so the pair's tau
-    power may exceed the truncation by the (t, tau) count.
+    The pairs are selected here from their room codes ``u`` (``_room``):
+    those inside the truncation, and for "odd" those whose caps sum to 3
+    or more, a pair's cap in a channel the lesser of its terms' (``_caps``)
+    and in (t, tau) at most half its grade room.  The full derivative
+    tables (``_side``) are built only for rows that derive.  A pair's
+    count tuples, in lexicographic order, are read from the table of
+    radices one past its caps (``_count_tuples``), and those within its
+    grade and tau room are kept.  A derivation in pair i lowers alpha_i
+    and beta_i and adds an h, so it keeps the grade; one in (t, tau)
+    lowers no grade column and raises the grade by 2, and it lowers tau,
+    so the pair's tau power may exceed the truncation by the (t, tau)
+    count.
     """
     spec = a.spec
-    (lk, lre, lim), (rk, rre, rim) = _columns(a), _columns(b)
+    (_, lre, lim), (_, rre, rim) = _columns(a), _columns(b)
     sign, drop, _ = _channel_table(spec)
-    angle, room = spec.has_angle, spec.grade_max - 2 * h_shift
-    if orders == "zeroth":  # one count tuple per pair: no derivation
-        radix = np.ones((len(sign), len(li)), dtype=np.int64)
+    angle, room, base = spec.has_angle, spec.grade_max - 2 * h_shift, 2 * spec.tau_max + 2
+    caps = _caps(a, 0), _caps(b, 1)
+    if orders == "odd" and min(int(c.sum(axis=0).max()) for c in caps) < 3:
+        return None  # no term of one side has room for three derivations
+    inside = np.flatnonzero(u < (room + 1) * base)
+    pl, pr = np.divmod(inside, len(rre))
+    if orders == "zeroth":  # no derivation
+        cap = np.zeros((len(sign), len(pl)), dtype=np.int64)
     else:
-        (lcap, lfre, lfim), (rcap, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
-        radix = np.minimum(lcap[:, li], rcap[:, ri]) + 1
-    if angle:
-        budget = (room - _grades(a)[li] - _grades(b)[ri]) // 2
-        radix[:2] = np.minimum(radix[:2], budget + 1)
+        cap = np.minimum(caps[0][:, pl], caps[1][:, pr])
+    if angle:  # u's digits: the pair's grade, then its tau power
+        grade, tau = np.divmod(u.ravel()[inside], base)
+        budget = (room - grade) // 2
+        cap[:2] = np.minimum(cap[:2], budget)
+    if orders == "odd":
+        keep = np.flatnonzero(cap.sum(axis=0) >= 3)
+        if not len(keep):
+            return None
+        pl, pr, cap = pl[keep], pr[keep], cap[:, keep]
+        if angle:
+            tau, budget = tau[keep], budget[keep]
     # one table per distinct radix vector; a row is an entry of its pair's table
+    radix = cap + 1
     top = int(radix.max()) + 1
     heads, lab = _first_occurrence(((radix[0] * top + radix[1]) * top + radix[2]) * top + radix[3])
     tables = [_count_tuples(tuple(r), orders) for r in radix[:, heads].T.tolist()]
     size = np.array([t.shape[1] for t in tables])
     table = np.concatenate(tables, axis=1)
     cnt = size[lab]
-    pair = np.repeat(np.arange(len(li)), cnt)
+    pair = np.repeat(np.arange(len(pl)), cnt)
     at = np.arange(len(pair)) + np.repeat((np.cumsum(size) - size)[lab] - (np.cumsum(cnt) - cnt), cnt)
     if angle:
         spent = table[0] + table[1]
-        excess = lk[1, li] + rk[1, ri] - spec.tau_max
-        keep = np.flatnonzero((spent[at] <= budget[pair]) & (spent[at] >= excess[pair]))
+        keep = np.flatnonzero((spent[at] <= budget[pair]) & (spent[at] >= tau[pair] - spec.tau_max))
         pair, at = pair[keep], at[keep]
     ks = table.take(at, axis=1)
-    pl, pr = li[pair], ri[pair]
+    pl, pr = pl[pair], pr[pair]
     fre, fim = _cmul(lre[pl], lim[pl], rre[pr], rim[pr])
     top = int(ks[:-1].max(initial=0))
+    if top:  # the full derivative tables, once a row derives
+        (_, lfre, lfim), (_, rfre, rfim) = _side(a, 0, True), _side(b, 1, True)
     for c, s in enumerate(sign.tolist()):
         on = np.flatnonzero(ks[c])
         if not len(on):
@@ -1008,15 +1007,15 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     kept on it (see ``_side`` and ``_code``), so a series builds its
     generator's once.
 
-    The k = 1 rows of "first" and "odd" come off the bracket's (pair,
-    channel) mask (``_single_rows``): "first" lists a pair's channels in
-    the order of the bracket's formula, "odd" last first, which is the
-    lexicographic order of the count tuples.  "odd" enumerates its k >= 3
-    rows (``_count_rows``) only for the pairs with room for three
-    derivations (``_room_for_three``) and merges the two row sets in
-    (pair, count tuple) order; "all" and "zeroth" enumerate the count
-    tuples of every pair inside the truncation.  An output key's code is
-    its pair's codes less what the derivations take off.
+    Every mode forms the pairs' room codes (``_room``) once, and each row
+    builder selects its pairs from them.  The k = 1 rows of "first" and
+    "odd" come off the bracket's (pair, channel) mask (``_single_rows``):
+    "first" lists a pair's channels in the order of the bracket's formula,
+    "odd" last first, which is the lexicographic order of the count
+    tuples.  The count rows (``_count_rows``) are every row of "all" and
+    "zeroth" and the k >= 3 rows of "odd", which are merged with its k = 1
+    rows in (pair, count tuple) order.  An output key's code is its pair's
+    codes less what the derivations take off.
 
     One array pass gives what a nested loop would, bit for bit: over term
     pairs (left term outer), then derivation counts (k0, k1, k2, k3) in
@@ -1030,27 +1029,25 @@ def _bidifferential(a: FormalSymbol, b: FormalSymbol, orders: str, h_shift: int,
     """
     a._check(b)
     spec = a.spec
-    room = spec.grade_max - 2 * h_shift
-    if not a or not b or a.min_grade() + b.min_grade() > room:
+    if not a or not b or a.min_grade() + b.min_grade() > spec.grade_max - 2 * h_shift:
         return FormalSymbol.zero(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
+        u = _room(a)[:, None] + _room(b)
         if orders in ("first", "odd"):
-            u = _room(a)[:, None] + _room(b)
             pair, chan, code, fre, fim = _single_rows(a, b, u, h_shift, scale * (-0.5j) ** 1,
                                                       orders == "odd")
-        if orders == "odd":
-            li, ri = _room_for_three(a, b, u, h_shift)
-            if len(li):
+        if orders != "first":
+            rows = _count_rows(a, b, u, orders, h_shift, scale)
+            if orders != "odd":
+                code, fre, fim = rows[2:]
+            elif rows is not None:
                 # (pair, count tuple) as one number: pair, then counts as digits
                 # below a radix past every cap, at most the larger truncation
                 radix = max(spec.grade_max, spec.tau_max) + 1
-                pair3, ks, *more = _count_rows(a, b, li, ri, orders, h_shift, scale)
+                pair3, ks, *more = rows
                 for c in range(len(ks)):
                     pair, pair3 = pair * radix + (chan == c), pair3 * radix + ks[c]
                 code, fre, fim = _merged((pair, code, fre, fim), (pair3, *more))
-        elif orders != "first":
-            li, ri = np.nonzero(_grades(a)[:, None] + _grades(b) <= room)
-            code, fre, fim = _count_rows(a, b, li, ri, orders, h_shift, scale)[2:]
     if not len(code):
         return FormalSymbol.zero(spec)
     heads, vre, vim = _sum_by_code(code, fre, fim)

@@ -212,6 +212,25 @@ def test_run_scenario_incomplete_report(tmp_path):
     assert "normal_form.json" in report["artifacts"]
 
 
+def test_match_report_lists_its_unmatched_predicted_points(tmp_path):
+    # the order-2 lattice misses the spectrum by far more than a 1e-6 match
+    # radius, so its points are listed as unmatched, each with the values
+    # of its line in the lattice file
+    raw = json.loads(bundled_scenarios()["perturbed_saddle"].read_text())
+    raw["compute"].update(order=2, h_values=[0.1], match_radius=1e-6, sweep=False)
+    run_scenario(load_config(raw), tmp_path)
+    lattice = {(int(k), int(l)): (float(re), float(im)) for k, l, re, im in (
+        line.split(",") for line in (tmp_path / "lattice_h0p1.csv").read_text().splitlines()[1:])}
+    match = json.loads((tmp_path / "match_h0p1.json").read_text())
+    listed = match["unmatched_predicted"]
+    assert listed
+    for e in listed:
+        assert set(e) == {"k", "l", "re", "im"}
+        assert (e["re"], e["im"]) == lattice[e["k"], e["l"]]
+    labels = [(e["k"], e["l"]) for e in listed] + [(p["k"], p["l"]) for p in match["pairs"]]
+    assert sorted(labels) == sorted(lattice)
+
+
 def test_run_scenario_nonorientable(tmp_path):
     cfg = load_config("nonorientable_halfmode")
     report = run_scenario(cfg, tmp_path)

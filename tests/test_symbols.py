@@ -564,6 +564,38 @@ def test_kernel_skips_contributions_that_underflow_to_zero():
     assert list(got) == [(0, 0, (1, 0), (1, 0), 0), (0, 0, (0, 0), (0, 0), 1)]
 
 
+def _saddle_pair_one(terms):
+    """A saddle(8) symbol in the first pair: {(alpha_1, beta_1): coefficient}."""
+    spec = PhaseSpec.saddle(8)
+    return held(spec, {(0, 0, (al, 0), (be, 0), 0): c for (al, be), c in terms.items()})
+
+
+@pytest.mark.parametrize("orders,h_shift,scale", [("first", -1, 2j), ("odd", -1, -2j),
+                                                   ("all", 0, 1.0)], ids=["first", "odd", "all"])
+def test_kernel_drops_an_underflowed_first_contribution_as_the_loop_does(orders, h_shift, scale):
+    # xi1 times x1^2 underflows to 0.0, so the k = 1 contribution it makes
+    # to x1 h^(1 + h_shift) is dropped, and the key is listed where the
+    # nonzero x1 xi1 times x1^2 first fills it: last
+    a = _saddle_pair_one({(0, 1): 1e-170 + 0j, (1, 1): 1e-160 + 0j})
+    b = _saddle_pair_one({(2, 0): 1e-155 + 0j, (1, 0): 1e-145 + 0j})
+    assert 1e-170 * 1e-155 == 0.0 and 1e-160 * 1e-155 != 0.0
+    got = _assert_kernel_matches_loop(a, b, orders, h_shift, scale)
+    assert list(got)[-1] == (0, 0, (1, 0), (0, 0), 1 + h_shift)
+
+
+@pytest.mark.parametrize("h_shift", [0, -1])
+def test_count_rows_drop_an_underflowed_first_contribution_as_the_loop_does(h_shift):
+    # xi1^3 times x1^3 underflows to 0.0, so its k = 3 contribution to the
+    # constant h^(3 + h_shift) is dropped; the last pair, x1 xi1^2 times
+    # x1^2 xi1, fills that key with counts (2, 1) in pair one, so it is
+    # listed last
+    a = _saddle_pair_one({(0, 3): 1e-170 + 0j, (1, 2): 1e-160 + 0j})
+    b = _saddle_pair_one({(3, 0): 1e-155 + 0j, (2, 1): 1e-145 + 0j})
+    assert 1e-170 * 1e-155 == 0.0
+    got = _assert_kernel_matches_loop(a, b, "odd", h_shift, -2j)
+    assert list(got)[-1] == (0, 0, (0, 0), (0, 0), 3 + h_shift)
+
+
 def test_kernel_shifted_by_h_minus_one_keeps_exponents_past_the_grade():
     # all orders shifted by h^-1: the plain product of xi^2 and xi^3 is
     # xi^5 h^-1, of grade 3, with an exponent above grade_max 4
