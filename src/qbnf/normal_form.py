@@ -29,11 +29,14 @@ the harmonic actions (the form the quantization rules evaluate): powers
 of an action acquire even-h corrections when passed from Weyl-symbol
 multiplication to the functional calculus, computed here from the star
 powers of the action itself in exact integer arithmetic, independently of
-any symbol or matrix code.
+any symbol or matrix code.  One conversion serves both pipelines; each
+passes only its slot phase, (-1)^r for the closed orbit's zeta = iota/i
+and (-i)^b for the saddle's real iota.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -127,7 +130,7 @@ class CylinderModel:
             )
         if self.perturbation is not None:
             sp = self.perturbation.spec
-            if not (sp.has_angle and sp.num_pairs == 1):
+            if not sp.has_angle:
                 raise ModelValidationError("perturbation must be a cylinder symbol")
             if sp.orientable != self.orientable:
                 raise ModelValidationError(
@@ -135,7 +138,7 @@ class CylinderModel:
                 )
             for (m2, a, alpha, beta, j), _ in self.perturbation.terms.items():
                 deg = alpha[0] + beta[0]
-                if j == 0 and deg + 2 * j < 3:
+                if j == 0 and deg < 3:
                     if deg == 2 and alpha == beta and m2 != 0:
                         continue  # angle-dependent rate term, removed at grade 2
                     raise ModelValidationError(
@@ -169,7 +172,7 @@ class SaddleModel:
             raise ModelValidationError("both quadratic coefficients must be positive")
         if self.higher is not None:
             sp = self.higher.spec
-            if sp.has_angle or sp.num_pairs != 2:
+            if sp.has_angle:
                 raise ModelValidationError("higher terms must live on two plain pairs")
             for (m2, a, alpha, beta, j), _ in self.higher.terms.items():
                 if j == 0 and sum(alpha) + sum(beta) < 3:
@@ -368,45 +371,41 @@ def _action_power_corrections(bmax: int) -> tuple[tuple[float, ...], ...]:
     return tuple(v)
 
 
-def _functional_closed_orbit(sym: FormalSymbol, order, action, energy0, orientable):
-    """Resonant cylinder Weyl symbol -> functional normal form."""
-    bmax = max((k[2][0] for k in sym.terms), default=0)
-    v = _action_power_corrections(bmax)
-    coeffs: dict = {}
-    for (m2, a, alpha, beta, j), c in sym.terms.items():
-        b = alpha[0]
-        for r in range(b // 2 + 1):
-            val = c * ((-1.0) ** r) * v[b][r]
-            if val != 0:
-                key = (a, b - 2 * r, j + 2 * r)
-                coeffs[key] = coeffs.get(key, 0.0) + val
-    coeffs = {k: c for k, c in coeffs.items() if c != 0}
-    return NormalFormPoly("closed_orbit", coeffs, order, action, energy0, orientable)
+def _functional(sym: FormalSymbol, slot_phase) -> dict:
+    """Coefficients of a resonant Weyl symbol's functional normal form.
 
-
-def _functional_equilibrium(sym: FormalSymbol, order, energy0):
-    """Resonant saddle Weyl symbol (Birkhoff coordinates) -> functional form.
-
-    A resonant monomial (x1 xi1)^b1 (x2 xi2)^b2 equals (iota1/i)^b1
-    (iota2/i)^b2 as a symbol; each action power is then converted to the
-    functional calculus independently per axis.  Unlike the closed-orbit
-    case the lattice fills these slots with real action values, so the
-    conversion coefficients enter without alternating signs.
+    A pair's resonant monomial (x xi)^b is (iota/i)^b as a symbol, and
+    iota^b acts as sum_r v[b][r] h^{2r} I^(b-2r) in the functional calculus
+    of the pair's action.  A key holds the tau power (cylinder only), the
+    action powers left and the h power.  The pipelines differ only in the
+    slots their lattices fill, which ``slot_phase(b, r)`` states, b and r
+    summed over the pairs: ``_zeta_phase`` or ``_iota_phase``.
     """
-    bmax = max((max(k[2]) for k in sym.terms), default=0)
-    v = _action_power_corrections(bmax)
+    terms, angle = sym.terms, sym.spec.has_angle
+    v = _action_power_corrections(max((max(k[2]) for k in terms), default=0))
     coeffs: dict = {}
-    for (m2, a, alpha, beta, j), c in sym.terms.items():
-        b1, b2 = alpha
-        base = c * (-1j) ** (b1 + b2)
-        for r1 in range(b1 // 2 + 1):
-            for r2 in range(b2 // 2 + 1):
-                val = base * v[b1][r1] * v[b2][r2]
-                if val != 0:
-                    key = (b1 - 2 * r1, b2 - 2 * r2, j + 2 * (r1 + r2))
-                    coeffs[key] = coeffs.get(key, 0.0) + val
-    coeffs = {k: c for k, c in coeffs.items() if c != 0}
-    return NormalFormPoly("equilibrium", coeffs, order, 0.0, energy0)
+    for (m2, a, alpha, beta, j), c in terms.items():
+        lead, b_sum = ((a,) if angle else ()), sum(alpha)
+        for rs in itertools.product(*[range(b // 2 + 1) for b in alpha]):
+            r_sum = sum(rs)
+            val = c * slot_phase(b_sum, r_sum)
+            for b, r in zip(alpha, rs):
+                val = val * v[b][r]
+            if val != 0:
+                powers = tuple(b - 2 * r for b, r in zip(alpha, rs))
+                key = lead + powers + (j + 2 * r_sum,)
+                coeffs[key] = coeffs.get(key, 0.0) + val
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def _zeta_phase(b, r):
+    """The closed orbit's slot zeta = iota/i: zeta^b = sum_r (-1)^r v[b][r] h^{2r} zeta^(b-2r)."""
+    return (-1.0) ** r
+
+
+def _iota_phase(b, r):
+    """The saddle's real slot iota: (iota/i)^b = (-i)^b sum_r v[b][r] h^{2r} iota^(b-2r)."""
+    return (-1j) ** b
 
 
 # --------------------------------------------------------------------------
@@ -499,9 +498,8 @@ def closed_orbit_bnf(
     f, mu = model.energy.resized(tau_order), model.rate.resized(tau_order)
     rate = FormalSymbol.from_tau_series(spec, mu, alpha=1, beta=1)
     res = _eliminate(p, chain, lambda v: homological_solve(v, f, mu)[0], rate)
-    nf = _functional_closed_orbit(
-        res, order, model.action, model.reference_energy, model.orientable
-    )
+    nf = NormalFormPoly("closed_orbit", _functional(res, _zeta_phase), order, model.action,
+                        model.reference_energy, model.orientable)
     return nf, chain
 
 
@@ -573,7 +571,7 @@ def equilibrium_bnf(model: SaddleModel, order: int) -> tuple[NormalFormPoly, Gen
 
     chain = GeneratorChain(order, model)
     res = _eliminate(p, chain, lambda v: _equilibrium_solve(v, nu), expect)
-    nf = _functional_equilibrium(res, order, model.energy0)
+    nf = NormalFormPoly("equilibrium", _functional(res, _iota_phase), order, 0.0, model.energy0)
     return nf, chain
 
 

@@ -179,7 +179,7 @@ def metaplectic_substitute(symbol: FormalSymbol) -> FormalSymbol:
     output symbol is written in (y, eta), stored in the same pair slot.
     """
     spec = symbol.spec
-    if not (spec.has_angle and spec.num_pairs == 1):
+    if not spec.has_angle:
         raise ValueError("metaplectic identification applies to cylinder symbols")
     s = 1.0 / math.sqrt(2.0)
     return substitute_pair(symbol, 0, (s, -1j * s), (-1j * s, s))
@@ -246,7 +246,7 @@ def assemble_cylinder(symbol: FormalSymbol, basis: CylinderBasis) -> OperatorMat
     then l') and every k, the entry ((k', l'), (k, l)).
     """
     spec = symbol.spec
-    if not (spec.has_angle and spec.num_pairs == 1):
+    if not spec.has_angle:
         raise ValueError("assemble_cylinder expects a cylinder symbol")
     if spec.orientable != basis.orientable:
         raise ValueError("symbol and basis orientability flags disagree")
@@ -285,7 +285,7 @@ def assemble_saddle(symbol: FormalSymbol, basis: SaddleBasis) -> OperatorMatrix:
     factors' Weyl monomials, scaled by c h^j.
     """
     spec = symbol.spec
-    if spec.has_angle or spec.num_pairs != 2:
+    if spec.has_angle:
         raise ValueError("assemble_saddle expects a two-pair symbol")
     n2 = basis.levels2 + 1
     # each axis's Weyl monomial non-zeros, once per (p, q)

@@ -38,7 +38,6 @@ from .compare import (
     match_lattices,
     model_operator_symbol,
 )
-from .eigensolve import EigensolveError
 from .lattice import ResonanceLattice, Window, predicted_lattice
 from .normal_form import (
     CylinderModel,
@@ -464,7 +463,7 @@ def run_scenario(config: ScenarioConfig, out_dir, stages=None) -> dict:
                 "errors": {format(h, ".6g"): e for h, e in res.errors.items()},
                 "discarded_h": res.discarded,
             })
-    except (EigensolveError, DimensionCapError, ArithmeticError) as exc:
+    except (DimensionCapError, ArithmeticError) as exc:
         report["status"] = "incomplete"
         report["errors"].append({"stage": "numeric", "message": str(exc)})
     report["runtime_s"] = round(time.time() - t_start, 3)

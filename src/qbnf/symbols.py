@@ -107,9 +107,8 @@ class PhaseSpec:
     Parameters
     ----------
     has_angle : bool
-        True for the cylinder model (angle t with conjugate tau).
-    num_pairs : int
-        Number of symplectic pairs (1 for the cylinder, 2 for the saddle).
+        The geometry: True for the cylinder model (angle t with conjugate
+        tau, and one transverse pair), False for the saddle (two pairs).
     grade_max : int
         Truncation of the joint grade |alpha| + |beta| + 2j.
     tau_max : int
@@ -120,16 +119,11 @@ class PhaseSpec:
     """
 
     has_angle: bool
-    num_pairs: int
     grade_max: int
     tau_max: int = 0
     orientable: bool = True
 
     def __post_init__(self):
-        if self.num_pairs not in (1, 2):
-            raise ValueError("num_pairs must be 1 or 2")
-        if self.has_angle and self.num_pairs != 1:
-            raise ValueError("the cylinder model has exactly one transverse pair")
         if self.grade_max < 2:
             raise ValueError("grade_max must be at least 2")
         if self.tau_max < 0:
@@ -139,11 +133,16 @@ class PhaseSpec:
 
     @classmethod
     def cylinder(cls, grade_max, tau_max, orientable=True):
-        return cls(True, 1, grade_max, tau_max, orientable)
+        return cls(True, grade_max, tau_max, orientable)
 
     @classmethod
     def saddle(cls, grade_max):
-        return cls(False, 2, grade_max, 0, True)
+        return cls(False, grade_max)
+
+    @property
+    def num_pairs(self) -> int:
+        """Symplectic pairs besides (t, tau): 1 on the cylinder, 2 at the saddle."""
+        return 1 if self.has_angle else 2
 
     def grade(self, key) -> int:
         _, _, alpha, beta, j = key
@@ -580,7 +579,7 @@ class FormalSymbol:
 
     def reembedded(self, spec: PhaseSpec) -> "FormalSymbol":
         """Same terms on another compatible spec; out-of-bound terms drop."""
-        if spec.num_pairs != self.spec.num_pairs or spec.has_angle != self.spec.has_angle:
+        if spec.has_angle != self.spec.has_angle:
             raise SpecMismatchError("cannot reembed between different phase geometries")
         return FormalSymbol._of_columns(*_cleaned(spec, *_columns(self)), prune=True)
 
@@ -676,13 +675,11 @@ def _grades(sym: FormalSymbol) -> np.ndarray:
 # sign).  A derivative is named by the key column it lowers: 1 for d_tau,
 # 2 + i for d_x_i and 2 + P + i for d_xi_i; 0 stands for d_t, which lowers
 # no power and pulls down i m / 2.  Every geometry has four channels: two
-# per conjugate pair, (t, tau) counting as a pair on the cylinder.  A plain
-# single pair keeps the angle channels too; with no Fourier mode and no
-# tau power they never act.
+# per conjugate pair, (t, tau) counting as a pair on the cylinder.
 
 def _channels(spec: PhaseSpec):
     P = spec.num_pairs
-    ch = [(1, 0, 1.0), (0, 1, -1.0)] if P == 1 else []
+    ch = [(1, 0, 1.0), (0, 1, -1.0)] if spec.has_angle else []
     for i in range(P):
         ch += [(2 + P + i, 2 + i, 1.0), (2 + i, 2 + P + i, -1.0)]
     return ch
@@ -739,7 +736,7 @@ def _caps(sym: FormalSymbol, side: int) -> np.ndarray:
     if got is None:
         spec, keys = sym.spec, _columns(sym)[0]
         got = keys.take(_channel_table(spec)[2][side], axis=0)
-        if spec.num_pairs == 1:
+        if spec.has_angle:
             got[1 - side] = (keys[0] != 0) * spec.tau_max
         got = sym._tabs["caps", side] = _frozen(got)[0]
     return got
@@ -762,7 +759,7 @@ def _side(sym: FormalSymbol, side: int, full: bool):
         return got
     spec, m2 = sym.spec, _columns(sym)[0][0]
     gmax, tmax = spec.grade_max, spec.tau_max
-    t = 1 - side if spec.num_pairs == 1 else None  # the d_t channel
+    t = 1 - side if spec.has_angle else None  # the d_t channel
     caps = _caps(sym, side)
     fim = np.zeros(caps.shape + ((max(gmax, tmax) + 1,) if full else ()))
     fre = _falling(max(gmax, tmax))[caps, slice(None) if full else 1]

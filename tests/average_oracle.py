@@ -13,9 +13,11 @@ import numpy as np
 
 from qbnf.normal_form import (
     GeneratorChain,
+    NormalFormPoly,
     _eliminate,
-    _functional_closed_orbit,
+    _functional,
     _prepared_symbol,
+    _zeta_phase,
     content_tau_order,
 )
 from qbnf.symbols import (
@@ -94,7 +96,6 @@ def averaged_closed_orbit_bnf(model, order, tau_order=None):
 
     rate = FormalSymbol.from_tau_series(spec, mu, alpha=1, beta=1)
     res = _eliminate(p, chain, lambda v: homological_solve(v, f, mu)[0], rate)
-    nf = _functional_closed_orbit(
-        res, order, model.action, model.reference_energy, model.orientable
-    )
+    nf = NormalFormPoly("closed_orbit", _functional(res, _zeta_phase), order, model.action,
+                        model.reference_energy, model.orientable)
     return nf, chain

@@ -4,7 +4,8 @@
 These functions do the same operations one term at a time in Python, on
 dicts, with the semantics the arrays must keep: Python's abs for pruning,
 c + c_other on a shared key and 0.0 + c_other on a new one, keys in
-insertion order.  Each returns a dict; ``held`` makes a symbol of one as
+insertion order; and the two pipelines' functional-calculus conversions,
+each its own loop.  Each returns a dict; ``held`` makes a symbol of one as
 it is, and ``dict_evaluate`` gives the numeric value of one at a point.
 """
 
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from qbnf.normal_form import _action_power_corrections
 from qbnf.symbols import PRUNE_REL, FormalSymbol, ModelDegeneracyError
 
 
@@ -162,3 +164,40 @@ def loop_equilibrium_solve(terms, nu):
     den = [D[tuple(x - y for x, y in zip(k[2], k[3]))] for k in terms]
     q = np.array(list(terms.values()), dtype=complex) / np.array(den, dtype=complex)
     return dict(zip(terms, q))
+
+
+def loop_functional_closed_orbit(terms):
+    """The functional coefficients {(a, b, j): c} of a resonant cylinder
+    symbol, a hand-written loop over its one pair: each (x xi)^b = zeta^b
+    becomes sum_r (-1)^r v[b][r] h^{2r} zeta^(b-2r)."""
+    bmax = max((k[2][0] for k in terms), default=0)
+    v = _action_power_corrections(bmax)
+    coeffs = {}
+    for (m2, a, alpha, beta, j), c in terms.items():
+        b = alpha[0]
+        for r in range(b // 2 + 1):
+            val = c * ((-1.0) ** r) * v[b][r]
+            if val != 0:
+                key = (a, b - 2 * r, j + 2 * r)
+                coeffs[key] = coeffs.get(key, 0.0) + val
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def loop_functional_equilibrium(terms):
+    """The functional coefficients {(b1, b2, j): c} of a resonant saddle
+    symbol, a hand-written loop over its two pairs: (x1 xi1)^b1 (x2 xi2)^b2
+    = (iota1/i)^b1 (iota2/i)^b2, each action power converted on its own
+    axis, with no alternating sign since the slots are real."""
+    bmax = max((max(k[2]) for k in terms), default=0)
+    v = _action_power_corrections(bmax)
+    coeffs = {}
+    for (m2, a, alpha, beta, j), c in terms.items():
+        b1, b2 = alpha
+        base = c * (-1j) ** (b1 + b2)
+        for r1 in range(b1 // 2 + 1):
+            for r2 in range(b2 // 2 + 1):
+                val = base * v[b1][r1] * v[b2][r2]
+                if val != 0:
+                    key = (b1 - 2 * r1, b2 - 2 * r2, j + 2 * (r1 + r2))
+                    coeffs[key] = coeffs.get(key, 0.0) + val
+    return {k: c for k, c in coeffs.items() if c != 0}

@@ -10,6 +10,7 @@ from qbnf.eigensolve import eigenvalues
 from qbnf.normal_form import (
     CylinderModel,
     ModelValidationError,
+    NormalFormPoly,
     SaddleModel,
     birkhoff_coordinates,
     closed_orbit_bnf,
@@ -35,7 +36,12 @@ from qbnf.symbols import (
 
 from conftest import random_symbol, symbols_close
 from average_oracle import averaged_closed_orbit_bnf
-from dict_symbol import held, loop_equilibrium_solve
+from dict_symbol import (
+    held,
+    loop_equilibrium_solve,
+    loop_functional_closed_orbit,
+    loop_functional_equilibrium,
+)
 from loop_kernel import loop_symbol
 
 
@@ -353,6 +359,21 @@ def test_model_validation():
         CylinderModel(F_LIN, MU_ONE, FormalSymbol.monomial(spec, 1.0, m=1, alpha=1))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: CylinderModel(F_LIN, MU_ONE, FormalSymbol.monomial(
+        PhaseSpec.saddle(4), 1.0, alpha=(3, 0))), "must be a cylinder symbol"),
+    (lambda: CylinderModel(F_LIN, MU_ONE, FormalSymbol.monomial(
+        PhaseSpec.cylinder(4, 4, orientable=False), 1.0, m=0.5, alpha=2, beta=1)),
+     "orientability flag does not match"),
+    (lambda: CylinderModel(TauSeries([0.0, 1.0 + 0.5j]), MU_ONE), "must be real"),
+    (lambda: SaddleModel(0.0, 1.0, 1.0, FormalSymbol.monomial(
+        PhaseSpec.cylinder(4, 4), 1.0, alpha=3)), "must live on two plain pairs"),
+], ids=["saddle_perturbation", "orientability", "complex_series", "cylinder_higher_terms"])
+def test_model_checks_refuse_what_the_model_rules_out(make, match):
+    with pytest.raises(ModelValidationError, match=match):
+        make()
+
+
 # --------------------------------------------------------------------------
 # orbit diagnostics
 # --------------------------------------------------------------------------
@@ -609,7 +630,7 @@ def _star_power_corrections(bmax):
     """``_action_power_corrections`` from star powers of iota = (x^2 + xi^2)/2
     in the symbol algebra: read w off the pure-x coefficients of the star
     powers, then invert the triangular relation in floats."""
-    spec = PhaseSpec(False, 1, max(2 * bmax, 2), 0)
+    spec = PhaseSpec.cylinder(max(2 * bmax, 2), 0)
     iota = FormalSymbol.monomial(spec, 0.5, alpha=2) + FormalSymbol.monomial(spec, 0.5, beta=2)
     powers = [FormalSymbol.constant(spec, 1.0)]
     for _ in range(bmax):
@@ -641,6 +662,64 @@ def test_action_power_corrections_match_the_star_powers_bit_for_bit():
         assert [len(v) for v in got] == [len(v) for v in want]
         assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want]
     assert normal_form._action_power_corrections(4)[2:] == ((1.0, 0.25), (1.0, 1.25), (1.0, 3.5, 0.5625))
+
+
+def _resonant_terms(rng, angle, n):
+    """n random resonant terms of the geometry: one coefficient in three
+    has a -0.0 part (one in nine is -0.0 outright), one in nine a 0.0
+    imaginary part."""
+    terms = {}
+    while len(terms) < n:
+        j = int(rng.integers(0, 3))
+        if angle:
+            b = (int(rng.integers(0, 9)),)
+            key = (0, int(rng.integers(0, 5)), b, b, j)
+        else:
+            b = tuple(int(x) for x in rng.integers(0, 7, size=2))
+            key = (0, 0, b, b, j)
+        re, im = rng.normal(size=2)
+        signed = int(rng.integers(0, 9))
+        terms[key] = complex(-0.0 if signed in (1, 3) else re,
+                             -0.0 if signed in (2, 3) else 0.0 if signed == 4 else im)
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["cylinder", "saddle"])
+def test_one_conversion_gives_the_pipeline_loops_keys_order_and_bits(kind, seed):
+    rng = np.random.default_rng(seed)
+    angle = kind == "cylinder"
+    spec = PhaseSpec.cylinder(20, 4) if angle else PhaseSpec.saddle(28)
+    sym = held(spec, _resonant_terms(rng, angle, 60))
+    terms = sym.terms
+    assert any(np.signbit(c.real) and c.real == 0 or np.signbit(c.imag) and c.imag == 0
+               for c in terms.values())
+    phase = normal_form._zeta_phase if angle else normal_form._iota_phase
+    got = normal_form._functional(sym, phase)
+    want = (loop_functional_closed_orbit if angle else loop_functional_equilibrium)(terms)
+    assert len(want) > 30
+    assert list(got) == list(want)
+    assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
+                          np.array(list(want.values()), dtype=complex).view(np.uint64))
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_slot_phases_give_the_same_action_power_on_both_geometries(j):
+    # c (x xi)^b h^j is one operator whichever pair it sits on: the closed
+    # orbit's form at zeta = (l + 1/2) h / i, its label's slot, must equal
+    # the saddle's at iota1 = (l + 1/2) h.  A slip in either slot phase
+    # breaks this and no test of its own pipeline
+    h, c = 0.1, 0.7 - 0.3j
+    for b in range(13):
+        cyl = held(PhaseSpec.cylinder(2 * b + 2, 0), {(0, 0, (b,), (b,), j): c})
+        sad = held(PhaseSpec.saddle(2 * b + 2), {(0, 0, (b, 0), (b, 0), j): c})
+        zeta = NormalFormPoly("closed_orbit", normal_form._functional(cyl, normal_form._zeta_phase), b)
+        iota = NormalFormPoly("equilibrium", normal_form._functional(sad, normal_form._iota_phase), b)
+        for l in (0, 1, 3):
+            want = iota.evaluate(*iota.arguments(l, 0, h), h)
+            got = zeta.evaluate(*zeta.arguments(0, l, h), h)
+            assert abs(got - want) <= 1e-14 * abs(want), (b, l)
 
 
 # --------------------------------------------------------------------------

@@ -323,6 +323,16 @@ def test_assemble_saddle_x1sq_pattern():
     assert np.allclose(M, np.kron(W, np.eye(3)))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: metaplectic_substitute(mono2(1, alpha=(1, 0), beta=(1, 0))), "cylinder symbols"),
+    (lambda: assemble_cylinder(mono2(1, alpha=(1, 0)), BASIS), "expects a cylinder symbol"),
+    (lambda: assemble_saddle(mono(1, alpha=1), SaddleBasis(4, 4, 0.1)), "two-pair symbol"),
+], ids=["metaplectic", "assemble_cylinder", "assemble_saddle"])
+def test_identification_and_assembly_refuse_the_other_geometry(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_assemble_saddle_composition(rng):
     basis = SaddleBasis(8, 8, 0.1)
     spec = PhaseSpec.saddle(12)

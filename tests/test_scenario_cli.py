@@ -370,6 +370,15 @@ def test_cli_unreadable_config_is_a_config_error_naming_the_path(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_config_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_subcommand(tmp_path):
     cfg = json.loads(json.dumps(GOOD))
     cfg["model"]["higher_terms"] = [

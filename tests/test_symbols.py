@@ -335,6 +335,24 @@ def test_homological_degenerate_rate():
         homological_solve(mono(1, m=1, alpha=1), F, bad)
 
 
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: replace(SPEC, grade_max=1), ValueError, "grade_max must be at least 2"),
+    (lambda: PhaseSpec.cylinder(8, -1), ValueError, "tau_max must be nonnegative"),
+    (lambda: replace(PhaseSpec.saddle(8), tau_max=2), ValueError, "only with an angle"),
+    (lambda: mono(1, alpha=1).reembedded(PhaseSpec.saddle(8)), SpecMismatchError,
+     "different phase geometries"),
+    (lambda: FormalSymbol.monomial(PhaseSpec.saddle(8), 1, alpha=(1, 0)).reembedded(SPEC),
+     SpecMismatchError, "different phase geometries"),
+    (lambda: homological_solve(FormalSymbol.monomial(PhaseSpec.saddle(8), 1, alpha=(1, 0)),
+                               F, TauSeries([1.0], 8)),
+     SpecMismatchError, "requires the cylinder model"),
+], ids=["grade_max", "tau_max", "saddle_tau", "reembed_to_saddle", "reembed_to_cylinder",
+        "transport_on_saddle"])
+def test_geometry_checks_refuse_what_the_geometry_rules_out(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 # --------------------------------------------------------------------------
 # Lie transform
 # --------------------------------------------------------------------------
