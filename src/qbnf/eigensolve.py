@@ -193,13 +193,13 @@ def _fingerprint(T: OperatorMatrix) -> str:
     return digest.hexdigest()[:16]
 
 
-def _eig(A: np.ndarray, overwrite: bool = False):
-    # imported here: ``import qbnf`` and the solve-free CLI commands skip
-    # the cost of loading scipy.linalg
+def _eig(A: np.ndarray):
+    # overwrites A.  Imported here: ``import qbnf`` and the solve-free CLI
+    # commands skip the cost of loading scipy.linalg
     import scipy.linalg
 
     try:
-        return scipy.linalg.eig(A, overwrite_a=overwrite)
+        return scipy.linalg.eig(A, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolveError(f"QR iteration failed: {exc}") from exc
 
@@ -301,7 +301,7 @@ def _solve_blocks(T: OperatorMatrix, blocks: list[np.ndarray]):
         inside = k[block_of[rows[k]] == b]
         A = np.zeros((size, size), dtype=complex, order="F")
         A[place[rows[inside]], place[cols[inside]]] = vals[inside]
-        wb, V = _eig(A, overwrite=True)
+        wb, V = _eig(A)
         del A  # overwritten by LAPACK
         support = np.union1d(idx, rows[k])
         at = np.searchsorted(support, idx)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from numbers import Number
 from typing import Mapping
 
@@ -255,35 +255,21 @@ class TauSeries:
         return float(crit[crit < 0].max(initial=-np.inf)), float(crit[crit > 0].min(initial=np.inf))
 
     def solve(self, target) -> float:
-        """The tau of ``branch()`` with g(tau) = target, unique there: Newton
-        iteration from 0 that bisects its bracket (the branch, cut to the
-        roots' Cauchy bound) wherever a step would leave it.  No tau on the
-        branch has that value: ArithmeticError, naming ``target`` and the
-        branch's energy range; a root is never extrapolated."""
+        """The tau of ``branch()`` with g(tau) = target, unique there: the
+        real root of g - target strictly between the branch ends.  No tau on
+        the branch has that value: ArithmeticError, naming ``target`` and
+        the branch's energy range; a root is never extrapolated."""
         lo, hi = self.branch()
-        c = self.coeffs.real
-        dc = c[1:] * np.arange(1, len(c))
-
-        def poly(coeffs, t):  # Horner in Python floats
-            return reduce(lambda acc, ci: acc * t + ci, coeffs[::-1].tolist(), 0.0)
-
-        e_lo, e_hi = (poly(c, t) if math.isfinite(t) else t for t in (lo, hi))
-        if not e_lo < target < e_hi:
-            raise ArithmeticError(f"no tau on the branch through tau = 0 has energy {target:g}; "
-                                  f"its energies span ({e_lo:g}, {e_hi:g})")
-        n = np.flatnonzero(c)[-1]
-        reach = 1.0 + max(abs(target - c[0]), np.abs(c[1:n]).max(initial=0.0)) / abs(c[n])
-        lo, hi = max(lo, -reach), min(hi, reach)
-        tau, scale = 0.0, max(1.0, abs(target))
-        for _ in range(100):
-            val = poly(c, tau) - target
-            if abs(val) <= 1e-13 * scale:
-                return tau
-            lo, hi = (tau, hi) if val < 0 else (lo, tau)
-            slope = poly(dc, tau)
-            step = tau - val / slope if slope > 0 else math.nan
-            tau = step if lo < step < hi else 0.5 * (lo + hi)
-        raise ArithmeticError(f"Newton iteration did not settle at energy {target:g}")
+        e_lo, e_hi = (self(t).real if math.isfinite(t) else t for t in (lo, hi))
+        if e_lo < target < e_hi:
+            c = self.coeffs.real.copy()
+            c[0] -= target
+            roots = np.roots(c[::-1])
+            roots = roots.real[(roots.imag == 0) & (lo < roots.real) & (roots.real < hi)]
+            if roots.size == 1:
+                return float(roots[0])
+        raise ArithmeticError(f"no tau on the branch through tau = 0 has energy {target:g}; "
+                              f"its energies span ({e_lo:g}, {e_hi:g})")
 
     def __repr__(self):
         return f"TauSeries({np.array2string(self.coeffs, precision=6)})"
@@ -353,7 +339,7 @@ def _encode(keys: np.ndarray, spec: PhaseSpec) -> np.ndarray:
 def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
     """Key of e^{imt} tau^a x^alpha xi^beta h^j; see ``FormalSymbol.monomial``."""
     m2 = 2 * m
-    if abs(m2 - round(m2)) > 1e-12:
+    if not float(m2).is_integer():  # exactly: a near miss is not rounded, inf and nan fail
         raise ValueError("Fourier mode must be integer or half-integer")
     if alpha is None:
         alpha = (0,) * spec.num_pairs
@@ -363,7 +349,7 @@ def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
         beta = (0,) * spec.num_pairs
     elif isinstance(beta, int):
         beta = (beta,) + (0,) * (spec.num_pairs - 1)
-    return (int(round(m2)), a, tuple(alpha), tuple(beta), j)
+    return (int(m2), a, tuple(alpha), tuple(beta), j)
 
 
 def _key_entries(rows: list):

@@ -28,7 +28,7 @@ def dense_solve(M, T):
         A[T.rows, T.cols] = T.values
     else:
         A = np.array(M, dtype=complex, order="F")
-    w, V = _eig(A, overwrite=True)
+    w, V = _eig(A)
     del A  # overwritten by LAPACK
     R = np.asarray(getattr(M, "matrix", M), dtype=complex) @ V
     edges = np.linspace(0, T.dim, max(T.dim // _RESIDUAL_COLS, 1) + 1).astype(int)

@@ -726,9 +726,11 @@ def test_slot_phases_give_the_same_action_power_on_both_geometries(j):
 # both pipelines through the nested-loop kernel oracle
 # --------------------------------------------------------------------------
 
-def _bnf_model(kind, quantum):
+def _bnf_model(kind, quantum, paired=False):
     """The saddle or cylinder model of the bnf benchmark workloads, with
-    their h-term when ``quantum``."""
+    their h-term when ``quantum``; ``paired`` adds the cylinder h-term's
+    m = -1 partner, without which the star steps leave the cylinder's
+    normal form bit-identical to the classical one."""
     if kind == "saddle":
         terms = [
             {"alpha": [2, 2], "beta": [0, 0], "j": 0, "re": 0.2},
@@ -743,6 +745,7 @@ def _bnf_model(kind, quantum):
             {"m": -1, "alpha": [0], "beta": [3], "re": 0.1},
             {"m": 2, "a": 1, "alpha": [2], "beta": [2], "re": 0.05},
         ] + ([{"m": 1, "alpha": [1], "beta": [0], "j": 1, "re": 0.05}] if quantum else [])
+        terms += [{"m": -1, "alpha": [0], "beta": [1], "j": 1, "re": 0.05}] if paired else []
         model = {"kind": "cylinder", "orientable": True, "action": 0.0,
                  "energy_coeffs": [0.0, 1.0, -0.2], "rate_coeffs": [1.0, 0.3],
                  "perturbation": terms}
@@ -753,10 +756,13 @@ def _bnf_model(kind, quantum):
     }).model()
 
 
-@pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
-@pytest.mark.parametrize("kind", ["saddle", "cylinder"])
-def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, quantum):
-    model = _bnf_model(kind, quantum)
+@pytest.mark.parametrize("kind, quantum, paired", [
+    ("saddle", False, False), ("saddle", True, False),
+    ("cylinder", False, False), ("cylinder", True, False), ("cylinder", True, True),
+], ids=["saddle-classical", "saddle-quantum",
+        "cylinder-classical", "cylinder-quantum", "cylinder-quantum-paired"])
+def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, quantum, paired):
+    model = _bnf_model(kind, quantum, paired)
     bnf = closed_orbit_bnf if kind == "cylinder" else equilibrium_bnf
 
     def coeffs():
@@ -772,6 +778,15 @@ def test_normal_form_is_bit_identical_with_the_loop_kernel(monkeypatch, kind, qu
     assert np.array_equal(np.array(list(got.values()), dtype=complex).view(np.uint64),
                           np.array(list(want.values()), dtype=complex).view(np.uint64))
     assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_paired_cylinder_h_terms_move_the_normal_form():
+    # the case above in which the cylinder's star steps matter
+    classical = closed_orbit_bnf(_bnf_model("cylinder", False), 8)[0].coeffs
+    paired = closed_orbit_bnf(_bnf_model("cylinder", True, paired=True), 8)[0].coeffs
+    assert (len(paired), len(classical)) == (75, 67)
+    diff = max(abs(paired.get(k, 0) - classical.get(k, 0)) for k in set(paired) | set(classical))
+    assert 1e-3 < diff < 3e-3
 
 
 def _assert_carries_its_columns(sym):

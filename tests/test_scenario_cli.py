@@ -480,6 +480,19 @@ def test_cli_bad_fourier_mode_is_a_config_error_naming_the_entry(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_config_fourier_mode_near_an_integer_is_a_config_error(tmp_path, capsys):
+    # rounded, m = 1 + 4e-13 would be echoed in scenario_echo.json and run as m = 1
+    raw = json.loads(bundled_scenarios()["cylinder_cubic"].read_text())
+    raw["model"]["perturbation"][0]["m"] = 1.0000000000004
+    with pytest.raises(ConfigError, match=r"invalid perturbation entry \{'m': 1.0000000000004"):
+        load_config(raw)
+    p = tmp_path / "near.json"
+    p.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "integer or half-integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, basis", [
     ("quadratic_saddle", {"levels1": 10}),
     ("quadratic_saddle", {"levels1": -1, "levels2": 10}),

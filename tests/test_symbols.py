@@ -463,6 +463,13 @@ def test_nonorientable_parity_enforced():
     assert ok
 
 
+@pytest.mark.parametrize("m", [1 + 4e-13, 0.5 - 1e-15, math.inf, -math.inf, math.nan])
+def test_monomial_refuses_a_mode_that_is_not_exactly_a_multiple_of_one_half(m):
+    # a near miss is refused: rounding it would hold a mode that was not asked for
+    with pytest.raises(ValueError, match="Fourier mode must be integer or half-integer"):
+        FormalSymbol.monomial(PhaseSpec.cylinder(4, 2), 1.0, m=m, alpha=1, beta=1)
+
+
 def test_nonorientable_parity_preserved_by_ops(rng):
     spec = PhaseSpec.cylinder(10, 10, orientable=False)
     for _ in range(8):
@@ -1247,8 +1254,8 @@ def test_tau_series_newton_solve():
 
 def test_tau_series_solve_stays_on_the_branch_through_zero():
     # tau - 0.5 tau^2 + 0.06 tau^3 peaks at tau = 1.307 (energy 0.587):
-    # Newton from 0 at energy 0.7 jumps past that peak to tau = 5.81,
-    # where f' > 0 too; no tau of the branch has that energy
+    # its one real tau of energy 0.7 is 5.81, past that peak where f' > 0
+    # again; no tau of the branch has that energy
     f = TauSeries([0.0, 1.0, -0.5, 0.06])
     lo, hi = f.branch()
     assert lo == -math.inf and hi == pytest.approx((1 - math.sqrt(0.28)) / 0.36, rel=1e-14)
@@ -1260,8 +1267,8 @@ def test_tau_series_solve_stays_on_the_branch_through_zero():
 
 def test_tau_series_solve_bisects_where_newton_leaves_the_branch():
     # tau + 3 tau^2 - 4 tau^3 rises on (-0.132, 0.632) up to energy 0.82:
-    # the first Newton step to energy 0.8 lands at tau = 0.8, past the
-    # peak, from where Newton settles on the falling side's root
+    # energy 0.8 has two more real taus, 0.70 on the falling side past the
+    # peak and -0.51 below the trough, and neither is the branch's
     f = TauSeries([0.0, 1.0, 3.0, -4.0])
     lo, hi = f.branch()
     tau = f.solve(0.8)
@@ -1273,3 +1280,47 @@ def test_tau_series_solve_refuses_a_series_that_does_not_rise():
     for coeffs in ([1.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.1]):
         with pytest.raises(ArithmeticError, match="does not rise"):
             TauSeries(coeffs).solve(0.1)
+
+
+def _fsum_residual(f, tau, energy):
+    return abs(math.fsum([c * tau**k for k, c in enumerate(f.coeffs.real)] + [-energy]))
+
+
+def test_tau_series_solve_ignores_zero_padding():
+    f = TauSeries([0.0, 1.0, -0.5, 0.06])
+    for energy in (-3.0, -0.2, 0.0, 0.3, 0.58):
+        assert TauSeries(f.coeffs, 12).solve(energy) == f.solve(energy)
+
+
+def test_tau_series_solve_of_a_linear_series_is_exact():
+    for c0, c1, energy in ((0.0, 1.0, 0.11), (0.3, 1.7, 0.9), (-0.25, 0.4, -7.5)):
+        f = TauSeries([c0, c1])
+        assert f.branch() == (-math.inf, math.inf)
+        assert f.solve(energy) == -(c0 - energy) / c1
+
+
+def test_tau_series_solve_holds_next_to_a_branch_end():
+    # the peak of the first series and the trough of the second bound
+    # their branches; an energy 1e-9 inside either still has its tau
+    for coeffs, end in (([0.0, 1.0, -0.5, 0.06], 1), ([0.0, 1.0, 3.0, -4.0], 0)):
+        f = TauSeries(coeffs)
+        lo, hi = f.branch()
+        edge = f((lo, hi)[end]).real
+        energy = edge + (1 if end == 0 else -1) * 1e-9 * max(1.0, abs(edge))
+        tau = f.solve(energy)
+        assert lo < tau < hi
+        assert _fsum_residual(f, tau, energy) <= 1e-13 * max(1.0, abs(energy))
+
+
+def test_tau_series_solve_refuses_the_branch_end_energy():
+    f = TauSeries([0.0, 1.0, -0.5, 0.06])
+    e_hi = f(f.branch()[1]).real
+    with pytest.raises(ArithmeticError, match=r"its energies span \(-inf, 0.58"):
+        f.solve(e_hi)
+
+
+def test_tau_series_solve_reads_the_real_parts():
+    c = np.array([0.0, 1.0, 3.0, -4.0])
+    for energy in (-0.05, 0.0, 0.4, 0.8):
+        assert TauSeries(c + 1e-14j * np.array([1.0, -1.0, 1.0, 1.0])).solve(energy) \
+            == TauSeries(c).solve(energy)
