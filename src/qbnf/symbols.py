@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Number
+from numbers import Integral, Number, Real
 from typing import Mapping
 
 import numpy as np
@@ -124,6 +124,10 @@ class PhaseSpec:
     orientable: bool = True
 
     def __post_init__(self):
+        # the key codes' radices are read from both truncations as integers
+        for name in ("grade_max", "tau_max"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.grade_max < 2:
             raise ValueError("grade_max must be at least 2")
         if self.tau_max < 0:
@@ -152,8 +156,7 @@ class PhaseSpec:
         m2, a, alpha, beta, j = key
         if len(alpha) != self.num_pairs or len(beta) != self.num_pairs:
             raise ValueError(f"exponent vectors must have length {self.num_pairs}")
-        integral = _key_entries([(m2, a, *alpha, *beta, j)])[1]
-        if integral is not None and not integral.all():
+        if not all(map(_is_int64, (m2, a, *alpha, *beta, j))):
             raise ValueError(f"symbol key entries must be integers, got {key}")
         if a < 0 or j < 0 or min(alpha, default=0) < 0 or min(beta, default=0) < 0:
             raise ValueError("negative exponent in symbol key")
@@ -168,6 +171,12 @@ class PhaseSpec:
                     "anti-periodicity violated: need 2m = |alpha|-|beta| (mod 2), "
                     f"got m={m2/2}, alpha={alpha}, beta={beta}"
                 )
+
+
+def _is_int64(x) -> bool:
+    """True for an integer, or a real number that is integral, in the int64 range."""
+    return (isinstance(x, Real) and (isinstance(x, Integral) or float(x).is_integer())
+            and -2**63 <= x < 2**63)
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +347,8 @@ def _encode(keys: np.ndarray, spec: PhaseSpec) -> np.ndarray:
 
 def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
     """Key of e^{imt} tau^a x^alpha xi^beta h^j; see ``FormalSymbol.monomial``."""
-    m2 = 2 * m
-    if not float(m2).is_integer():  # exactly: a near miss is not rounded, inf and nan fail
+    # exactly: a near miss is not rounded, inf and nan fail, and a str m would double as "11"
+    if not (isinstance(m, Real) and float(2 * m).is_integer()):
         raise ValueError("Fourier mode must be integer or half-integer")
     if alpha is None:
         alpha = (0,) * spec.num_pairs
@@ -349,57 +358,19 @@ def _monomial_key(spec: PhaseSpec, m, a, alpha, beta, j) -> tuple:
         beta = (0,) * spec.num_pairs
     elif isinstance(beta, int):
         beta = (beta,) + (0,) * (spec.num_pairs - 1)
-    return (int(m2), a, tuple(alpha), tuple(beta), j)
+    return (int(2 * m), a, tuple(alpha), tuple(beta), j)
 
 
-def _key_entries(rows: list):
-    """(rows of key entries as int64, None or where they are integral).
-
-    Rows of integers give their int64 array and None.  Any other entry,
-    such as a float, reads the rows as floats: an entry is integral when
-    it is an integer in the int64 range, and only those cast exactly.
-    """
-    raw = np.array(rows)
-    if raw.dtype == np.int64:
-        return raw, None
-    with np.errstate(invalid="ignore"):  # nan, inf and entries past the range cast to junk
-        real = raw.astype(float)
-        ints = real.astype(np.int64)
-    return ints, ints == real
-
-
-def _cleaned(spec: PhaseSpec, keys, re, im):
-    """(spec, key columns, re, im, codes) of terms as a caller gives them,
+def _cleaned(spec: PhaseSpec, cols: np.ndarray, re, im):
+    """(spec, key columns, re, im, codes) of int64 key columns ``cols``,
+    each a key ``spec.validate_key`` admits, and their coefficient parts,
     for ``FormalSymbol._of_columns(..., prune=True)``.
 
-    ``keys`` are (2m, a, alpha, beta, j) tuples as given, or int64 key
-    columns.  Array operations check every key by the rules of
-    ``spec.validate_key``, which raises the error of the first rejected
-    key.  Out-of-bound keys drop; zero coefficients are left to the prune,
-    unless a key repeats (given twice, or once as floats): then they drop
-    first, and the repeated key's coefficients add from 0.0 in order.
+    Out-of-bound keys drop; zero coefficients are left to the prune, unless
+    a key repeats: then they drop first, and the repeated key's
+    coefficients add from 0.0 in order.  Every part is 0.0 + its value.
     """
     P = spec.num_pairs
-    integral = None
-    if isinstance(keys, np.ndarray):
-        cols = keys
-    else:
-        if any(len(k[2]) != P or len(k[3]) != P for k in keys):
-            for key in keys:
-                spec.validate_key(key)  # raises at the first bad key
-        rows, integral = _key_entries([(k[0], k[1], *k[2], *k[3], k[4]) for k in keys])
-        cols = rows.T
-    # the cylinder has one pair, so its parity is 2m - alpha + beta
-    odd = (None if not spec.has_angle else cols[0] if spec.orientable
-           else cols[0] - cols[2] + cols[3])
-    if ((integral is not None and not integral.all()) or cols[1:].min(initial=0) < 0
-            or (odd is None and cols[:2].any()) or (odd is not None and (odd & 1).any())):
-        bad = (cols[1:] < 0).any(axis=0)
-        bad |= cols[:2].any(axis=0) if odd is None else (odd & 1).astype(bool)
-        if integral is not None:
-            bad |= ~integral.all(axis=1)
-        at = int(np.argmax(bad))
-        spec.validate_key(keys[at] if isinstance(keys, list) else _key_tuples(cols[:, at:at + 1], P)[0])
     grade = cols[2:2 + 2 * P].sum(axis=0) + 2 * cols[-1]
     inside = (cols[1] <= spec.tau_max) & (grade <= spec.grade_max)
     if inside.all():
@@ -439,12 +410,16 @@ class FormalSymbol:
     __slots__ = ("spec", "_cols", "_tabs")
 
     def __init__(self, spec: PhaseSpec, terms: Mapping | None = None):
-        """Symbol of ``terms``: keys checked, their entries integers or
-        integral floats, and cleaned (see ``_cleaned``), then pruned."""
+        """Symbol of ``terms``: each key checked by ``spec.validate_key`` in
+        order, so the first bad key raises, then read as int64 columns,
+        cleaned (see ``_cleaned``) and pruned."""
         if terms:
             keys = [(k[0], k[1], tuple(k[2]), tuple(k[3]), k[4]) for k in terms]
             c = np.array([complex(v) for v in terms.values()], dtype=complex)
-            sym = FormalSymbol._of_columns(*_cleaned(spec, keys, c.real, c.imag), prune=True)
+            for key in keys:
+                spec.validate_key(key)
+            rows = np.array([(k[0], k[1], *k[2], *k[3], k[4]) for k in keys], dtype=np.int64)
+            sym = FormalSymbol._of_columns(*_cleaned(spec, rows.T, c.real, c.imag), prune=True)
         else:
             sym = FormalSymbol.zero(spec)
         self.spec, self._cols, self._tabs = sym.spec, sym._cols, sym._tabs
@@ -564,9 +539,16 @@ class FormalSymbol:
         return FormalSymbol._of_columns(self.spec, keys, 0.0 + re, 0.0 - im)
 
     def reembedded(self, spec: PhaseSpec) -> "FormalSymbol":
-        """Same terms on another compatible spec; out-of-bound terms drop."""
+        """Same terms on another compatible spec; out-of-bound terms drop.
+
+        Of what the key rules read, a reembedding can change only
+        ``orientable``, so only then is each key checked by
+        ``spec.validate_key``, in order."""
         if spec.has_angle != self.spec.has_angle:
             raise SpecMismatchError("cannot reembed between different phase geometries")
+        if spec.orientable != self.spec.orientable:
+            for key in _key_tuples(_columns(self)[0], spec.num_pairs):
+                spec.validate_key(key)
         return FormalSymbol._of_columns(*_cleaned(spec, *_columns(self)), prune=True)
 
     def __repr__(self):

@@ -339,6 +339,12 @@ def test_homological_degenerate_rate():
     (lambda: replace(SPEC, grade_max=1), ValueError, "grade_max must be at least 2"),
     (lambda: PhaseSpec.cylinder(8, -1), ValueError, "tau_max must be nonnegative"),
     (lambda: replace(PhaseSpec.saddle(8), tau_max=2), ValueError, "only with an angle"),
+    # the key codes' radices are read as integers: at grade_max 4.5 the
+    # bracket {tau x^2, xi^2} came out as -4 tau x^5 xi, not -4 tau x xi
+    (lambda: PhaseSpec.cylinder(4.5, 2), ValueError, "grade_max must be an integer"),
+    (lambda: PhaseSpec.cylinder(4.0, 2), ValueError, "grade_max must be an integer"),
+    (lambda: PhaseSpec.cylinder("4", 2), ValueError, "grade_max must be an integer"),
+    (lambda: PhaseSpec.cylinder(4, 2.5), ValueError, "tau_max must be an integer"),
     (lambda: mono(1, alpha=1).reembedded(PhaseSpec.saddle(8)), SpecMismatchError,
      "different phase geometries"),
     (lambda: FormalSymbol.monomial(PhaseSpec.saddle(8), 1, alpha=(1, 0)).reembedded(SPEC),
@@ -346,7 +352,8 @@ def test_homological_degenerate_rate():
     (lambda: homological_solve(FormalSymbol.monomial(PhaseSpec.saddle(8), 1, alpha=(1, 0)),
                                F, TauSeries([1.0], 8)),
      SpecMismatchError, "requires the cylinder model"),
-], ids=["grade_max", "tau_max", "saddle_tau", "reembed_to_saddle", "reembed_to_cylinder",
+], ids=["grade_max", "tau_max", "saddle_tau", "fractional_grade_max", "float_grade_max",
+        "str_grade_max", "fractional_tau_max", "reembed_to_saddle", "reembed_to_cylinder",
         "transport_on_saddle"])
 def test_geometry_checks_refuse_what_the_geometry_rules_out(make, error, match):
     with pytest.raises(error, match=match):
@@ -461,11 +468,16 @@ def test_nonorientable_parity_enforced():
         FormalSymbol.monomial(spec, 1.0, m=1, alpha=1)  # 2m=2 even, deg odd
     ok = FormalSymbol.monomial(spec, 1.0, m=0.5, alpha=1)
     assert ok
+    same = FormalSymbol.monomial(spec, 1.0, m=np.float32(0.5), alpha=1)
+    assert same.terms.keys() == ok.terms.keys()
 
 
-@pytest.mark.parametrize("m", [1 + 4e-13, 0.5 - 1e-15, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("m", [
+    1 + 4e-13, 0.5 - 1e-15, math.inf, -math.inf, math.nan, pytest.param("1", id="str"),
+    pytest.param(b"1", id="bytes"), pytest.param(0.5 + 0j, id="complex"), None])
 def test_monomial_refuses_a_mode_that_is_not_exactly_a_multiple_of_one_half(m):
-    # a near miss is refused: rounding it would hold a mode that was not asked for
+    # a near miss is refused: rounding it would hold a mode that was not asked
+    # for; so is a mode that is not a real number (2 * "1" is "11", mode 5.5)
     with pytest.raises(ValueError, match="Fourier mode must be integer or half-integer"):
         FormalSymbol.monomial(PhaseSpec.cylinder(4, 2), 1.0, m=m, alpha=1, beta=1)
 
@@ -1107,6 +1119,32 @@ def test_non_integral_key_entries_raise_naming_the_key(key):
     # integral floats and numpy integers still name the integer key
     sym = FormalSymbol(spec, {(1.0, np.float64(1.0), (1.0,), (np.int64(0),), 0.0): 2.0})
     assert list(sym.terms) == [(1, 1, (1,), (0,), 0)]
+
+
+KEY_ENTRIES = {  # entry, and whether a key admits it
+    "int": (1, True), "numpy int": (np.int64(1), True), "bool": (True, True),
+    "integral float": (1.0, True), "numpy float": (np.float32(1.0), True), "1.5": (1.5, False),
+    "inf": (math.inf, False), "-inf": (-math.inf, False), "nan": (math.nan, False),
+    "int past int64": (2**63, False), "complex": (1 + 2j, False), "str": ("1", False)}
+KEY_SLOTS = ["2m", "a", "alpha", "beta", "j"]
+
+
+@pytest.mark.parametrize("slot", KEY_SLOTS)
+@pytest.mark.parametrize("kind", sorted(KEY_ENTRIES))
+def test_key_entry_kinds_clean_like_the_dict_path(kind, slot):
+    # the entry goes in one slot of a key that is valid with 1 there (the
+    # parity 2m - alpha + beta stays even), after a valid key
+    entry, admitted = KEY_ENTRIES[kind]
+    want = [1, 1, int(slot != "beta"), int(slot == "beta"), 1]
+    flat = list(want)
+    flat[KEY_SLOTS.index(slot)] = entry
+    key = (flat[0], flat[1], (flat[2],), (flat[3],), flat[4])
+    got = _assert_cleans_like_the_dict_path(PhaseSpec.cylinder(6, 3, orientable=False),
+                                            _Items([((1, 0, (1,), (0,), 0), 1.0), (key, 2.0)]))
+    if admitted:
+        assert list(got)[-1] == (want[0], want[1], (want[2],), (want[3],), want[4])
+    else:
+        assert got[0] is ValueError and "must be integers" in got[1]
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_SPECS))
